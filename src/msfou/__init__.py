@@ -43,7 +43,6 @@ from .paths import (
     SamplePath,
     TwoSidedFbm,
     euler_msfou,
-    msfbm_path,
     read_path_csv,
     sfbm_covariance,
     sfbm_path,
@@ -89,7 +88,6 @@ __all__ = [
     "SamplePath",
     "TwoSidedFbm",
     "euler_msfou",
-    "msfbm_path",
     "read_path_csv",
     "sfbm_covariance",
     "sfbm_path",

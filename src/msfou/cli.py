@@ -18,20 +18,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
-from .estimators import (
-    Method,
-    lse_skorohod,
-    nonergodic_estimator,
-    practical_estimator,
-)
+from .estimators import Method
 from .harness import (
+    _ESTIMATORS,
     ExperimentConfig,
     run_clt_experiment,
     run_rate_experiment,
     run_table_experiment,
 )
-from .mle import mle
 from .noise import HurstParam
 from .paths import euler_msfou, read_path_csv, write_path_csv
 
@@ -54,17 +50,6 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _stats_payload(stats) -> dict:
-    return {
-        "mean": stats.mean,
-        "median": stats.median,
-        "sdev": stats.sdev,
-        "skewness": stats.skewness,
-        "kurtosis": stats.kurtosis,
-        "n_failed": stats.n_failed,
-    }
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     n_steps = int(round(args.T / args.d))
     path = euler_msfou(
@@ -84,20 +69,14 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     with open(args.path_in, "r", encoding="utf-8") as fh:
         path = read_path_csv(fh)
     method = Method(args.method)
-    if method is Method.NONERGODIC:
-        result = nonergodic_estimator(path)
-    else:
+    hurst = None
+    if method is not Method.NONERGODIC:
         if args.hurst is None:
             raise SystemExit(f"--hurst is required for method {method.value}")
         hurst = HurstParam(args.hurst)
-        if method is Method.PRACTICAL:
-            result = practical_estimator(path, hurst)
-        elif method is Method.LSE_SKOROHOD:
-            if args.theta_ref is None:
-                raise SystemExit("--theta-ref is required for method lse")
-            result = lse_skorohod(path, hurst, args.theta_ref)
-        else:
-            result = mle(path, hurst, args.mesh)
+    if method is Method.LSE_SKOROHOD and args.theta_ref is None:
+        raise SystemExit("--theta-ref is required for method lse")
+    result = _ESTIMATORS[method](path, hurst, args.theta_ref, args.mesh)
     payload = {
         "theta_hat": result.theta_hat,
         "method": result.method.value,
@@ -137,7 +116,7 @@ def _cmd_mc_clt(args: argparse.Namespace) -> int:
         fh.write("phi\n")
         for value in phi:
             fh.write(_fmt(value) + "\n")
-    _write_json(args.stats, _stats_payload(stats))
+    _write_json(args.stats, asdict(stats))
     return 0
 
 

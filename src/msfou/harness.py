@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .estimators import (
     practical_estimator,
 )
 from .mle import mle
-from .noise import HurstParam
+from .noise import HurstParam, HurstRegime
 from .paths import SamplePath, euler_msfou
 
 __all__ = [
@@ -47,9 +47,8 @@ class ExperimentConfig:
     """Full description of one Monte Carlo experiment.
 
     N = round(T/d) sampling steps per path. ``mle_mesh`` sizes the
-    estimation mesh used when estimator = MLE; ``noise_scale`` is a test
-    hook (0 zeroes both noise streams, leaving the deterministic drift
-    recursion).
+    estimation mesh used when estimator = MLE. The JSON config of the CLI
+    carries the same field names (see ``from_dict``).
     """
 
     theta_true: float
@@ -61,7 +60,6 @@ class ExperimentConfig:
     estimator: Method
     x0: float = 0.0
     mle_mesh: int = 128
-    noise_scale: float = 1.0
 
     def __post_init__(self) -> None:
         if not isinstance(self.estimator, Method):
@@ -90,22 +88,18 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        """Build from a plain mapping (JSON config); estimator by CLI name."""
-        known = {
-            "theta_true",
-            "H",
-            "d",
-            "T",
-            "replications",
-            "master_seed",
-            "estimator",
-            "x0",
-            "mle_mesh",
-            "noise_scale",
-        }
+        """Build from a plain mapping (JSON config); estimator by CLI name.
+
+        Keys are the dataclass field names; unknown keys and missing fields
+        without a default raise ValueError naming them.
+        """
+        known = {f.name for f in fields(cls)}
         unknown = set(raw) - known
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
+        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(raw)
+        if missing:
+            raise ValueError(f"missing config fields: {sorted(missing)}")
         data = dict(raw)
         data["estimator"] = Method(data["estimator"])
         return cls(**data)
@@ -178,23 +172,26 @@ def _simulate_one(cfg: ExperimentConfig, rep: int) -> SamplePath:
         N=cfg.n_steps,
         seed=_replication_seed(cfg.master_seed, rep),
         x0=cfg.x0,
-        noise_scale=cfg.noise_scale,
     )
+
+
+# The one Method -> estimator mapping, shared with the CLI. Every entry takes
+# (path, hurst, theta_ref, mle_mesh) and uses what its estimator needs. The
+# lambdas look the estimators up as module globals at call time, so a
+# wrapped or patched global is the one that runs.
+_ESTIMATORS = {
+    Method.PRACTICAL: lambda x, h, theta_ref, mesh: practical_estimator(x, h),
+    Method.LSE_SKOROHOD: lambda x, h, theta_ref, mesh: lse_skorohod(x, h, theta_ref),
+    Method.NONERGODIC: lambda x, h, theta_ref, mesh: nonergodic_estimator(x),
+    Method.MLE: lambda x, h, theta_ref, mesh: mle(x, h, mesh),
+}
 
 
 def _estimate_one(cfg: ExperimentConfig, rep: int) -> float:
     """One replication: simulate, estimate, return theta_hat (may raise)."""
     path = _simulate_one(cfg, rep)
-    method = cfg.estimator
-    if method is Method.PRACTICAL:
-        return practical_estimator(path, cfg.hurst).theta_hat
-    if method is Method.LSE_SKOROHOD:
-        return lse_skorohod(path, cfg.hurst, cfg.theta_true).theta_hat
-    if method is Method.NONERGODIC:
-        return nonergodic_estimator(path).theta_hat
-    if method is Method.MLE:
-        return mle(path, cfg.hurst, cfg.mle_mesh).theta_hat
-    raise ValueError(f"unknown estimator {method!r}")
+    estimate = _ESTIMATORS[cfg.estimator]
+    return estimate(path, cfg.hurst, cfg.theta_true, cfg.mle_mesh).theta_hat
 
 
 def _guarded_estimate(args: tuple) -> tuple[int, float | None]:
@@ -228,30 +225,20 @@ def run_table_experiment(cfg: ExperimentConfig, workers: int = 1) -> SummaryStat
 
 
 def run_clt_experiment(
-    cfg: ExperimentConfig, workers: int = 1, estimate_fn=None
+    cfg: ExperimentConfig, workers: int = 1
 ) -> tuple[np.ndarray, SummaryStats]:
     """Standardized-error sample for the moment estimator plus its summary.
 
     Per replication, Phi = phi_statistic(theta_tilde, theta_true, ...) with
     theta_tilde from the practical estimator; requires 1/2 < H < 3/4 and
-    estimator = PRACTICAL. ``estimate_fn(cfg, rep) -> theta_tilde`` can
-    replace the estimation step (test hook).
+    estimator = PRACTICAL. Replications run and fail exactly as in
+    ``run_table_experiment``.
     """
     if cfg.estimator is not Method.PRACTICAL:
         raise ValueError("run_clt_experiment requires estimator = PRACTICAL")
     if not 0.5 < cfg.H < 0.75:
         raise ValueError(f"run_clt_experiment requires 1/2 < H < 3/4, got H={cfg.H}")
-    if estimate_fn is None:
-        estimates, n_failed = _run_replications(cfg, workers)
-    else:
-        collected = []
-        n_failed = 0
-        for rep in range(cfg.replications):
-            try:
-                collected.append(float(estimate_fn(cfg, rep)))
-            except (ValueError, RuntimeError, FloatingPointError):
-                n_failed += 1
-        estimates = np.array(collected, dtype=float)
+    estimates, n_failed = _run_replications(cfg, workers)
     if estimates.size == 0:
         raise RuntimeError(f"all {cfg.replications} replications failed")
     hurst = cfg.hurst
@@ -264,13 +251,13 @@ def run_clt_experiment(
     return phi, summarize(phi, n_failed)
 
 
-def _rate_scale(big_t: float, hh: float) -> float:
+def _rate_scale(big_t: float, h: HurstParam) -> float:
     """Regime-appropriate error scaling: sqrt(T), sqrt(T/log T), T^(2-2H)."""
-    if hh < 0.75:
-        return math.sqrt(big_t)
-    if hh == 0.75:
+    if h.regime is HurstRegime.BOUNDARY:
         return math.sqrt(big_t / math.log(big_t))
-    return big_t ** (2.0 - 2.0 * hh)
+    if h.regime is HurstRegime.ROSENBLATT:
+        return big_t ** (2.0 - 2.0 * h.h)
+    return math.sqrt(big_t)
 
 
 def run_rate_experiment(
@@ -297,6 +284,6 @@ def run_rate_experiment(
         estimates, n_failed = _run_replications(cfg_t, workers)
         if estimates.size < 2:
             raise RuntimeError(f"too few successful replications at T={big_t}")
-        scaled = _rate_scale(big_t, cfg.H) * (estimates - cfg.theta_true)
+        scaled = _rate_scale(big_t, cfg.hurst) * (estimates - cfg.theta_true)
         rows.append((big_t, float(np.std(scaled, ddof=1)), n_failed))
     return rows

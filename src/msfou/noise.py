@@ -1,4 +1,4 @@
-"""Stationary fractional Gaussian noise (fGn) and cumulative fBm sequences.
+"""Stationary fractional Gaussian noise (fGn) generators.
 
 The sampler is dimensionless: it produces unit-variance noise per unit lag.
 Time scaling (``d**H``) is applied by the path-building layer, not here.
@@ -29,7 +29,6 @@ __all__ = [
     "NoiseSpec",
     "fgn_autocovariance",
     "sample_fgn",
-    "fbm_from_fgn",
 ]
 
 
@@ -204,14 +203,3 @@ def sample_fgn(spec: NoiseSpec, H: HurstParam) -> np.ndarray:
         return _circulant_fgn(spec.n, H, rng)
     return _paxson_fgn(spec.n, H, rng)
 
-
-def fbm_from_fgn(increments) -> np.ndarray:
-    """Cumulative sums of an increment sequence (B_0 = 0 excluded).
-
-    ``out[j] = increments[0] + ... + increments[j]``, so the last entry is
-    the exact total sum.
-    """
-    inc = np.asarray(increments, dtype=float)
-    if inc.ndim != 1 or inc.size == 0:
-        raise ValueError("increments must be a nonempty 1-d sequence")
-    return np.cumsum(inc)

@@ -25,13 +25,16 @@ solves, one per right endpoint ``s_j``, each fully resolved on its own
 scaled mesh.
 
 Solutions carry boundary layers in powers of ``s^rho`` and ``(t-s)^rho``
-(rho = 2H-1) at the two ends of ``[0, t]``. The discretization therefore
-uses quadratic elements in the layer coordinate ``u = sigma^rho`` (resp.
+(rho = 2H-1) at the two ends of ``[0, t]``. Two Nystrom systems handle
+them. The uniform unit mesh, which serves ``g(., t)``, uses quadratic
+elements in the layer coordinate ``u = sigma^rho`` (resp.
 ``(1-sigma)^rho``) on the two outermost panel pairs -- capturing the
 ``u^2 = sigma^(2 rho)`` curvature that a single power pair misses -- and
-linear hats in between. All kernel moments are exact: elementary power
-antiderivatives on interior panels, incomplete-beta and Gauss
-hypergeometric closed forms on the edge elements.
+linear hats in between. The diagonal uses linear hats throughout, on a
+mesh graded toward both ends. All kernel moments are exact: both systems
+take their linear-hat moments from one assembly of elementary power
+antiderivatives (``_hat_panel_moments``); the edge elements use
+incomplete-beta and Gauss hypergeometric closed forms.
 """
 
 from __future__ import annotations
@@ -464,6 +467,42 @@ def _right_edge_moments(rho: float, m: int, order: int) -> np.ndarray:
     return out
 
 
+def _hat_panel_moments(
+    a: np.ndarray, b: np.ndarray, sig: np.ndarray, rho: float, alpha: float, width
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact unit-kernel moments of the linear hats on panels [a_q, b_q].
+
+    m0[i, q] = int_panel_q alpha kappa-hat(r, sig_i) dr
+    u1[i, q] = int_panel_q ((r - a_q)/width_q) alpha kappa-hat(r, sig_i) dr
+
+    The left node of panel q gets weight m0 - u1, the right node u1.
+    ``width`` is the panel width as the caller's mesh defines it (the
+    scalar step of a uniform mesh, else b - a).
+    """
+    a = a[None, :]
+    b = b[None, :]
+    col = sig[:, None]
+
+    def f_same(x):
+        # antiderivative of |x|^(rho-1)
+        return np.sign(x) * np.abs(x) ** rho / rho
+
+    def g_same(x):
+        # antiderivative of x |x|^(rho-1)
+        return np.abs(x) ** (rho + 1.0) / (rho + 1.0)
+
+    d_f = f_same(b - col) - f_same(a - col)
+    d_g = g_same(b - col) - g_same(a - col)
+    cross_0 = ((b + col) ** rho - (a + col) ** rho) / rho
+    cross_1 = ((b + col) ** (rho + 1.0) - (a + col) ** (rho + 1.0)) / (
+        rho + 1.0
+    ) - (a + col) * cross_0
+
+    m0 = alpha * (d_f - cross_0)
+    u1 = alpha * (d_g + (col - a) * d_f - cross_1) / width
+    return m0, u1
+
+
 @functools.lru_cache(maxsize=8)
 def _unit_kernel_system(hh: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Nystrom weight matrix W and anchor vector e on the unit mesh j/m.
@@ -481,28 +520,7 @@ def _unit_kernel_system(hh: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     hstep = 1.0 / m
     sig = np.arange(1, m + 1) * hstep
     a = np.arange(0, m) * hstep  # panel q = [a_q, a_q + hstep]
-    b = a + hstep
-    col = sig[:, None]
-
-    def f_same(x):
-        # antiderivative of |x|^(rho-1)
-        return np.sign(x) * np.abs(x) ** rho / rho
-
-    def g_same(x):
-        # antiderivative of x |x|^(rho-1)
-        return np.abs(x) ** (rho + 1.0) / (rho + 1.0)
-
-    d_f = f_same(b[None, :] - col) - f_same(a[None, :] - col)
-    d_g = g_same(b[None, :] - col) - g_same(a[None, :] - col)
-    cross_0 = ((b[None, :] + col) ** rho - (a[None, :] + col) ** rho) / rho
-    cross_1 = ((b[None, :] + col) ** (rho + 1.0) - (a[None, :] + col) ** (rho + 1.0)) / (
-        rho + 1.0
-    ) - (a[None, :] + col) * cross_0
-
-    # m0[i, q] = int_panel_q kappa-hat(r, sig_i) dr
-    # u1[i, q] = int_panel_q ((r - a_q)/hstep) kappa-hat(r, sig_i) dr
-    m0 = alpha * (d_f - cross_0)
-    u1 = alpha * (d_g + (col - a[None, :]) * d_f - cross_1) / hstep
+    m0, u1 = _hat_panel_moments(a, a + hstep, sig, rho, alpha, hstep)
 
     shape = _edge_shape_matrix(rho, hstep, order)  # (order+1, order+1)
     left = alpha * _left_edge_moments(rho, m, order)  # (order+1, m)
@@ -578,31 +596,14 @@ def _graded_unit_system(hh: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     nodes = xa / (xa + xb)
     if np.any(np.diff(nodes) <= 0.0):
         raise RuntimeError(f"graded mesh collapsed at n={n} (grading {qexp:.2f})")
-    sig = nodes[1:]
-    a = nodes[:-1][None, :]
-    b = nodes[1:][None, :]
-    widths = b - a
-    col = sig[:, None]
+    a, b = nodes[:-1], nodes[1:]
+    # collocation at the unknown nodes, which are the panels' right ends
+    m0, u1 = _hat_panel_moments(a, b, b, rho, alpha, b - a)
 
-    def f_same(y):
-        return np.sign(y) * np.abs(y) ** rho / rho
-
-    def g_same(y):
-        return np.abs(y) ** (rho + 1.0) / (rho + 1.0)
-
-    d_f = f_same(b - col) - f_same(a - col)
-    d_g = g_same(b - col) - g_same(a - col)
-    cross_0 = ((b + col) ** rho - (a + col) ** rho) / rho
-    cross_1 = ((b + col) ** (rho + 1.0) - (a + col) ** (rho + 1.0)) / (
-        rho + 1.0
-    ) - (a + col) * cross_0
-
-    m0 = alpha * (d_f - cross_0)
-    u1 = alpha * (d_g + (col - a) * d_f - cross_1) / widths
-
-    weights_mat = u1.copy()  # right node of panel q is unknown column q
-    weights_mat[:, : n - 1] += (m0 - u1)[:, 1:]  # left nodes of panels 1..n-1
-    anchor = (m0 - u1)[:, 0].copy()  # left node of panel 0 has known value 1
+    left = m0 - u1
+    weights_mat = u1  # right node of panel q is unknown column q
+    weights_mat[:, : n - 1] += left[:, 1:]  # left nodes of panels 1..n-1
+    anchor = left[:, 0].copy()  # left node of panel 0 has known value 1
 
     weights_mat.setflags(write=False)
     anchor.setflags(write=False)

@@ -23,7 +23,6 @@ __all__ = [
     "two_sided_fbm",
     "sfbm_path",
     "sfbm_covariance",
-    "msfbm_path",
     "euler_msfou",
     "write_path_csv",
     "read_path_csv",
@@ -153,20 +152,6 @@ def sfbm_covariance(s, t, H: HurstParam):
     return r
 
 
-def msfbm_path(W: SamplePath, S: SamplePath) -> SamplePath:
-    """Mixed path xi = W + S. Requires matching grids; W and S must come
-    from independent noise streams (enforced by the callers' seeding)."""
-    if W.n != S.n or W.d != S.d:
-        raise ValueError(
-            f"grid mismatch: (N={W.n}, d={W.d}) vs (N={S.n}, d={S.d})"
-        )
-    return SamplePath(
-        d=W.d,
-        values=W.values + S.values,
-        initial_value=W.initial_value + S.initial_value,
-    )
-
-
 # Disjoint substream indices of one master seed, so the sfBm and Brownian
 # components of a mixed path are independent by construction.
 _STREAM_SFBM = 0
@@ -182,7 +167,6 @@ def euler_msfou(
     x0: float = 0.0,
     *,
     method: GenMethod = GenMethod.CIRCULANT_EXACT,
-    noise_scale: float = 1.0,
 ) -> SamplePath:
     """Simulate the mixed sub-fractional OU process by the Euler scheme.
 
@@ -196,11 +180,8 @@ def euler_msfou(
         after t=0).
     seed : master seed; the sfBm and Brownian components draw from disjoint
         substreams of it.
-    x0 : initial value (0 in the usual setup; nonzero supports noise-free
-        decay tests).
+    x0 : initial value (0 in the usual setup).
     method : fGn generation method for the sfBm component.
-    noise_scale : multiplies both noise increments; 0 leaves the
-        deterministic recursion X_{i+1} = (1 - theta*d) * X_i (test hook).
     """
     if not d > 0.0:
         raise ValueError(f"grid spacing d must be positive, got {d!r}")
@@ -215,10 +196,9 @@ def euler_msfou(
     rng = NoiseSpec(n=N, seed=seed, method=method, stream=_STREAM_BM).rng()
     dw = math.sqrt(d) * rng.standard_normal(N)
 
-    drive = noise_scale * (ds + dw)
+    drive = ds + dw
     a = 1.0 - theta * d
     # Linear recursion X_{i+1} = a X_i + drive_i as an IIR filter.
-    drive = drive.copy()
     drive[0] += a * x0
     values = lfilter([1.0], [1.0, -a], drive)
     return SamplePath(d=d, values=values, initial_value=x0)

@@ -2,8 +2,8 @@
 
 Covers:
   1. simulate: CSV output identical to the library call.
-  2. estimate: JSON payload identical to the direct estimator result,
-     per-method argument requirements.
+  2. estimate: JSON payload identical to the direct estimator result for
+     every method, per-method argument requirements.
   3. mc-table / mc-clt / mc-rate: headers, payloads, agreement with the
      harness, and byte determinism across reruns and worker counts.
   4. Argument errors exit non-zero.
@@ -20,6 +20,8 @@ from msfou import (
     ExperimentConfig,
     HurstParam,
     euler_msfou,
+    lse_skorohod,
+    mle,
     nonergodic_estimator,
     practical_estimator,
     read_path_csv,
@@ -118,13 +120,25 @@ class TestEstimate:
         )
         return out
 
-    def test_practical_matches_direct_call(self, path_csv, tmp_path):
+    @pytest.mark.parametrize(
+        "method, direct_call",
+        [
+            ("practical", lambda x, h: practical_estimator(x, h)),
+            ("lse", lambda x, h: lse_skorohod(x, h, 1.0)),
+            ("nonergodic", lambda x, h: nonergodic_estimator(x)),
+            ("mle", lambda x, h: mle(x, h, 16)),
+        ],
+        ids=["practical", "lse", "nonergodic", "mle"],
+    )
+    def test_matches_direct_call(self, path_csv, tmp_path, method, direct_call):
         out = tmp_path / "est.json"
         rc = main(
             [
                 "estimate",
-                "--method", "practical",
+                "--method", method,
                 "--hurst", "0.6",
+                "--theta-ref", "1.0",
+                "--mesh", "16",
                 "--in", str(path_csv),
                 "--out", str(out),
             ]
@@ -133,9 +147,9 @@ class TestEstimate:
         payload = json.loads(out.read_text(encoding="utf-8"))
         with open(path_csv, encoding="utf-8") as fh:
             path = read_path_csv(fh)
-        direct = practical_estimator(path, HurstParam(0.6))
+        direct = direct_call(path, HurstParam(0.6))
         assert payload["theta_hat"] == direct.theta_hat
-        assert payload["method"] == "practical"
+        assert payload["method"] == method
         assert payload["denominator"] == direct.denominator
         assert payload["diagnostics"] == direct.diagnostics
 

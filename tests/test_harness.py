@@ -10,14 +10,19 @@ Covers:
   6. run_rate_experiment: gates, shape, and the regime scaling map.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.stats
 
 from msfou import (
     ExperimentConfig,
+    HurstParam,
     Method,
+    SamplePath,
     SummaryStats,
+    harness,
     phi_statistic,
     run_clt_experiment,
     run_rate_experiment,
@@ -101,6 +106,17 @@ class TestExperimentConfig:
             "workers": 4,
         }
         with pytest.raises(ValueError, match="workers"):
+            ExperimentConfig.from_dict(raw)
+
+    def test_from_dict_rejects_missing_fields(self):
+        raw = {
+            "theta_true": 1.0,
+            "H": 0.6,
+            "d": 0.1,
+            "replications": 2,
+            "master_seed": 1,
+        }
+        with pytest.raises(ValueError, match=r"missing config fields: \['T', 'estimator'\]"):
             ExperimentConfig.from_dict(raw)
 
     def test_from_dict_rejects_unknown_estimator(self):
@@ -203,10 +219,13 @@ class TestRunTableExperiment:
         b = run_table_experiment(_config(master_seed=2))
         assert a.mean != b.mean
 
-    def test_all_failures_raise(self):
-        # x0 = 0 with the noise off gives the zero path: every replication
-        # hits the degenerate-moment gate
-        cfg = _config(noise_scale=0.0, x0=0.0, replications=3)
+    def test_all_failures_raise(self, monkeypatch):
+        # every replication simulates the zero path and hits the
+        # degenerate-moment gate
+        monkeypatch.setattr(
+            harness, "euler_msfou", lambda **kw: SamplePath(d=kw["d"], values=np.zeros(kw["N"]))
+        )
+        cfg = _config(replications=3)
         with pytest.raises(RuntimeError, match="failed"):
             run_table_experiment(cfg)
 
@@ -231,12 +250,16 @@ class TestRunCltExperiment:
         with pytest.raises(ValueError):
             run_clt_experiment(_config(H=0.8))
 
-    def test_standardization_pipeline(self):
-        # deterministic estimates through the hook: phi must match the
-        # direct statistic and the summary must match summarize(phi)
+    def test_standardization_pipeline(self, monkeypatch):
+        # deterministic estimates in place of the practical estimator: phi
+        # must match the direct statistic and the summary summarize(phi)
         cfg = _config(replications=5)
         estimates = [1.0 + 0.1 * rep for rep in range(5)]
-        phi, stats = run_clt_experiment(cfg, estimate_fn=lambda c, rep: estimates[rep])
+        queue = iter(estimates)
+        monkeypatch.setattr(
+            harness, "practical_estimator", lambda x, h: SimpleNamespace(theta_hat=next(queue))
+        )
+        phi, stats = run_clt_experiment(cfg)
         expected = np.array(
             [
                 phi_statistic(th, cfg.theta_true, cfg.hurst, cfg.n_steps, cfg.d)
@@ -246,15 +269,18 @@ class TestRunCltExperiment:
         np.testing.assert_allclose(phi, expected, rtol=1e-14)
         assert stats == summarize(phi)
 
-    def test_hook_failures_are_counted(self):
+    def test_hook_failures_are_counted(self, monkeypatch):
         cfg = _config(replications=4)
+        reps = iter(range(4))
 
-        def flaky(c, rep):
+        def flaky(x, h):
+            rep = next(reps)
             if rep == 0:
                 raise ValueError("boom")
-            return 1.0 + 0.01 * rep
+            return SimpleNamespace(theta_hat=1.0 + 0.01 * rep)
 
-        phi, stats = run_clt_experiment(cfg, estimate_fn=flaky)
+        monkeypatch.setattr(harness, "practical_estimator", flaky)
+        phi, stats = run_clt_experiment(cfg)
         assert phi.size == 3
         assert stats.n_failed == 1
 
@@ -265,11 +291,14 @@ class TestRunCltExperiment:
 
 class TestRateScale:
     def test_three_regimes(self):
-        assert _rate_scale(100.0, 0.6) == pytest.approx(10.0)
-        assert _rate_scale(100.0, 0.75) == pytest.approx(
+        assert _rate_scale(100.0, HurstParam(0.6)) == pytest.approx(10.0)
+        assert _rate_scale(100.0, HurstParam(0.75)) == pytest.approx(
             np.sqrt(100.0 / np.log(100.0))
         )
-        assert _rate_scale(100.0, 0.85) == pytest.approx(100.0**0.3)
+        assert _rate_scale(100.0, HurstParam(0.85)) == pytest.approx(100.0**0.3)
+        # below the ergodic range the scale stays sqrt(T)
+        assert _rate_scale(100.0, HurstParam(0.5)) == pytest.approx(10.0)
+        assert _rate_scale(100.0, HurstParam(0.3)) == pytest.approx(10.0)
 
 
 class TestRunRateExperiment:

@@ -95,7 +95,7 @@ class TestDecompose:
 
     def test_zero_path_gives_zero_functionals(self):
         h = HurstParam(0.65)
-        x = euler_msfou(theta=1.0, H=h, d=0.02, N=64, seed=0, x0=0.0, noise_scale=0.0)
+        x = SamplePath(d=0.02, values=np.zeros(64))
         dec = decompose(x, h, m=8)
         np.testing.assert_array_equal(dec.Z, np.zeros(9))
         np.testing.assert_array_equal(dec.Q, np.zeros(9))
@@ -155,14 +155,12 @@ class TestMle:
         assert lhs == pytest.approx(res.theta_hat - theta, rel=1e-10, abs=1e-12)
 
     def test_noise_free_path_recovers_drift(self):
-        # with the noise switched off, dX = -theta X dt exactly, and the
-        # only error left is the predictable freeze of the path state
-        # inside each mesh panel: first order in the panel width, so the
-        # gap roughly halves when the mesh doubles
+        # on the noise-free Euler path X_i = (1 - theta d)^i, dX = -theta X dt
+        # exactly, and the only error left is the predictable freeze of the
+        # path state inside each mesh panel: first order in the panel width,
+        # so the gap roughly halves when the mesh doubles
         h = HurstParam(0.65)
-        x = euler_msfou(
-            theta=1.0, H=h, d=0.01, N=2000, seed=0, x0=1.0, noise_scale=0.0
-        )
+        x = SamplePath(d=0.01, values=np.cumprod(np.full(2000, 1.0 - 0.01)), initial_value=1.0)
         gap_coarse = abs(mle(x, h, m=128).theta_hat - 1.0)
         gap_fine = abs(mle(x, h, m=256).theta_hat - 1.0)
         print(f"  noise-free gap: m=128 {gap_coarse:.4f}  m=256 {gap_fine:.4f}")
@@ -181,7 +179,7 @@ class TestMle:
 
     def test_degenerate_path_raises(self):
         h = HurstParam(0.6)
-        x = euler_msfou(theta=1.0, H=h, d=0.02, N=64, seed=0, x0=0.0, noise_scale=0.0)
+        x = SamplePath(d=0.02, values=np.zeros(64))
         with pytest.raises(ValueError):
             mle(x, h, m=8)
 

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msfou import GenMethod, HurstParam, HurstRegime, NoiseSpec, fgn_autocovariance, sample_fgn
-from msfou.noise import fbm_from_fgn
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +160,3 @@ class TestSamplerStatistics:
         x = sample_fgn(NoiseSpec(n=2**14, seed=5), HurstParam(0.5))
         lag1 = float(np.mean(x[:-1] * x[1:]))
         assert abs(lag1) < 4.0 / np.sqrt(x.size)
-
-    def test_fbm_from_fgn_cumsum(self):
-        inc = np.array([1.0, -2.0, 0.5])
-        path = fbm_from_fgn(inc)
-        assert np.allclose(path, [1.0, -1.0, -0.5])

@@ -22,7 +22,6 @@ from msfou import (
     NoiseSpec,
     SamplePath,
     euler_msfou,
-    msfbm_path,
     read_path_csv,
     sample_fgn,
     sfbm_covariance,
@@ -144,30 +143,16 @@ class TestSfbmCovariance:
 # ---------------------------------------------------------------------------
 
 class TestMsfbmPath:
-    def test_sum_of_components(self):
-        w = SamplePath(d=0.5, values=np.array([1.0, 2.0]))
-        s = SamplePath(d=0.5, values=np.array([0.25, -0.5]))
-        xi = msfbm_path(w, s)
-        assert np.allclose(xi.values, [1.25, 1.5])
-
-    def test_mismatched_grids_rejected(self):
-        w = SamplePath(d=0.5, values=np.array([1.0, 2.0]))
-        s = SamplePath(d=0.25, values=np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            msfbm_path(w, s)
-
     def test_variance_additivity(self):
-        # Var xi_t = t + (2 - 2^(2H-1)) t^(2H) for independent components
+        # Var xi_t = t + (2 - 2^(2H-1)) t^(2H) for independent components;
+        # with theta = 0 and x0 = 0 the Euler path is xi itself
         h = HurstParam(0.65)
         t = 2.0
         n_rep, n = 4000, 4
         vals = np.empty(n_rep)
         for r in range(n_rep):
-            fgn = sample_fgn(NoiseSpec(n=2 * n, seed=7_000 + r, stream=0), h)
-            s = sfbm_path(two_sided_fbm(fgn, 0.5, h))
-            rng = NoiseSpec(n=n, seed=7_000 + r, stream=1).rng()
-            w = SamplePath(d=0.5, values=np.cumsum(math.sqrt(0.5) * rng.standard_normal(n)))
-            vals[r] = msfbm_path(w, s).full_values()[-1]
+            x = euler_msfou(theta=0.0, H=h, d=0.5, N=n, seed=7_000 + r, x0=0.0)
+            vals[r] = x.values[-1]
         target = t + (2.0 - 2.0 ** (2 * h.h - 1.0)) * t ** (2 * h.h)
         se = np.std(vals**2, ddof=1) / math.sqrt(n_rep)
         print(f"  Var xi(2) = {np.mean(vals**2):.4f}, target = {target:.4f}")
@@ -185,11 +170,21 @@ class TestEulerMsfou:
         assert np.array_equal(a.values, b.values)
 
     def test_noise_free_decay(self):
-        # noise_scale = 0: X_i = (1 - theta d)^i x0 exactly
-        theta, d, n = 0.8, 0.1, 20
-        x = euler_msfou(theta=theta, H=HurstParam(0.6), d=d, N=n, seed=3, x0=2.0, noise_scale=0.0)
-        expected = 2.0 * (1.0 - theta * d) ** np.arange(1, n + 1)
-        assert np.allclose(x.values, expected, rtol=1e-13)
+        # X_i = (1 - theta d) X_{i-1} + Delta_i, with the noise increments
+        # Delta read off the theta = 0, x0 = 0 path of the same seed
+        theta, d, n, h = 0.8, 0.1, 20, HurstParam(0.6)
+        x = euler_msfou(theta=theta, H=h, d=d, N=n, seed=3, x0=2.0)
+        delta = np.diff(euler_msfou(theta=0.0, H=h, d=d, N=n, seed=3, x0=0.0).full_values())
+        expected = np.empty(n)
+        prev = 2.0
+        for i in range(n):
+            prev = (1.0 - theta * d) * prev + delta[i]
+            expected[i] = prev
+        np.testing.assert_allclose(x.values, expected, rtol=1e-12, atol=1e-12)
+        # the initial value decays as (1 - theta d)^i x0 on top of the x0 = 0 path
+        from_zero = euler_msfou(theta=theta, H=h, d=d, N=n, seed=3, x0=0.0)
+        decay = 2.0 * (1.0 - theta * d) ** np.arange(1, n + 1)
+        np.testing.assert_allclose(x.values - from_zero.values, decay, rtol=1e-12)
 
     def test_zero_drift_reduces_to_noise(self):
         # theta = 0: X_t = x0 + xi_t, so increments equal the raw drive

@@ -1,0 +1,47 @@
+"""Every name the demos and the README examples import from msfou exists.
+
+The demos take minutes to run, so this suite only parses them (and the
+```python blocks of the README) and resolves their msfou imports.
+"""
+
+import ast
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _sources() -> dict:
+    out = {p.name: p.read_text(encoding="utf-8") for p in sorted(ROOT.glob("demos/*.py"))}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    for i, block in enumerate(re.findall(r"```python\n(.*?)```", readme, re.S)):
+        out[f"README-python-{i}"] = block
+    return out
+
+
+SOURCES = _sources()
+
+
+@pytest.mark.parametrize("name", sorted(SOURCES))
+def test_msfou_imports_resolve(name):
+    imported = []
+    for node in ast.walk(ast.parse(SOURCES[name])):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "msfou":
+            module = importlib.import_module(node.module)
+            imported += [(node.module, alias.name, module) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "msfou":
+                    importlib.import_module(alias.name)
+                    imported.append((alias.name, None, None))
+    assert imported, f"{name} imports nothing from msfou"
+    missing = [f"{mod}.{attr}" for mod, attr, module in imported if attr and not hasattr(module, attr)]
+    assert not missing, f"{name} imports names msfou does not define: {missing}"
+
+
+def test_sources_found():
+    assert any(name.endswith(".py") for name in SOURCES)
+    assert any(name.startswith("README") for name in SOURCES)
