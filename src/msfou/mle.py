@@ -16,7 +16,7 @@ The MLE is the Girsanov ratio
     theta_hat = - int_0^T Q dZ / int_0^T Q^2 d<M>,
 
 computed here with left-point Riemann-Stieltjes sums on a coarse estimation
-mesh (each mesh point needs a dense kernel solve, so the mesh is decoupled
+mesh (each mesh point needs its own kernel solve, so the mesh is decoupled
 from the simulation grid). Q has no closed form; it is recovered by a
 forward finite difference of the numerator integral against increments of
 <M>, with the path state frozen at the left mesh point so the difference
@@ -38,6 +38,7 @@ from .numerics import (
     _cached_endpoint_solutions,
     _interp_unit_solution,
     _layer_cumulative_square_integral,
+    _require_small_residual,
 )
 from .paths import SamplePath
 
@@ -83,7 +84,9 @@ def decompose(x: SamplePath, h: HurstParam, m: int = 128) -> MartingaleDecomposi
     the grid exactly and ends at T. Z(t_k) integrates g(., t_k) against the
     raw path increments (midpoint evaluation of g on each observation
     step); the Q numerator integrates g * X by the trapezoid rule on the
-    full grid. Requires N >= m >= 8 and H >= 1/2.
+    full grid. Requires N >= m >= 8 and H >= 1/2. Raises RuntimeError when
+    a kernel solve's linear-system residual exceeds 1e-6, as
+    ``solve_g_kernel`` does.
     """
     if not isinstance(h, HurstParam):
         raise TypeError(f"expected HurstParam, got {type(h).__name__}")
@@ -110,8 +113,9 @@ def decompose(x: SamplePath, h: HurstParam, m: int = 128) -> MartingaleDecomposi
 
     rho = 2.0 * h.h - 1.0
     cs = tuple(float(c) for c in mesh[1:] ** rho)
-    sols, _ = _cached_endpoint_solutions(h.h, _UNIT_MESH, cs)
-    diag, _ = _cached_diagonal_values(h.h, _UNIT_MESH, cs)
+    sols, res_uniform = _cached_endpoint_solutions(h.h, _UNIT_MESH, cs)
+    diag, res_graded = _cached_diagonal_values(h.h, _UNIT_MESH, cs)
+    _require_small_residual(max(res_uniform, res_graded))
 
     dx = np.diff(full)
     t_full = x.full_times()

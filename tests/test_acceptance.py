@@ -276,7 +276,8 @@ def test_08_phi_statistic_clt():
     )
     from msfou import run_clt_experiment
 
-    phi, stats = run_clt_experiment(cfg)
+    # the pool's output is byte-identical across worker counts (check 12)
+    phi, stats = run_clt_experiment(cfg, workers=2)
     mean_ok = abs(stats.mean) <= 0.1
     sdev_ok = abs(stats.sdev - 1.0) <= 0.15
     skew_ok = abs(stats.skewness) <= 0.5

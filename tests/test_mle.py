@@ -9,6 +9,8 @@ Covers:
      identity, and a small Monte Carlo sign check.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,9 @@ from msfou import (
     euler_msfou,
     mle,
 )
+
+# the package re-exports the function mle under the module's name
+mle_module = importlib.import_module("msfou.mle")
 
 
 def _classical_ou_mle(values: np.ndarray, d: float) -> float:
@@ -111,6 +116,19 @@ class TestDecompose:
         with pytest.raises(ValueError):
             decompose(x, h, m=65)
 
+    @pytest.mark.parametrize(
+        "solve", ["_cached_endpoint_solutions", "_cached_diagonal_values"]
+    )
+    def test_large_solve_residual_raises(self, solve, monkeypatch):
+        # the faulty solve is patched where decompose looks it up, so no
+        # cached entry of the real solver can stand in for it
+        real = getattr(mle_module, solve)
+        monkeypatch.setattr(mle_module, solve, lambda *key: (real(*key)[0], 1e-3))
+        h = HurstParam(0.65)
+        x = euler_msfou(theta=1.0, H=h, d=0.02, N=64, seed=5)
+        with pytest.raises(RuntimeError, match="residual 1.000e-03 > 1e-6"):
+            decompose(x, h, m=8)
+
     def test_bracket_is_deterministic_in_the_path(self):
         # <M> depends only on (H, mesh), not on the observed values
         h = HurstParam(0.7)
@@ -182,6 +200,13 @@ class TestMle:
         x = SamplePath(d=0.02, values=np.zeros(64))
         with pytest.raises(ValueError):
             mle(x, h, m=8)
+
+    def test_readme_estimate(self):
+        # the README example; also pinned by the benchmark's mle_readme check
+        h = HurstParam(0.65)
+        x = euler_msfou(1.0, H=h, d=0.01, N=20000, seed=314)
+        got = mle(x, h, m=1024).theta_hat
+        assert got == pytest.approx(0.9925235842650837, rel=1e-9)
 
     def test_result_fields(self):
         h = HurstParam(0.6)

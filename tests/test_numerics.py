@@ -29,6 +29,7 @@ from msfou import (
     solve_g_kernel,
     stationary_second_moment,
 )
+from msfou.numerics import _batch_scaled_solve, _graded_unit_system, _unit_kernel_system
 
 # mpmath, 50 digits; tests/oracles/gamma_values.py
 GAMMA_TABLE = {
@@ -301,6 +302,29 @@ class TestSolveGKernel:
         a = solve_g_kernel(5.0, h, m=64)
         b = solve_g_kernel(10.0, h, m=64)
         assert b.bracket_M[-1] > a.bracket_M[-1]
+
+
+def _per_shift_solutions(weights, anchor, cs):
+    """Oracle: one dense solve of (I + c W) G = 1 - c e per shift c."""
+    eye = np.eye(weights.shape[0])
+    return np.array([np.linalg.solve(eye + c * weights, 1.0 - c * anchor) for c in cs])
+
+
+class TestBatchScaledSolve:
+    @pytest.mark.parametrize("m", [8, 64, 256])
+    @pytest.mark.parametrize("hh", [0.501, 0.55, 0.65, 0.75, 0.9, 0.99])
+    @pytest.mark.parametrize(
+        "system", [_unit_kernel_system, _graded_unit_system], ids=["uniform", "graded"]
+    )
+    def test_matches_per_shift_solve(self, system, hh, m):
+        # the shifts of a T = 200 horizon: c_j = (j T / m)^rho, j = 1..m
+        weights, anchor = system(hh, m)
+        cs = (np.arange(1, m + 1) * (200.0 / m)) ** (2.0 * hh - 1.0)
+        sols, residual = _batch_scaled_solve(weights, anchor, cs)
+        want = _per_shift_solutions(weights, anchor, cs)
+        assert float(np.max(np.abs(sols - want))) <= 1e-12
+        gap = (1.0 - cs[:, None] * anchor) - sols - cs[:, None] * (sols @ weights.T)
+        assert residual == float(np.max(np.abs(gap)))
 
 
 class TestKernelSolution:
