@@ -14,7 +14,6 @@ import io
 import numpy as np
 
 from msfou import (
-    GenMethod,
     HurstParam,
     NoiseSpec,
     euler_msfou,
@@ -33,7 +32,7 @@ def main() -> None:
     # fractional Gaussian noise
     # -----------------------------------------------------------------------
     print("== fractional Gaussian noise ==")
-    spec = NoiseSpec(n=4096, seed=2024, method=GenMethod.CIRCULANT_EXACT)
+    spec = NoiseSpec(n=4096, seed=2024)
     y = sample_fgn(spec, h)
     lag1 = float(np.mean(y[:-1] * y[1:]))
     print(f"H = {h.h}, n = {y.size}, regime = {h.regime.name}")

@@ -28,10 +28,9 @@ from .harness import (
     summarize,
 )
 from .mle import MartingaleDecomposition, decompose, mle
-from .noise import GenMethod, HurstParam, HurstRegime, NoiseSpec, fgn_autocovariance, sample_fgn
+from .noise import HurstParam, HurstRegime, NoiseSpec, fgn_autocovariance, sample_fgn
 from .numerics import (
     KernelSolution,
-    QuadratureSpec,
     correction_integral,
     gamma_fn,
     invert_p,
@@ -71,14 +70,12 @@ __all__ = [
     "MartingaleDecomposition",
     "decompose",
     "mle",
-    "GenMethod",
     "HurstParam",
     "HurstRegime",
     "NoiseSpec",
     "fgn_autocovariance",
     "sample_fgn",
     "KernelSolution",
-    "QuadratureSpec",
     "correction_integral",
     "gamma_fn",
     "invert_p",

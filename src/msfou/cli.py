@@ -11,11 +11,16 @@ mc-rate    scaled-error sdev across a grid of time horizons
 All outputs are deterministic functions of the inputs: numbers are
 formatted with %.15g, JSON keys are sorted, no timestamps are emitted, and
 worker counts never change any byte of output.
+
+A missing, unreadable or malformed --config/--in file, an invalid config
+and an invalid --hurst are reported as one line ``msfou: error: ...`` on
+stderr with exit status 2, before any path is simulated.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import asdict
@@ -38,10 +43,31 @@ def _fmt(x) -> str:
     return format(float(x), ".15g")
 
 
+class _UserError(Exception):
+    """A bad input named on the command line; main reports it in one line."""
+
+
+@contextlib.contextmanager
+def _reading(path: str):
+    """Turn a missing, unreadable or malformed input file into a _UserError."""
+    try:
+        yield
+    except OSError as exc:
+        raise _UserError(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise _UserError(f"{path}: {exc}") from None
+
+
+def _hurst(value: float) -> HurstParam:
+    try:
+        return HurstParam(value)
+    except ValueError as exc:
+        raise _UserError(f"--hurst: {exc}") from None
+
+
 def _load_config(path: str) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    return ExperimentConfig.from_dict(raw)
+    with _reading(path), open(path, "r", encoding="utf-8") as fh:
+        return ExperimentConfig.from_dict(json.load(fh))
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -54,7 +80,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     n_steps = int(round(args.T / args.d))
     path = euler_msfou(
         theta=args.theta,
-        H=HurstParam(args.hurst),
+        H=_hurst(args.hurst),
         d=args.d,
         N=n_steps,
         seed=args.seed,
@@ -66,14 +92,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    with open(args.path_in, "r", encoding="utf-8") as fh:
+    with _reading(args.path_in), open(args.path_in, "r", encoding="utf-8") as fh:
         path = read_path_csv(fh)
     method = Method(args.method)
     hurst = None
     if method is not Method.NONERGODIC:
         if args.hurst is None:
             raise SystemExit(f"--hurst is required for method {method.value}")
-        hurst = HurstParam(args.hurst)
+        hurst = _hurst(args.hurst)
     if method is Method.LSE_SKOROHOD and args.theta_ref is None:
         raise SystemExit("--theta-ref is required for method lse")
     result = _ESTIMATORS[method](path, hurst, args.theta_ref, args.mesh)
@@ -187,7 +213,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _UserError as exc:
+        print(f"msfou: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .noise import HurstParam
-from .numerics import QuadratureSpec, _correction_info, _invert_p_impl, gamma_fn
+from .numerics import _correction_info, _invert_p_impl, gamma_fn, stationary_second_moment
 from .paths import SamplePath
 
 __all__ = [
@@ -125,8 +125,7 @@ def lse_skorohod(x: SamplePath, h: HurstParam, theta_ref: float) -> EstimateResu
         raise ValueError("degenerate path: int X^2 dt is zero")
     big_t = x.span
     alpha = h.h * (2.0 * h.h - 1.0)
-    q = QuadratureSpec(singular_exponent=2.0 * h.h - 2.0)
-    corr, corr_err, panels = _correction_info(theta_ref, h.h, big_t, q)
+    corr, corr_err, panels = _correction_info(theta_ref, h.h, big_t)
     x_t = x.values[-1]
     theta_bar = (-0.5 * x_t * x_t + alpha * corr + 0.5 * big_t) / den
     return EstimateResult(
@@ -141,26 +140,17 @@ def lse_skorohod(x: SamplePath, h: HurstParam, theta_ref: float) -> EstimateResu
     )
 
 
-def practical_estimator(x, h: HurstParam) -> EstimateResult:
+def practical_estimator(x: SamplePath, h: HurstParam) -> EstimateResult:
     """Moment estimate: invert p at the mean of the squared discrete samples.
 
-    Accepts a SamplePath (the samples are its values at t_1..t_N, the
-    initial point excluded) or a plain vector of discrete observations.
-    Permutation-invariant by construction.
+    The samples are the path's values at t_1..t_N, the initial point
+    excluded. Permutation-invariant by construction.
     """
     if not isinstance(h, HurstParam):
         raise TypeError(f"expected HurstParam, got {type(h).__name__}")
     if h.h < 0.5:
         raise ValueError("practical_estimator requires H >= 1/2")
-    if isinstance(x, SamplePath):
-        samples = x.values
-    else:
-        samples = np.asarray(x, dtype=float)
-        if samples.ndim != 1 or samples.size < 1:
-            raise ValueError("samples must be a nonempty 1-d vector")
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("samples contain non-finite entries")
-    moment = float(np.mean(samples * samples))
+    moment = float(np.mean(x.values * x.values))
     if not moment > 0.0:
         raise ValueError(f"empirical second moment must be positive, got {moment}")
     theta, iters = _invert_p_impl(moment, h)
@@ -229,13 +219,21 @@ def sigma_H(theta: float, h: HurstParam) -> float:
 def boundary_variance(theta: float) -> float:
     """Limit variance of sqrt(T/log T)(theta_bar - theta) at H = 3/4.
 
-    Equals 9 / (4 theta^2 (3 sqrt(pi) theta^(-3/2)/4 + 1/2)^2).
+    At H = 3/4 the fractional part of the spectral density behaves as
+    c_H |lambda|^(-1/2) / theta^2 near 0, so the variance of the time
+    average grows logarithmically: T Var(A_T) ~ (9/16) theta^(-4) log T.
+    Through the linearization -(theta/p)(A_T - p) of the corrected LSE,
+
+        boundary_variance = 9 / (16 theta^2 p(theta)^2),   p at H = 3/4,
+
+    which is also the residue lim_{H -> 3/4} (3 - 4H) sigma_H(theta, H)^2
+    of sigma_H's Gamma(3-4H) pole.
     """
     theta = float(theta)
     if not theta > 0.0:
         raise ValueError(f"boundary_variance requires theta > 0, got {theta}")
-    den = 0.75 * math.sqrt(math.pi) * theta ** (-1.5) + 0.5
-    return 9.0 / (4.0 * theta * theta * den * den)
+    p = stationary_second_moment(theta, HurstParam(0.75))
+    return 9.0 / (16.0 * theta * theta * p * p)
 
 
 def phi_statistic(

@@ -49,6 +49,10 @@ class ExperimentConfig:
     N = round(T/d) sampling steps per path. ``mle_mesh`` sizes the
     estimation mesh used when estimator = MLE. The JSON config of the CLI
     carries the same field names (see ``from_dict``).
+
+    A config its estimator cannot apply to is rejected here, before any
+    path is simulated, with a ValueError naming the field: LSE needs
+    theta_true > 0 and H > 1/2, MLE needs 8 <= mle_mesh <= N.
     """
 
     theta_true: float
@@ -74,6 +78,15 @@ class ExperimentConfig:
             raise ValueError(f"d and T must be positive, got d={self.d}, T={self.T}")
         if self.n_steps < 2:
             raise ValueError(f"N = round(T/d) must be >= 2, got {self.n_steps}")
+        if self.estimator is Method.LSE_SKOROHOD:
+            if not self.theta_true > 0.0:
+                raise ValueError(f"estimator lse needs theta_true > 0, got {self.theta_true}")
+            if not self.H > 0.5:
+                raise ValueError(f"estimator lse needs H > 1/2, got {self.H}")
+        if self.estimator is Method.MLE and not 8 <= int(self.mle_mesh) <= self.n_steps:
+            raise ValueError(
+                f"estimator mle needs mle_mesh in [8, N={self.n_steps}], got {self.mle_mesh}"
+            )
         object.__setattr__(self, "replications", int(self.replications))
         object.__setattr__(self, "master_seed", int(self.master_seed))
         object.__setattr__(self, "mle_mesh", int(self.mle_mesh))

@@ -1,16 +1,11 @@
-"""Stationary fractional Gaussian noise (fGn) generators.
+"""Stationary fractional Gaussian noise (fGn) generator.
 
 The sampler is dimensionless: it produces unit-variance noise per unit lag.
 Time scaling (``d**H``) is applied by the path-building layer, not here.
 
-Two generation methods are provided:
-
-* ``CIRCULANT_EXACT`` — circulant embedding of the fGn covariance. The
-  embedding of size ``2n`` has nonnegative eigenvalues for fGn, so the
-  synthesized vector has exactly the requested covariance.
-* ``SPECTRAL_APPROX`` — Paxson's FFT synthesis from the fGn spectral
-  density. Fast and approximately correct; kept because some published
-  simulation studies use it, with the exact method as the reference.
+Generation is by circulant embedding of the fGn covariance. The embedding
+of size ``2n`` has nonnegative eigenvalues for fGn, so the synthesized
+vector has exactly the requested covariance.
 """
 
 from __future__ import annotations
@@ -19,13 +14,11 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 
 __all__ = [
     "HurstRegime",
     "HurstParam",
-    "GenMethod",
     "NoiseSpec",
     "fgn_autocovariance",
     "sample_fgn",
@@ -67,11 +60,6 @@ class HurstParam:
         return HurstRegime.ROSENBLATT
 
 
-class GenMethod(enum.Enum):
-    CIRCULANT_EXACT = "circulant_exact"
-    SPECTRAL_APPROX = "spectral_approx"
-
-
 @dataclass(frozen=True)
 class NoiseSpec:
     """Deterministic description of one noise vector.
@@ -84,7 +72,6 @@ class NoiseSpec:
 
     n: int
     seed: int
-    method: GenMethod = GenMethod.CIRCULANT_EXACT
     stream: int = 0
 
     def __post_init__(self) -> None:
@@ -141,54 +128,16 @@ def _circulant_fgn(n: int, H: HurstParam, rng: np.random.Generator) -> np.ndarra
     return x[:n]
 
 
-def _fgn_spectral_density(lam: np.ndarray, h: float) -> np.ndarray:
-    # Spectral density of fGn with Paxson's B3 truncation of the aliasing sum.
-    d = -2.0 * h - 1.0
-    dpr = -2.0 * h
-    pi2 = 2.0 * np.pi
-
-    def a(j: int) -> np.ndarray:
-        return pi2 * j + lam
-
-    def b(j: int) -> np.ndarray:
-        return pi2 * j - lam
-
-    b3 = (
-        a(1) ** d + b(1) ** d + a(2) ** d + b(2) ** d + a(3) ** d + b(3) ** d
-        + (a(3) ** dpr + b(3) ** dpr + a(4) ** dpr + b(4) ** dpr) / (8.0 * h * np.pi)
-    )
-    return (
-        2.0 * np.sin(np.pi * h) * _gamma(2.0 * h + 1.0) * (1.0 - np.cos(lam))
-        * (lam**d + b3)
-    )
-
-
-def _paxson_fgn(n: int, H: HurstParam, rng: np.random.Generator) -> np.ndarray:
-    # Synthesize on an even grid; odd n takes the first n of n+1 points.
-    m = n if n % 2 == 0 else n + 1
-    half = m // 2
-    lam = 2.0 * np.pi * np.arange(1, half + 1) / m
-    f = _fgn_spectral_density(lam, H.h)
-
-    # Periodogram ordinates are asymptotically f * Exp(1); give each an
-    # independent uniform phase and invert the half-spectrum.
-    power = f * rng.exponential(1.0, size=half)
-    phase = rng.uniform(0.0, 2.0 * np.pi, size=half)
-    z = np.sqrt(power) * np.exp(1j * phase)
-    z[-1] = np.sqrt(power[-1])  # Nyquist coefficient must be real
-
-    spectrum = np.concatenate([[0.0 + 0.0j], z])
-    x = np.sqrt(m) * np.fft.irfft(spectrum, n=m)
-    return x[:n]
-
-
 def sample_fgn(spec: NoiseSpec, H: HurstParam) -> np.ndarray:
     """Sample a zero-mean stationary Gaussian vector with fGn covariance.
+
+    The vector is synthesized by circulant embedding, so its covariance is
+    exactly ``fgn_autocovariance(., H)``, not an approximation of it.
 
     Parameters
     ----------
     spec : NoiseSpec
-        Length, seed/stream and generation method. ``n >= 2`` required.
+        Length and seed/stream. ``n >= 2`` required.
     H : HurstParam
         Hurst index of the target covariance ``fgn_autocovariance(., H)``.
 
@@ -198,8 +147,5 @@ def sample_fgn(spec: NoiseSpec, H: HurstParam) -> np.ndarray:
     """
     if spec.n < 2:
         raise ValueError(f"need n >= 2 to define fGn, got n={spec.n}")
-    rng = spec.rng()
-    if spec.method is GenMethod.CIRCULANT_EXACT:
-        return _circulant_fgn(spec.n, H, rng)
-    return _paxson_fgn(spec.n, H, rng)
+    return _circulant_fgn(spec.n, H, spec.rng())
 

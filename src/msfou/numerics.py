@@ -7,7 +7,8 @@ Four independent tools live here:
   Skorohod-corrected least-squares estimator, reduced by Fubini to three
   one-dimensional integrals of the form ``int_0^T u^gamma * phi(u) du`` with
   smooth ``phi``, each evaluated by product integration on panels graded
-  toward zero, with automatic refinement until a tolerance is met.
+  toward zero, refined by panel doubling from 32 panels until two
+  consecutive values agree within 1e-7.
 * ``stationary_second_moment`` / ``invert_p``: the monotone moment map
   ``p(theta) = 1/(2 theta) + H Gamma(2H) theta^(-2H)`` and its inverse
   (bracketing bisection, then a safeguarded secant polish).
@@ -53,7 +54,6 @@ from scipy import special as _sp
 from .noise import HurstParam
 
 __all__ = [
-    "QuadratureSpec",
     "KernelSolution",
     "gamma_fn",
     "kappa",
@@ -197,31 +197,12 @@ def invert_p(y: float, h: HurstParam) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Controls for the singular quadrature.
-
-    singular_exponent must equal 2H-2 for the Hurst index in use; it is
-    carried explicitly so a spec built for one H cannot silently be applied
-    to another.
-    """
-
-    singular_exponent: float
-    panels: int = 32
-    tol: float = 1e-7
-
-    def __post_init__(self) -> None:
-        if self.panels < 4:
-            raise ValueError(f"panels must be >= 4, got {self.panels}")
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if not -1.0 < self.singular_exponent < 0.0:
-            raise ValueError(
-                f"singular_exponent must lie in (-1, 0), got {self.singular_exponent}"
-            )
-
-
 _CHEB_DEGREE = 12
+
+# Panel doubling of the correction integral starts from this many panels
+# and stops once two consecutive values agree within the tolerance.
+_CORRECTION_PANELS = 32
+_CORRECTION_TOL = 1e-7
 
 
 @functools.lru_cache(maxsize=64)
@@ -275,9 +256,7 @@ def _product_power_integral(phi, gamma: float, upper: float, panels: int) -> flo
 
 
 @functools.lru_cache(maxsize=64)
-def _correction_info(
-    theta: float, hh: float, big_t: float, q: QuadratureSpec
-) -> tuple[float, float, int]:
+def _correction_info(theta: float, hh: float, big_t: float) -> tuple[float, float, int]:
     """Correction integral with (value, error estimate, panels used).
 
     Fubini in the (t-s, t+s) variables collapses the double integral to
@@ -287,7 +266,7 @@ def _correction_info(
                             - int_0^T u^rho e^(-theta u) du ],  rho = 2H-1,
 
     three weighted integrals with smooth factors, refined by panel doubling
-    until consecutive values agree within q.tol.
+    until consecutive values agree within _CORRECTION_TOL.
     """
     beta = 2.0 * hh - 2.0
     rho = 2.0 * hh - 1.0
@@ -304,29 +283,29 @@ def _correction_info(
         )
         return part_a + (part_c - part_d) / (2.0 * rho)
 
-    prev = whole(q.panels)
-    panels = q.panels
+    prev = whole(_CORRECTION_PANELS)
+    panels = _CORRECTION_PANELS
     for _ in range(6):
         panels *= 2
         cur = whole(panels)
         err = abs(cur - prev)
-        if err <= q.tol:
+        if err <= _CORRECTION_TOL:
             return cur, err, panels
         prev = cur
     raise RuntimeError(
-        f"correction integral refinement did not converge to tol={q.tol} "
-        f"(last change {abs(cur - prev):.3e} at {panels} panels)"
+        f"correction integral refinement did not converge to tol={_CORRECTION_TOL} "
+        f"(last change {err:.3e} at {panels} panels)"
     )
 
 
-def correction_integral(
-    theta: float, h: HurstParam, big_t: float, q: QuadratureSpec | None = None
-) -> float:
+def correction_integral(theta: float, h: HurstParam, big_t: float) -> float:
     """int_0^T int_0^t e^(-theta(t-s)) ((t-s)^(2H-2) + (t+s)^(2H-2)) ds dt.
 
-    Absolute error at most q.tol (default 1e-7). Requires theta > 0 and
-    H > 1/2 so the (t-s)^(2H-2) singularity is integrable; raises
-    RuntimeError if panel refinement fails to converge.
+    Panel doubling starts from 32 panels graded toward the singularity and
+    stops once two consecutive values agree within 1e-7, the error bound of
+    the result; the singular exponent 2H-2 is taken from h. Requires
+    theta > 0 and H > 1/2 so the (t-s)^(2H-2) singularity is integrable;
+    raises RuntimeError if six doublings do not reach the tolerance.
     """
     _require_hurst(h)
     theta = float(theta)
@@ -339,15 +318,7 @@ def correction_integral(
         raise ValueError(f"correction_integral requires T >= 0, got {big_t}")
     if big_t == 0.0:
         return 0.0
-    beta = 2.0 * h.h - 2.0
-    if q is None:
-        q = QuadratureSpec(singular_exponent=beta)
-    elif abs(q.singular_exponent - beta) > 1e-12:
-        raise ValueError(
-            f"QuadratureSpec.singular_exponent={q.singular_exponent} is inconsistent "
-            f"with 2H-2={beta}"
-        )
-    value, _, _ = _correction_info(theta, h.h, big_t, q)
+    value, _, _ = _correction_info(theta, h.h, big_t)
     return float(value)
 
 

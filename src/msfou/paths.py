@@ -1,10 +1,11 @@
 """Sub-fractional and mixed paths, and the Euler scheme for the OU process.
 
-Construction pipeline: a length-2N fGn vector becomes a two-sided fBm on
-{-Nd, ..., -d} u {d, ..., Nd}; folding the two sides gives a sub-fractional
-Brownian motion (sfBm); adding an independent Brownian motion gives the
-mixed process xi; the Ornstein-Uhlenbeck recursion driven by xi increments
-gives the observed path X.
+Construction pipeline: a length-2N fGn vector, drawn by exact circulant
+embedding, becomes a two-sided fBm on {-Nd, ..., -d} u {d, ..., Nd};
+folding the two sides gives a sub-fractional Brownian motion (sfBm); adding
+an independent Brownian motion gives the mixed process xi; the
+Ornstein-Uhlenbeck recursion driven by xi increments gives the observed
+path X. Paths are read from and written to CSV through open text handles.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter
 
-from .noise import GenMethod, HurstParam, NoiseSpec, sample_fgn
+from .noise import HurstParam, NoiseSpec, sample_fgn
 
 __all__ = [
     "SamplePath",
@@ -165,8 +166,6 @@ def euler_msfou(
     N: int,
     seed: int,
     x0: float = 0.0,
-    *,
-    method: GenMethod = GenMethod.CIRCULANT_EXACT,
 ) -> SamplePath:
     """Simulate the mixed sub-fractional OU process by the Euler scheme.
 
@@ -178,10 +177,9 @@ def euler_msfou(
     theta : drift parameter (ergodic for theta > 0, non-ergodic for < 0).
     H, d, N : Hurst index, grid spacing, number of steps (path has N points
         after t=0).
-    seed : master seed; the sfBm and Brownian components draw from disjoint
-        substreams of it.
+    seed : master seed; the sfBm component (exact circulant-embedding fGn)
+        and the Brownian component draw from disjoint substreams of it.
     x0 : initial value (0 in the usual setup).
-    method : fGn generation method for the sfBm component.
     """
     if not d > 0.0:
         raise ValueError(f"grid spacing d must be positive, got {d!r}")
@@ -189,11 +187,11 @@ def euler_msfou(
         raise ValueError(f"need at least one step, got N={N!r}")
     N = int(N)
 
-    fgn = sample_fgn(NoiseSpec(n=2 * N, seed=seed, method=method, stream=_STREAM_SFBM), H)
+    fgn = sample_fgn(NoiseSpec(n=2 * N, seed=seed, stream=_STREAM_SFBM), H)
     s_path = sfbm_path(two_sided_fbm(fgn, d, H))
     ds = np.diff(s_path.full_values())
 
-    rng = NoiseSpec(n=N, seed=seed, method=method, stream=_STREAM_BM).rng()
+    rng = NoiseSpec(n=N, seed=seed, stream=_STREAM_BM).rng()
     dw = math.sqrt(d) * rng.standard_normal(N)
 
     drive = ds + dw
@@ -204,40 +202,28 @@ def euler_msfou(
     return SamplePath(d=d, values=values, initial_value=x0)
 
 
-def write_path_csv(path: SamplePath, file) -> None:
-    """Write a path as CSV with header ``t,value``, rows t_0..t_N.
+def write_path_csv(path: SamplePath, fh) -> None:
+    """Write a path to an open text handle as CSV with header ``t,value``.
 
-    Numbers carry 15 significant digits so a read-back reproduces the path
-    to full double precision for all practical purposes.
+    Rows are t_0..t_N. Numbers carry 15 significant digits so a read-back
+    reproduces the path to full double precision for all practical purposes.
     """
-    own = isinstance(file, (str, bytes))
-    fh = open(file, "w", encoding="utf-8", newline="") if own else file
-    try:
-        fh.write("t,value\n")
-        fh.write(f"{0.0:.15g},{path.initial_value:.15g}\n")
-        for t, v in zip(path.times, path.values):
-            fh.write(f"{t:.15g},{v:.15g}\n")
-    finally:
-        if own:
-            fh.close()
+    fh.write("t,value\n")
+    fh.write(f"{0.0:.15g},{path.initial_value:.15g}\n")
+    for t, v in zip(path.times, path.values):
+        fh.write(f"{t:.15g},{v:.15g}\n")
 
 
-def read_path_csv(file) -> SamplePath:
-    """Read a path written by :func:`write_path_csv`.
+def read_path_csv(fh) -> SamplePath:
+    """Read a path written by :func:`write_path_csv` from an open text handle.
 
     The time column must start at 0 and be uniformly spaced (to float
     tolerance); the spacing becomes ``d``.
     """
-    own = isinstance(file, (str, bytes))
-    fh = open(file, "r", encoding="utf-8") if own else file
-    try:
-        header = fh.readline().strip()
-        if header != "t,value":
-            raise ValueError(f"expected header 't,value', got {header!r}")
-        rows = [line.strip() for line in fh if line.strip()]
-    finally:
-        if own:
-            fh.close()
+    header = fh.readline().strip()
+    if header != "t,value":
+        raise ValueError(f"expected header 't,value', got {header!r}")
+    rows = [line.strip() for line in fh if line.strip()]
     if len(rows) < 2:
         raise ValueError("path CSV needs at least the t=0 row and one more")
     data = np.array([[float(c) for c in row.split(",")] for row in rows])

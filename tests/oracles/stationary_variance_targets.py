@@ -25,7 +25,13 @@ fractional part f_S; int f = p). V splits into a Brownian part
     and 6 (T = 20);
   * one reference value of the standardized statistic
     Phi = sqrt(N d) (theta_tilde - theta) |p'(theta)| / sqrt(V), with V
-    from quadrature.
+    from quadrature;
+  * the H = 3/4 log-coefficient of the corrected LSE, the limit variance
+    of sqrt(T/log T)(theta_bar - theta). There f_S^2 ~ c_H^2 |lambda|^-1
+    / theta^4 near 0, so T Var(A_T) grows as 8 pi c_H^2 theta^-4 log T and
+    the coefficient is theta^2 8 pi c_H^2 theta^-4 / p^2. It is checked
+    against the closed form 9 / (16 theta^2 p^2) and against the residue
+    (3 - 4H) sigma_H^2 of sigma_h_expanded just below H = 3/4.
 
 Run:
 
@@ -113,6 +119,16 @@ def moment_cell_targets(theta, h, big_t):
     return sdev, bias
 
 
+def boundary_log_coefficient(theta):
+    """Limit variance of sqrt(T/log T)(theta_bar - theta) at H = 3/4."""
+    theta = mpmath.mpf(str(theta))
+    h = mpmath.mpf(3) / 4
+    c_h = mpmath.gamma(2 * h + 1) * mpmath.sin(mpmath.pi * h) / (2 * mpmath.pi)
+    # lim lambda f_S(lambda)^2 as lambda -> 0 is c_H^2 / theta^4
+    log_growth = 8 * mpmath.pi * c_h**2 / theta**4
+    return theta**2 * log_growth / p_of_theta(theta, "0.75") ** 2
+
+
 def phi_reference(theta_tilde, theta, h, n, d):
     """Phi = sqrt(N d)(theta_tilde - theta)|p'(theta)| / sqrt(V), V by quadrature."""
     v = sum(spectral_variance(theta, h))
@@ -147,3 +163,11 @@ if __name__ == "__main__":
         )
     phi = phi_reference("1.1", 1, "0.6", 500, "0.02")
     print(f"Phi(1.1; 1, 0.6, N=500, d=0.02) = {mpmath.nstr(phi, 20)}")
+    for theta in ("0.5", 1, 2, 4):
+        coef = boundary_log_coefficient(theta)
+        closed = 9 / (16 * mpmath.mpf(str(theta)) ** 2 * p_of_theta(theta, "0.75") ** 2)
+        assert abs(coef / closed - 1) < mpmath.mpf("1e-40"), f"closed form ({theta}) off"
+        below = mpmath.mpf(3) / 4 - mpmath.mpf("1e-20")
+        residue = (3 - 4 * below) * sigma_h_expanded(theta, below) ** 2
+        assert abs(residue / coef - 1) < mpmath.mpf("1e-15"), f"residue ({theta}) off"
+        print(f"{f'boundary_variance({theta})':<24}= {mpmath.nstr(coef, 20)}")

@@ -21,7 +21,6 @@ import pytest
 
 from msfou import (
     ExperimentConfig,
-    GenMethod,
     HurstParam,
     Method,
     NoiseSpec,
@@ -55,7 +54,7 @@ def _report(number: int, ok: bool, detail: str) -> None:
 # ---------------------------------------------------------------------------
 
 def test_01_fgn_autocovariance_within_3_se():
-    """Pooled sample autocovariances of exact-method fGn match the closed
+    """Pooled sample autocovariances of circulant-embedding fGn match the closed
     form at lags 0..5 for four Hurst values."""
     n, reps, lags = 2**14, 200, np.arange(6)
     worst = 0.0
@@ -63,9 +62,7 @@ def test_01_fgn_autocovariance_within_3_se():
         hurst = HurstParam(h)
         per_rep = np.empty((reps, lags.size))
         for r in range(reps):
-            spec = NoiseSpec(
-                n=n, seed=1357 + 1000 * r + int(100 * h), method=GenMethod.CIRCULANT_EXACT
-            )
+            spec = NoiseSpec(n=n, seed=1357 + 1000 * r + int(100 * h))
             y = sample_fgn(spec, hurst)
             for k in lags:
                 per_rep[r, k] = float(np.mean(y[: n - k] * y[k:] if k else y * y))

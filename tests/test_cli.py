@@ -6,7 +6,8 @@ Covers:
      every method, per-method argument requirements.
   3. mc-table / mc-clt / mc-rate: headers, payloads, agreement with the
      harness, and byte determinism across reruns and worker counts.
-  4. Argument errors exit non-zero.
+  4. Argument errors exit non-zero; user errors in input files, configs
+     and --hurst print one line and exit 2 before anything is simulated.
 
 All commands run in-process through main(argv).
 """
@@ -29,6 +30,7 @@ from msfou import (
     run_table_experiment,
     write_path_csv,
 )
+from msfou import cli, harness
 from msfou.cli import main
 
 
@@ -296,3 +298,80 @@ class TestArgumentErrors:
     def test_missing_required_exits(self):
         with pytest.raises(SystemExit):
             main(["simulate", "--theta", "1.0"])
+
+
+class TestUserErrors:
+    @pytest.fixture(autouse=True)
+    def _no_simulation(self, monkeypatch):
+        def simulated(*args, **kwargs):
+            raise AssertionError("a path was simulated")
+
+        monkeypatch.setattr(harness, "euler_msfou", simulated)
+        monkeypatch.setattr(cli, "euler_msfou", simulated)
+
+    def _run(self, capsys, argv) -> str:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("msfou: error: ")
+        return lines[0]
+
+    @pytest.mark.parametrize(
+        "command", [["mc-table"], ["mc-clt", "--stats", "s.json"], ["mc-rate", "--T-grid", "5"]],
+        ids=["mc-table", "mc-clt", "mc-rate"],
+    )
+    def test_missing_config(self, tmp_path, capsys, command):
+        argv = command + ["--config", str(tmp_path / "absent.json"), "--out", "o.csv"]
+        assert "absent.json" in self._run(capsys, argv)
+
+    @pytest.mark.parametrize(
+        "overrides,field",
+        [
+            ({"estimator": "lse", "theta_true": -1.0}, "theta_true"),
+            ({"estimator": "mle", "mle_mesh": 128}, "mle_mesh"),
+            ({"estimator": "practical", "H": 1.5}, "H"),
+            ({"estimator": "practical", "seed": 1}, "seed"),
+        ],
+        ids=["lse-negative-theta", "mle-mesh-above-N", "bad-hurst", "unknown-field"],
+    )
+    def test_invalid_config(self, tmp_path, capsys, overrides, field):
+        cfg_file = tmp_path / "cfg.json"
+        raw = {
+            "theta_true": 1.0, "H": 0.6, "d": 0.1, "T": 5.0,
+            "replications": 3, "master_seed": 404,
+        }
+        raw.update(overrides)
+        cfg_file.write_text(json.dumps(raw), encoding="utf-8")
+        argv = ["mc-table", "--config", str(cfg_file), "--out", str(tmp_path / "o")]
+        assert field in self._run(capsys, argv)
+        assert not (tmp_path / "o").exists()
+
+    def test_malformed_json(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text("{not json", encoding="utf-8")
+        argv = ["mc-table", "--config", str(cfg_file), "--out", str(tmp_path / "o")]
+        assert "cfg.json" in self._run(capsys, argv)
+
+    @pytest.mark.parametrize(
+        "content", [None, "time,value\n0,0\n1,1\n", "t,value\n0,0\n1,x\n"],
+        ids=["missing", "bad-header", "bad-number"],
+    )
+    def test_bad_path_csv(self, tmp_path, capsys, content):
+        path_file = tmp_path / "path.csv"
+        if content is not None:
+            path_file.write_text(content, encoding="utf-8")
+        argv = ["estimate", "--method", "nonergodic", "--in", str(path_file),
+                "--out", str(tmp_path / "r.json")]
+        assert "path.csv" in self._run(capsys, argv)
+
+    def test_bad_hurst(self, tmp_path, capsys):
+        path_file = tmp_path / "p.csv"
+        with open(path_file, "w", encoding="utf-8", newline="\n") as fh:
+            write_path_csv(euler_msfou(1.0, HurstParam(0.6), 0.1, 10, 1), fh)
+        simulate = ["simulate", "--theta", "1", "--hurst", "1.5", "--d", "0.1", "--T", "1",
+                    "--seed", "1", "--out", str(tmp_path / "q.csv")]
+        estimate = ["estimate", "--method", "practical", "--hurst", "1.5",
+                    "--in", str(path_file), "--out", str(tmp_path / "r.json")]
+        assert "--hurst" in self._run(capsys, simulate)
+        assert "--hurst" in self._run(capsys, estimate)

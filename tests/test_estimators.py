@@ -7,7 +7,7 @@ Covers:
   4. Non-ergodic estimator (scale invariance, sign).
   5. sigma_H / boundary_variance / phi_statistic constants and gates.
 
-Frozen sigma_H and phi_statistic values come from
+Frozen sigma_H, boundary_variance and phi_statistic values come from
 tests/oracles/stationary_variance_targets.py (mpmath, 50 digits; sigma_H is
 checked there against quadrature of the spectral variance).
 """
@@ -23,7 +23,6 @@ from msfou import (
     EstimateResult,
     HurstParam,
     Method,
-    QuadratureSpec,
     SamplePath,
     boundary_variance,
     correction_integral,
@@ -46,6 +45,15 @@ SIGMA_TABLE = {
 # Phi(1.1; theta=1, H=0.6, N=500, d=0.02), with V from spectral quadrature;
 # tests/oracles/stationary_variance_targets.py
 PHI_REFERENCE = 0.22051949685194552599
+
+# boundary_variance(theta) = 9/(16 theta^2 p^2) at H = 3/4, the log T
+# coefficient of the spectral variance; same oracle
+BOUNDARY_TABLE = {
+    0.5: 0.27127278541443929804,
+    1.0: 0.41468335566656001623,
+    2.0: 0.59784073639756230833,
+    4.0: 0.81194406379016570481,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -79,8 +87,7 @@ class TestLseSkorohod:
         res = lse_skorohod(x, h, theta_ref=1.0)
 
         alpha = h.h * (2 * h.h - 1.0)
-        q = QuadratureSpec(singular_exponent=2 * h.h - 2.0)
-        corr = correction_integral(1.0, h, x.span, q)
+        corr = correction_integral(1.0, h, x.span)
         den = integral_X2(x)
         x_t = x.full_values()[-1]
         expected = (-0.5 * x_t**2 + alpha * corr + 0.5 * x.span) / den
@@ -130,14 +137,14 @@ class TestPracticalEstimator:
         h = HurstParam(0.6)
         theta = 1.25
         y = stationary_second_moment(theta, h)
-        samples = np.full(64, math.sqrt(y))
+        samples = SamplePath(d=1.0, values=np.full(64, math.sqrt(y)))
         res = practical_estimator(samples, h)
         assert res.theta_hat == pytest.approx(theta, rel=1e-8)
         assert res.denominator == pytest.approx(y, rel=1e-14)
 
     def test_brownian_closed_form(self):
         # H = 1/2: theta = 1 / mean(X^2)
-        samples = np.array([2.0, -2.0, 2.0, -2.0])
+        samples = SamplePath(d=1.0, values=[2.0, -2.0, 2.0, -2.0])
         res = practical_estimator(samples, HurstParam(0.5))
         assert res.theta_hat == pytest.approx(0.25, rel=1e-12)
 
@@ -151,14 +158,16 @@ class TestPracticalEstimator:
 
     def test_iterations_diagnostic(self):
         h = HurstParam(0.65)
-        res = practical_estimator(np.full(8, 1.1), h)
+        res = practical_estimator(SamplePath(d=1.0, values=np.full(8, 1.1)), h)
         assert res.diagnostics["iterations"] >= 1
 
     def test_gates(self):
         with pytest.raises(ValueError):
-            practical_estimator(np.zeros(16), HurstParam(0.6))  # zero moment
+            # zero moment
+            practical_estimator(SamplePath(d=1.0, values=np.zeros(16)), HurstParam(0.6))
         with pytest.raises(ValueError):
-            practical_estimator(np.ones(16), HurstParam(0.4))  # short memory
+            # short memory
+            practical_estimator(SamplePath(d=1.0, values=np.ones(16)), HurstParam(0.4))
 
     def test_consistency_at_scale(self):
         h = HurstParam(0.6)
@@ -237,6 +246,14 @@ class TestBoundaryVariance:
         denom = 0.75 * math.sqrt(math.pi) * theta**-1.5 + 0.5
         expected = 9.0 / (4.0 * theta**2 * denom**2)
         assert boundary_variance(theta) == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0, 4.0])
+    def test_residue_of_sigma_h_pole(self, theta):
+        # boundary_variance is the residue lim_{H -> 3/4} (3 - 4H) sigma_H^2
+        below = HurstParam(0.75 - 1e-7)
+        residue = (3.0 - 4.0 * below.h) * sigma_H(theta, below) ** 2
+        assert boundary_variance(theta) == pytest.approx(residue, rel=1e-5)
+        assert boundary_variance(theta) == pytest.approx(BOUNDARY_TABLE[theta], rel=1e-13)
 
     def test_positive_and_decreasing_far_out(self):
         assert boundary_variance(1.0) > 0.0

@@ -75,6 +75,27 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             _config(**overrides)
 
+    @pytest.mark.parametrize(
+        "overrides,field",
+        [
+            (dict(estimator=Method.LSE_SKOROHOD, theta_true=-1.0), "theta_true"),
+            (dict(estimator=Method.LSE_SKOROHOD, theta_true=0.0), "theta_true"),
+            (dict(estimator=Method.LSE_SKOROHOD, H=0.5), "H"),
+            (dict(estimator=Method.MLE, mle_mesh=4), "mle_mesh"),
+            (dict(estimator=Method.MLE, mle_mesh=128), "mle_mesh"),  # N = 100
+        ],
+        ids=["lse-negative-theta", "lse-zero-theta", "lse-brownian-H", "mle-mesh-below-8",
+             "mle-mesh-above-N"],
+    )
+    def test_rejects_fields_the_estimator_cannot_use(self, overrides, field):
+        with pytest.raises(ValueError, match=field):
+            _config(**overrides)
+
+    def test_estimator_bounds_are_inclusive(self):
+        assert _config(estimator=Method.MLE, mle_mesh=8).mle_mesh == 8
+        assert _config(estimator=Method.MLE, mle_mesh=100).mle_mesh == 100
+        assert _config(estimator=Method.NONERGODIC, theta_true=-1.0, H=0.5).theta_true == -1.0
+
     def test_estimator_must_be_method(self):
         with pytest.raises(TypeError):
             _config(estimator="practical")
@@ -244,7 +265,7 @@ class TestRunTableExperiment:
 class TestRunCltExperiment:
     def test_requires_practical_estimator(self):
         with pytest.raises(ValueError):
-            run_clt_experiment(_config(estimator=Method.MLE))
+            run_clt_experiment(_config(estimator=Method.MLE, mle_mesh=64))
 
     def test_requires_clt_hurst_range(self):
         with pytest.raises(ValueError):

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from msfou import (
     HurstParam,
     KernelSolution,
-    QuadratureSpec,
     correction_integral,
     gamma_fn,
     invert_p,
@@ -172,8 +171,7 @@ class TestCorrectionIntegral:
     @pytest.mark.parametrize("key,expected", sorted(CORRECTION_TABLE.items()))
     def test_brute_force_oracle(self, key, expected):
         theta, h, big_t = key
-        q = QuadratureSpec(singular_exponent=2 * h - 2)
-        got = correction_integral(theta, HurstParam(h), big_t, q)
+        got = correction_integral(theta, HurstParam(h), big_t)
         rel = abs(got - expected) / expected
         print(f"  I({theta}, {h}, {big_t}) = {got:.10f}, oracle = {expected}, rel = {rel:.2e}")
         assert rel < 1e-6
@@ -181,8 +179,7 @@ class TestCorrectionIntegral:
     def test_long_time_limit(self):
         # alpha_H I(theta, H, T) / T -> H Gamma(2H) theta^(1-2H)
         theta, h, big_t = 1.0, HurstParam(0.6), 200.0
-        q = QuadratureSpec(singular_exponent=2 * h.h - 2)
-        val = correction_integral(theta, h, big_t, q)
+        val = correction_integral(theta, h, big_t)
         alpha = h.h * (2 * h.h - 1)
         limit = h.h * gamma_fn(2 * h.h) * theta ** (1 - 2 * h.h)
         rel = abs(alpha * val / big_t - limit) / limit
@@ -190,37 +187,17 @@ class TestCorrectionIntegral:
         assert rel < 0.02
 
     def test_zero_horizon(self):
-        q = QuadratureSpec(singular_exponent=-0.8)
-        assert correction_integral(1.0, HurstParam(0.6), 0.0, q) == 0.0
+        assert correction_integral(1.0, HurstParam(0.6), 0.0) == 0.0
 
     def test_monotone_in_horizon(self):
         h = HurstParam(0.65)
-        q = QuadratureSpec(singular_exponent=2 * h.h - 2)
-        vals = [correction_integral(1.0, h, t, q) for t in (1.0, 2.0, 4.0)]
+        vals = [correction_integral(1.0, h, t) for t in (1.0, 2.0, 4.0)]
         assert vals[0] < vals[1] < vals[2]
-
-    def test_exponent_mismatch_rejected(self):
-        q = QuadratureSpec(singular_exponent=-0.5)
-        with pytest.raises(ValueError):
-            correction_integral(1.0, HurstParam(0.6), 1.0, q)
 
     @pytest.mark.parametrize("theta,h", [(0.0, 0.6), (-1.0, 0.6), (1.0, 0.5), (1.0, 0.4)])
     def test_domain_gates(self, theta, h):
-        q = QuadratureSpec(singular_exponent=max(2 * h - 2, -0.999))
         with pytest.raises(ValueError):
-            correction_integral(theta, HurstParam(h), 1.0, q)
-
-
-class TestQuadratureSpec:
-    @pytest.mark.parametrize("kwargs", [
-        {"singular_exponent": 0.0},
-        {"singular_exponent": -1.0},
-        {"singular_exponent": -0.5, "panels": 2},
-        {"singular_exponent": -0.5, "tol": 0.0},
-    ])
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            QuadratureSpec(**kwargs)
+            correction_integral(theta, HurstParam(h), 1.0)
 
 
 # ---------------------------------------------------------------------------

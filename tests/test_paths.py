@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msfou import (
-    GenMethod,
     HurstParam,
     NoiseSpec,
     SamplePath,
@@ -210,13 +209,6 @@ class TestEulerMsfou:
             cur = (1.0 - theta * d) * cur + ds[i] + dw[i]
             out.append(cur)
         assert np.allclose(x.values, out, rtol=1e-12, atol=1e-14)
-
-    def test_methods_differ_but_share_scale(self):
-        a = euler_msfou(theta=1.0, H=HurstParam(0.7), d=0.01, N=200, seed=5,
-                        method=GenMethod.CIRCULANT_EXACT)
-        b = euler_msfou(theta=1.0, H=HurstParam(0.7), d=0.01, N=200, seed=5,
-                        method=GenMethod.SPECTRAL_APPROX)
-        assert not np.allclose(a.values, b.values)
 
     @pytest.mark.parametrize("kwargs", [
         {"d": 0.0, "N": 10}, {"d": -0.1, "N": 10}, {"d": 0.1, "N": 0},
