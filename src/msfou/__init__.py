@@ -34,7 +34,6 @@ from .numerics import (
     correction_integral,
     gamma_fn,
     invert_p,
-    kappa,
     solve_g_kernel,
     stationary_second_moment,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "correction_integral",
     "gamma_fn",
     "invert_p",
-    "kappa",
     "solve_g_kernel",
     "stationary_second_moment",
     "SamplePath",

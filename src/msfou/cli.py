@@ -12,9 +12,12 @@ All outputs are deterministic functions of the inputs: numbers are
 formatted with %.15g, JSON keys are sorted, no timestamps are emitted, and
 worker counts never change any byte of output.
 
-A missing, unreadable or malformed --config/--in file, an invalid config
-and an invalid --hurst are reported as one line ``msfou: error: ...`` on
-stderr with exit status 2, before any path is simulated.
+A missing, unreadable or malformed --config/--in file, an invalid config,
+a missing or invalid argument value (--hurst, --theta-ref, --d, --T and
+each --T-grid horizon) are reported as one line ``msfou: error: ...`` on
+stderr with exit status 2, before any path is simulated. An --out or
+--stats file that cannot be written is reported the same way when the
+result is written.
 """
 
 from __future__ import annotations
@@ -22,8 +25,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 from .estimators import Method
 from .harness import (
@@ -58,6 +62,16 @@ def _reading(path: str):
         raise _UserError(f"{path}: {exc}") from None
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """Open an output file; failing to create or write it is a _UserError."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+    except OSError as exc:
+        raise _UserError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _hurst(value: float) -> HurstParam:
     try:
         return HurstParam(value)
@@ -71,22 +85,27 @@ def _load_config(path: str) -> ExperimentConfig:
 
 
 def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _writing(path) as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    n_steps = int(round(args.T / args.d))
+    steps = args.T / args.d if args.d > 0.0 else math.nan
+    if not 0.5 < steps < math.inf:
+        raise _UserError(
+            f"--d and --T must be positive with T/d at least one step, "
+            f"got d={args.d}, T={args.T}"
+        )
     path = euler_msfou(
         theta=args.theta,
         H=_hurst(args.hurst),
         d=args.d,
-        N=n_steps,
+        N=round(steps),
         seed=args.seed,
         x0=args.x0,
     )
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+    with _writing(args.out) as fh:
         write_path_csv(path, fh)
     return 0
 
@@ -98,10 +117,10 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     hurst = None
     if method is not Method.NONERGODIC:
         if args.hurst is None:
-            raise SystemExit(f"--hurst is required for method {method.value}")
+            raise _UserError(f"--hurst is required for method {method.value}")
         hurst = _hurst(args.hurst)
     if method is Method.LSE_SKOROHOD and args.theta_ref is None:
-        raise SystemExit("--theta-ref is required for method lse")
+        raise _UserError("--theta-ref is required for method lse")
     result = _ESTIMATORS[method](path, hurst, args.theta_ref, args.mesh)
     payload = {
         "theta_hat": result.theta_hat,
@@ -130,7 +149,7 @@ def _cmd_mc_table(args: argparse.Namespace) -> int:
             str(stats.n_failed),
         ]
     )
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+    with _writing(args.out) as fh:
         fh.write(header + "\n" + row + "\n")
     return 0
 
@@ -138,7 +157,7 @@ def _cmd_mc_table(args: argparse.Namespace) -> int:
 def _cmd_mc_clt(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     phi, stats = run_clt_experiment(cfg, workers=args.workers)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+    with _writing(args.out) as fh:
         fh.write("phi\n")
         for value in phi:
             fh.write(_fmt(value) + "\n")
@@ -148,11 +167,16 @@ def _cmd_mc_clt(args: argparse.Namespace) -> int:
 
 def _cmd_mc_rate(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
-    t_grid = [float(tok) for tok in args.t_grid.split(",") if tok.strip()]
+    try:
+        t_grid = [float(tok) for tok in args.t_grid.split(",") if tok.strip()]
+        for big_t in t_grid:
+            replace(cfg, T=big_t)  # the config checks of every horizon
+    except (ValueError, OverflowError) as exc:
+        raise _UserError(f"--T-grid: {exc}") from None
     if not t_grid:
-        raise SystemExit("--T-grid must list at least one horizon")
+        raise _UserError("--T-grid must list at least one horizon")
     rows = run_rate_experiment(cfg, t_grid, workers=args.workers)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+    with _writing(args.out) as fh:
         fh.write("T,scaled_sdev,n_failed\n")
         for big_t, sdev, n_failed in rows:
             fh.write(f"{_fmt(big_t)},{_fmt(sdev)},{n_failed}\n")

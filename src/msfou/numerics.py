@@ -5,16 +5,16 @@ Four independent tools live here:
 * ``gamma_fn``: validated gamma function.
 * ``correction_integral``: the weakly singular double integral entering the
   Skorohod-corrected least-squares estimator, reduced by Fubini to three
-  one-dimensional integrals of the form ``int_0^T u^gamma * phi(u) du`` with
-  smooth ``phi``, each evaluated by product integration on panels graded
-  toward zero, refined by panel doubling from 32 panels until two
-  consecutive values agree within 1e-7.
+  one-dimensional integrals: two lower incomplete gamma functions in closed
+  form and one smooth integral for ``scipy.integrate.quad``, whose error
+  estimate must stay within 1e-7.
 * ``stationary_second_moment`` / ``invert_p``: the monotone moment map
   ``p(theta) = 1/(2 theta) + H Gamma(2H) theta^(-2H)`` and its inverse
-  (bracketing bisection, then a safeguarded secant polish).
-* ``kappa`` / ``solve_g_kernel``: Nystrom solution of the second-kind
-  integral equation ``g(s,t) + int_0^t g(r,t) kappa(r,s) dr = 1`` whose
-  solution defines the fundamental martingale, together with the diagonal
+  (a closed-form bracket, then ``scipy.optimize.brentq``).
+* ``solve_g_kernel``: Nystrom solution of the second-kind integral equation
+  ``g(s,t) + int_0^t g(r,t) kappa(r,s) dr = 1`` with the kernel
+  ``kappa(r,s) = H(2H-1)(|r-s|^(2H-2) - (r+s)^(2H-2))``, whose solution
+  defines the fundamental martingale, together with the diagonal
   ``g(s,s)`` and the bracket ``<M>_t = int_0^t g(s,s)^2 ds``.
 
 The kernel ``kappa`` is homogeneous of degree ``2H-2``, so ``g(t*sigma, t)``
@@ -48,7 +48,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import chebyshev as _cheb
+from scipy import integrate as _integrate
+from scipy import optimize as _opt
 from scipy import special as _sp
 
 from .noise import HurstParam
@@ -56,7 +57,6 @@ from .noise import HurstParam
 __all__ = [
     "KernelSolution",
     "gamma_fn",
-    "kappa",
     "correction_integral",
     "stationary_second_moment",
     "invert_p",
@@ -118,69 +118,42 @@ def stationary_second_moment(theta: float, h: HurstParam) -> float:
 
 
 def _invert_p_impl(y: float, h: HurstParam) -> tuple[float, int]:
-    """Invert p; returns (theta, iteration count) for diagnostics."""
+    """Invert p; returns (theta, root-finder iterations) for diagnostics.
+
+    The root is bracketed in closed form. With a = max(1/(2y), (c/y)^(1/2H))
+    and b = max(1/y, (2c/y)^(1/2H)), c = H Gamma(2H), one term of p alone
+    reaches y at a and each term is at most y/2 at b. Halving a and doubling
+    b gives p(lo) >= 2y and p(hi) <= y/2, a sign change that survives
+    rounding. Brent's method finishes at relative tolerance 4 eps.
+    """
     hh = h.h
     if hh == 0.5:
         # p(theta) = 1/theta exactly at H = 1/2
         return 1.0 / y, 0
+    if not 1e-300 <= y <= 1e300:
+        # keeps the bracket and p(lo) <= 6y finite in floating point
+        raise ValueError(f"moment y={y} outside [1e-300, 1e300], where p is inverted")
 
-    g2h = gamma_fn(2.0 * hh)
+    c = hh * gamma_fn(2.0 * hh)
 
-    def p(th: float) -> float:
-        return 0.5 / th + hh * g2h * th ** (-2.0 * hh)
+    def excess(th: float) -> float:
+        return 0.5 / th + c * th ** (-2.0 * hh) - y
 
-    iters = 0
-    lo, hi = 1e-6, 1e6
-    while p(lo) < y:
-        lo *= 0.1
-        iters += 1
-        if lo < 1e-280:
-            raise ValueError(f"moment y={y} above attainable range of p")
-    while p(hi) > y:
-        hi *= 10.0
-        iters += 1
-        if hi > 1e280:
-            raise ValueError(f"moment y={y} below attainable range of p")
-
-    # coarse bisection (p is strictly decreasing on the bracket)
-    while hi - lo > 1e-3 * lo:
-        iters += 1
-        mid = 0.5 * (lo + hi)
-        if p(mid) >= y:
-            lo = mid
-        else:
-            hi = mid
-        if iters > 400:
-            raise RuntimeError("bisection failed to narrow the bracket")
-
-    # safeguarded secant polish, keeping the sign-change bracket
-    fa = p(lo) - y
-    fb = p(hi) - y
-    target = 1e-10 * max(1.0, abs(y))
-    if abs(fa) <= target:
-        return lo, iters
-    if abs(fb) <= target:
-        return hi, iters
-    for _ in range(100):
-        iters += 1
-        denom = fb - fa
-        theta = hi - fb * (hi - lo) / denom if denom != 0.0 else 0.5 * (lo + hi)
-        if not lo < theta < hi:
-            theta = 0.5 * (lo + hi)
-        ft = p(theta) - y
-        if abs(ft) <= target:
-            return theta, iters
-        if ft > 0.0:
-            lo, fa = theta, ft
-        else:
-            hi, fb = theta, ft
-    raise RuntimeError("secant polish did not reach tolerance")
+    lo = 0.5 * max(0.5 / y, (c / y) ** (0.5 / hh))
+    hi = 2.0 * max(1.0 / y, (2.0 * c / y) ** (0.5 / hh))
+    # brentq's default absolute xtol (2e-12) would cap the relative accuracy
+    # of a small theta; the smallest subnormal leaves only rtol
+    theta, info = _opt.brentq(
+        excess, lo, hi, xtol=5e-324, rtol=4.0 * np.finfo(float).eps, full_output=True
+    )
+    return theta, info.iterations
 
 
 def invert_p(y: float, h: HurstParam) -> float:
     """Unique theta > 0 with p(theta) = y, to |p(theta) - y| <= 1e-10 max(1, y).
 
-    Requires H >= 1/2 (p is strictly decreasing there) and y > 0.
+    Requires H >= 1/2 (p is strictly decreasing there) and y > 0; for
+    H > 1/2, y must lie in [1e-300, 1e300].
     """
     _require_hurst(h)
     y = float(y)
@@ -197,115 +170,62 @@ def invert_p(y: float, h: HurstParam) -> float:
 # ---------------------------------------------------------------------------
 
 
-_CHEB_DEGREE = 12
-
-# Panel doubling of the correction integral starts from this many panels
-# and stops once two consecutive values agree within the tolerance.
-_CORRECTION_PANELS = 32
 _CORRECTION_TOL = 1e-7
 
 
 @functools.lru_cache(maxsize=64)
-def _weighted_xi_moments(gamma: float, degree: int) -> np.ndarray:
-    """Exact moments M_j = int_0^1 v^gamma (2v-1)^j dv for gamma > -1."""
-    out = np.empty(degree + 1)
-    for j in range(degree + 1):
-        acc = 0.0
-        for r in range(j + 1):
-            acc += math.comb(j, r) * (2.0**r) * ((-1.0) ** (j - r)) / (gamma + r + 1.0)
-        out[j] = acc
-    out.setflags(write=False)
-    return out
-
-
-@functools.lru_cache(maxsize=8)
-def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
-
-
-def _product_power_integral(phi, gamma: float, upper: float, panels: int) -> float:
-    """int_0^upper u^gamma phi(u) du for smooth phi and gamma > -1.
-
-    Panels graded cubically toward 0. On the first panel the power weight
-    is integrated exactly against a Chebyshev interpolant of phi; away from
-    zero the weight is smooth and plain Gauss-Legendre suffices.
-    """
-    k = np.arange(panels + 1) / panels
-    edges = upper * k**3
-    x1 = edges[1]
-
-    deg = _CHEB_DEGREE
-    i = np.arange(deg + 1)
-    xi = np.cos(np.pi * (2 * i + 1) / (2 * deg + 2))
-    coeffs = _cheb.chebfit(xi, phi(x1 * (xi + 1.0) / 2.0), deg)
-    poly = _cheb.cheb2poly(coeffs)
-    moments = _weighted_xi_moments(float(gamma), deg)
-    first = x1 ** (gamma + 1.0) * float(poly @ moments[: poly.size])
-
-    xg, wg = _gauss_rule(24)
-    a, b = edges[1:-1], edges[2:]
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    u = mid[:, None] + half[:, None] * xg[None, :]
-    w = half[:, None] * wg[None, :]
-    rest = float(np.sum(w * u**gamma * phi(u)))
-    return first + rest
-
-
-@functools.lru_cache(maxsize=64)
 def _correction_info(theta: float, hh: float, big_t: float) -> tuple[float, float, int]:
-    """Correction integral with (value, error estimate, panels used).
+    """Correction integral with (value, error estimate, quad subintervals).
 
     Fubini in the (t-s, t+s) variables collapses the double integral to
 
         I = int_0^T (T-u) e^(-theta u) u^(2H-2) du
           + (1/(2 rho)) * [ int_0^T (2T-u)^rho e^(-theta u) du
-                            - int_0^T u^rho e^(-theta u) du ],  rho = 2H-1,
+                            - int_0^T u^rho e^(-theta u) du ],  rho = 2H-1.
 
-    three weighted integrals with smooth factors, refined by panel doubling
-    until consecutive values agree within _CORRECTION_TOL.
+    With the lower incomplete gamma function
+    gamma(s, x) = int_0^x v^(s-1) e^(-v) dv, the first part is
+    T theta^(-rho) gamma(rho, theta T) - theta^(-rho-1) gamma(rho+1, theta T)
+    and the last theta^(-rho-1) gamma(rho+1, theta T). The smooth middle
+    part goes to adaptive Gauss-Kronrod quadrature, asked for an error
+    estimate within _CORRECTION_TOL on I. Its integrand decays on the scale
+    1/theta; on a long horizon (theta T = 1e5) quad without breakpoints
+    samples only the flat tail, misses that decay and reports a tiny error
+    estimate for a wrong value. Breakpoints at 1, 10 and 100 times the
+    scale prevent it.
     """
-    beta = 2.0 * hh - 2.0
     rho = 2.0 * hh - 1.0
-
-    def whole(panels: int) -> float:
-        part_a = _product_power_integral(
-            lambda u: (big_t - u) * np.exp(-theta * u), beta, big_t, panels
+    x = theta * big_t
+    part_d = theta ** (-rho - 1.0) * (_sp.gammainc(rho + 1.0, x) * _sp.gamma(rho + 1.0))
+    part_a = big_t * theta ** (-rho) * (_sp.gammainc(rho, x) * _sp.gamma(rho)) - part_d
+    points = [k / theta for k in (1.0, 10.0, 100.0) if k / theta < big_t]
+    part_c, err, info = _integrate.quad(
+        lambda u: (2.0 * big_t - u) ** rho * math.exp(-theta * u),
+        0.0,
+        big_t,
+        points=points or None,
+        epsabs=2.0 * rho * _CORRECTION_TOL,
+        epsrel=0.0,
+        full_output=1,
+    )[:3]
+    err /= 2.0 * rho
+    if err > _CORRECTION_TOL:
+        raise RuntimeError(
+            f"correction integral error estimate {err:.3e} exceeds "
+            f"tol={_CORRECTION_TOL} after {info['last']} subintervals"
         )
-        part_c = _product_power_integral(
-            lambda u: (2.0 * big_t - u) ** rho * np.exp(-theta * u), 0.0, big_t, panels
-        )
-        part_d = _product_power_integral(
-            lambda u: np.exp(-theta * u), rho, big_t, panels
-        )
-        return part_a + (part_c - part_d) / (2.0 * rho)
-
-    prev = whole(_CORRECTION_PANELS)
-    panels = _CORRECTION_PANELS
-    for _ in range(6):
-        panels *= 2
-        cur = whole(panels)
-        err = abs(cur - prev)
-        if err <= _CORRECTION_TOL:
-            return cur, err, panels
-        prev = cur
-    raise RuntimeError(
-        f"correction integral refinement did not converge to tol={_CORRECTION_TOL} "
-        f"(last change {err:.3e} at {panels} panels)"
-    )
+    return part_a + (part_c - part_d) / (2.0 * rho), err, info["last"]
 
 
 def correction_integral(theta: float, h: HurstParam, big_t: float) -> float:
     """int_0^T int_0^t e^(-theta(t-s)) ((t-s)^(2H-2) + (t+s)^(2H-2)) ds dt.
 
-    Panel doubling starts from 32 panels graded toward the singularity and
-    stops once two consecutive values agree within 1e-7, the error bound of
-    the result; the singular exponent 2H-2 is taken from h. Requires
-    theta > 0 and H > 1/2 so the (t-s)^(2H-2) singularity is integrable;
-    raises RuntimeError if six doublings do not reach the tolerance.
+    Fubini leaves three one-dimensional parts. Two are incomplete gamma
+    functions; the third goes to scipy's adaptive quadrature, whose error
+    estimate, 1e-7 at most, bounds the error of the result. The singular
+    exponent 2H-2 is taken from h. Requires theta > 0 and H > 1/2 so the
+    (t-s)^(2H-2) singularity is integrable; raises RuntimeError if the
+    quadrature's error estimate exceeds 1e-7.
     """
     _require_hurst(h)
     theta = float(theta)
@@ -325,30 +245,6 @@ def correction_integral(theta: float, h: HurstParam, big_t: float) -> float:
 # ---------------------------------------------------------------------------
 # kernel equation
 # ---------------------------------------------------------------------------
-
-
-def kappa(s, t, h: HurstParam):
-    """Kernel density H(2H-1)(|t-s|^(2H-2) - (t+s)^(2H-2)).
-
-    Symmetric in (s, t); identically zero at H = 1/2; singular on the
-    diagonal s = t (rejected). Accepts arrays with broadcasting.
-    """
-    _require_hurst(h)
-    s_arr = np.asarray(s, dtype=float)
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(s_arr <= 0.0) or np.any(t_arr <= 0.0):
-        raise ValueError("kappa requires s > 0 and t > 0")
-    if h.h < 0.5:
-        raise ValueError("kappa requires H >= 1/2")
-    if h.h == 0.5:
-        out = np.zeros(np.broadcast(s_arr, t_arr).shape)
-        return float(out) if out.ndim == 0 else out
-    if np.any(s_arr == t_arr):
-        raise ValueError("kappa is singular on the diagonal s = t")
-    beta = 2.0 * h.h - 2.0
-    alpha = h.h * (2.0 * h.h - 1.0)
-    out = alpha * (np.abs(t_arr - s_arr) ** beta - (t_arr + s_arr) ** beta)
-    return float(out) if out.ndim == 0 else out
 
 
 @functools.lru_cache(maxsize=16)

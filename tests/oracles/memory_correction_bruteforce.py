@@ -6,8 +6,8 @@ Target:
                      * ((t-s)**(2H-2) + (t+s)**(2H-2)) ds dt
 
 The library evaluates this after a Fubini rearrangement into one-dimensional
-integrals; this oracle never rearranges. It attacks the double integral
-directly on a tensor grid:
+integrals; the brute-force oracle never rearranges. It attacks the double
+integral directly on a tensor grid:
 
   * inner |t-s| part: substitute z = (t-s)**(2H-1), which absorbs the
     endpoint singularity exactly; single-interval Gauss-Legendre in z.
@@ -17,11 +17,18 @@ directly on a tensor grid:
     integrals behave like t**(2H-1) there).
 
 Every resolution knob is doubled once and both values printed; the finest
-values are frozen into the numerics tests. Run:
+values are frozen into the numerics tests.
+
+A second, high-precision reference (``mpmath_reference``) uses mpmath
+only, no scipy: after the Fubini rearrangement, the two power-weighted
+parts are mpmath lower incomplete gamma functions and the smooth part is
+one mp.quad call. It runs at 30 digits and prints the relative change
+at 45 digits; its values are frozen into the numerics tests as well. Run:
 
     python tests/oracles/memory_correction_bruteforce.py
 """
 
+import mpmath as mp
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
@@ -75,6 +82,32 @@ def bruteforce(theta, h, big_t, outer_panels, outer_nodes, inner_nodes, inner_pa
     return float((f * wt).sum())
 
 
+def mpmath_reference(theta, h, big_t, dps):
+    """I after Fubini, at dps digits:
+
+    I = int_0^T (T-u) e^(-theta u) u^(2H-2) du
+        + (int_0^T (2T-u)^rho e^(-theta u) du - int_0^T u^rho e^(-theta u) du) / (2 rho)
+    """
+    with mp.workdps(dps):
+        theta, rho, big_t = mp.mpf(theta), 2 * mp.mpf(h) - 1, mp.mpf(big_t)
+        x = theta * big_t
+        power = theta ** (-rho - 1) * mp.gammainc(rho + 1, 0, x)
+        part_a = big_t * theta ** (-rho) * mp.gammainc(rho, 0, x) - power
+        # the integrand decays on the scale 1/theta; split there for mp.quad
+        cuts = [k / theta for k in (1, 10, 100) if k / theta < big_t]
+        part_c = mp.quad(
+            lambda u: (2 * big_t - u) ** rho * mp.exp(-theta * u), [0, *cuts, big_t]
+        )
+        return part_a + (part_c - power) / (2 * rho)
+
+
+MPMATH_CASES = [
+    (1.0, 0.65, 500.0),
+    (0.5, 0.501, 10.0),
+    (2.0, 0.99, 50.0),
+    (10.0, 0.65, 1e4),
+]
+
 CASES = [
     (1.0, 0.75, 2.0),
     (1.0, 0.6, 2.0),
@@ -88,7 +121,14 @@ if __name__ == "__main__":
         print(f"I(theta={theta}, H={h}, T={big_t}):")
         print(f"  coarse = {coarse:.12f}")
         print(f"  fine   = {fine:.12f}   (|diff| = {abs(fine - coarse):.3e})")
+        print(f"  mpmath = {mp.nstr(mpmath_reference(theta, h, big_t, 30), 17)}")
         alpha = h * (2.0 * h - 1.0)
         scaled = alpha * fine / big_t
         limit = h * gamma_fn(2.0 * h) * theta ** (1.0 - 2.0 * h)
         print(f"  alpha_H*I/T = {scaled:.9f}  vs  H*Gamma(2H)*theta^(1-2H) = {limit:.9f}")
+    for theta, h, big_t in MPMATH_CASES:
+        digits30 = mpmath_reference(theta, h, big_t, 30)
+        digits45 = mpmath_reference(theta, h, big_t, 45)
+        rel = abs(digits30 - digits45) / digits45
+        print(f"I(theta={theta}, H={h}, T={big_t}) by mpmath:")
+        print(f"  30 digits = {mp.nstr(digits30, 17)}   (rel diff to 45 digits {mp.nstr(rel, 3)})")

@@ -7,7 +7,8 @@ Covers:
   3. mc-table / mc-clt / mc-rate: headers, payloads, agreement with the
      harness, and byte determinism across reruns and worker counts.
   4. Argument errors exit non-zero; user errors in input files, configs
-     and --hurst print one line and exit 2 before anything is simulated.
+     and argument values print one line and exit 2 before anything is
+     simulated; an unwritable output file prints one line and exits 2.
 
 All commands run in-process through main(argv).
 """
@@ -183,28 +184,15 @@ class TestEstimate:
         assert payload["method"] == "mle"
         assert payload["diagnostics"]["mesh_size"] == 16
 
-    def test_missing_hurst_exits(self, path_csv, tmp_path):
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "estimate",
-                    "--method", "practical",
-                    "--in", str(path_csv),
-                    "--out", str(tmp_path / "x.json"),
-                ]
-            )
+    def test_missing_hurst_exits(self, path_csv, tmp_path, capsys):
+        argv = ["estimate", "--method", "practical", "--in", str(path_csv),
+                "--out", str(tmp_path / "x.json")]
+        assert "--hurst is required" in _one_error_line(capsys, argv)
 
-    def test_lse_requires_theta_ref(self, path_csv, tmp_path):
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "estimate",
-                    "--method", "lse",
-                    "--hurst", "0.6",
-                    "--in", str(path_csv),
-                    "--out", str(tmp_path / "x.json"),
-                ]
-            )
+    def test_lse_requires_theta_ref(self, path_csv, tmp_path, capsys):
+        argv = ["estimate", "--method", "lse", "--hurst", "0.6", "--in", str(path_csv),
+                "--out", str(tmp_path / "x.json")]
+        assert "--theta-ref is required" in _one_error_line(capsys, argv)
 
 
 # ---------------------------------------------------------------------------
@@ -276,18 +264,12 @@ class TestMcRate:
         assert len(lines) == 3
         assert lines[1].startswith("4,")
 
-    def test_empty_grid_exits(self, tmp_path):
+    def test_empty_grid_exits(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
         _write_config(cfg_file, estimator="lse")
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "mc-rate",
-                    "--config", str(cfg_file),
-                    "--T-grid", ",",
-                    "--out", str(tmp_path / "x.csv"),
-                ]
-            )
+        argv = ["mc-rate", "--config", str(cfg_file), "--T-grid", ",",
+                "--out", str(tmp_path / "x.csv")]
+        assert "--T-grid must list" in _one_error_line(capsys, argv)
 
 
 class TestArgumentErrors:
@@ -300,6 +282,16 @@ class TestArgumentErrors:
             main(["simulate", "--theta", "1.0"])
 
 
+def _one_error_line(capsys, argv) -> str:
+    """Run argv, expect exit 2 and a single ``msfou: error:`` line; return it."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("msfou: error: ")
+    return lines[0]
+
+
 class TestUserErrors:
     @pytest.fixture(autouse=True)
     def _no_simulation(self, monkeypatch):
@@ -309,21 +301,13 @@ class TestUserErrors:
         monkeypatch.setattr(harness, "euler_msfou", simulated)
         monkeypatch.setattr(cli, "euler_msfou", simulated)
 
-    def _run(self, capsys, argv) -> str:
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("msfou: error: ")
-        return lines[0]
-
     @pytest.mark.parametrize(
         "command", [["mc-table"], ["mc-clt", "--stats", "s.json"], ["mc-rate", "--T-grid", "5"]],
         ids=["mc-table", "mc-clt", "mc-rate"],
     )
     def test_missing_config(self, tmp_path, capsys, command):
         argv = command + ["--config", str(tmp_path / "absent.json"), "--out", "o.csv"]
-        assert "absent.json" in self._run(capsys, argv)
+        assert "absent.json" in _one_error_line(capsys, argv)
 
     @pytest.mark.parametrize(
         "overrides,field",
@@ -344,14 +328,14 @@ class TestUserErrors:
         raw.update(overrides)
         cfg_file.write_text(json.dumps(raw), encoding="utf-8")
         argv = ["mc-table", "--config", str(cfg_file), "--out", str(tmp_path / "o")]
-        assert field in self._run(capsys, argv)
+        assert field in _one_error_line(capsys, argv)
         assert not (tmp_path / "o").exists()
 
     def test_malformed_json(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text("{not json", encoding="utf-8")
         argv = ["mc-table", "--config", str(cfg_file), "--out", str(tmp_path / "o")]
-        assert "cfg.json" in self._run(capsys, argv)
+        assert "cfg.json" in _one_error_line(capsys, argv)
 
     @pytest.mark.parametrize(
         "content", [None, "time,value\n0,0\n1,1\n", "t,value\n0,0\n1,x\n"],
@@ -363,7 +347,7 @@ class TestUserErrors:
             path_file.write_text(content, encoding="utf-8")
         argv = ["estimate", "--method", "nonergodic", "--in", str(path_file),
                 "--out", str(tmp_path / "r.json")]
-        assert "path.csv" in self._run(capsys, argv)
+        assert "path.csv" in _one_error_line(capsys, argv)
 
     def test_bad_hurst(self, tmp_path, capsys):
         path_file = tmp_path / "p.csv"
@@ -373,5 +357,54 @@ class TestUserErrors:
                     "--seed", "1", "--out", str(tmp_path / "q.csv")]
         estimate = ["estimate", "--method", "practical", "--hurst", "1.5",
                     "--in", str(path_file), "--out", str(tmp_path / "r.json")]
-        assert "--hurst" in self._run(capsys, simulate)
-        assert "--hurst" in self._run(capsys, estimate)
+        assert "--hurst" in _one_error_line(capsys, simulate)
+        assert "--hurst" in _one_error_line(capsys, estimate)
+
+    @pytest.mark.parametrize(
+        "grid,message",
+        [("5,x", "could not convert"), ("5,-1", "T=-1"), ("5,0", "T=0"), ("5,inf", "--T-grid")],
+        ids=["not-a-number", "negative", "zero", "infinite"],
+    )
+    def test_bad_rate_horizon(self, tmp_path, capsys, grid, message):
+        cfg_file = tmp_path / "cfg.json"
+        _write_config(cfg_file, estimator="lse")
+        argv = ["mc-rate", "--config", str(cfg_file), "--T-grid", grid,
+                "--out", str(tmp_path / "o.csv")]
+        assert message in _one_error_line(capsys, argv)
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize(
+        "d,big_t",
+        [("0", "1"), ("-0.1", "1"), ("0.1", "-1"), ("0.1", "0"), ("1", "0.4"), ("nan", "1")],
+        ids=["zero-d", "negative-d", "negative-T", "zero-T", "no-step", "nan-d"],
+    )
+    def test_bad_simulate_grid(self, tmp_path, capsys, d, big_t):
+        argv = ["simulate", "--theta", "1", "--hurst", "0.6", "--d", d, "--T", big_t,
+                "--seed", "1", "--out", str(tmp_path / "q.csv")]
+        assert "--d and --T" in _one_error_line(capsys, argv)
+        assert not (tmp_path / "q.csv").exists()
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command", ["simulate", "estimate", "mc-table", "mc-clt", "mc-rate"])
+    def test_one_error_line(self, tmp_path, capsys, command):
+        cfg_file = tmp_path / "cfg.json"
+        # mc-rate runs only the corrected LSE, mc-clt only the practical estimator
+        _write_config(cfg_file, estimator="lse" if command == "mc-rate" else "practical",
+                      replications=3)
+        path_file = tmp_path / "p.csv"
+        with open(path_file, "w", encoding="utf-8", newline="\n") as fh:
+            write_path_csv(euler_msfou(1.0, HurstParam(0.6), 0.1, 10, 1), fh)
+        bad = tmp_path / "no-such-dir" / "out"
+        argv = {
+            "simulate": ["simulate", "--theta", "1", "--hurst", "0.6", "--d", "0.1",
+                         "--T", "1", "--seed", "1", "--out", str(bad)],
+            "estimate": ["estimate", "--method", "nonergodic", "--in", str(path_file),
+                         "--out", str(bad)],
+            "mc-table": ["mc-table", "--config", str(cfg_file), "--out", str(bad)],
+            "mc-clt": ["mc-clt", "--config", str(cfg_file), "--out", str(tmp_path / "phi.csv"),
+                       "--stats", str(bad)],
+            "mc-rate": ["mc-rate", "--config", str(cfg_file), "--T-grid", "4",
+                        "--out", str(bad)],
+        }[command]
+        assert _one_error_line(capsys, argv).startswith(f"msfou: error: cannot write {bad}: ")

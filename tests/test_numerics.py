@@ -3,9 +3,9 @@
 Covers:
   1. gamma_fn against high-precision frozen values and the recurrence.
   2. Stationary second moment p(theta) and its inverse.
-  3. Covariance kernel kappa (sign, symmetry, reductions).
-  4. Correction integral against a brute-force tensor-grid oracle.
-  5. The kernel equation solver: residual, identity, stability, reductions.
+  3. Correction integral against a brute-force tensor-grid oracle and an
+     mpmath reference.
+  4. The kernel equation solver: residual, identity, stability, reductions.
 
 Frozen constants come from the scripts in tests/oracles/, which use only
 mpmath / direct quadrature and never import this package.
@@ -24,7 +24,6 @@ from msfou import (
     correction_integral,
     gamma_fn,
     invert_p,
-    kappa,
     solve_g_kernel,
     stationary_second_moment,
 )
@@ -53,6 +52,15 @@ CORRECTION_TABLE = {
     (1.0, 0.75, 2.0): 3.643103953587,
     (1.0, 0.6, 2.0): 9.175475784486,
     (1.0, 0.6, 200.0): 923.237135453561,
+}
+
+# mpmath_reference at 30 digits; tests/oracles/memory_correction_bruteforce.py.
+# The last row needs the quadrature's breakpoints.
+MPMATH_CORRECTION_TABLE = {
+    (1.0, 0.65, 500.0): 1506.6260681396549,
+    (0.5, 0.501, 10.0): 5001.953745105893,
+    (2.0, 0.99, 50.0): 48.423762947346556,
+    (10.0, 0.65, 1e4): 14996.493953669327,
 }
 
 
@@ -104,7 +112,7 @@ class TestStationarySecondMoment:
 
 
 class TestInvertP:
-    @given(st.floats(min_value=-5.0, max_value=5.0), st.floats(min_value=0.5, max_value=0.9))
+    @given(st.floats(min_value=-12.0, max_value=5.0), st.floats(min_value=0.5, max_value=0.99))
     @settings(max_examples=60, deadline=None)
     def test_round_trip(self, log_theta, h):
         hp = HurstParam(h)
@@ -112,6 +120,7 @@ class TestInvertP:
         y = stationary_second_moment(theta, hp)
         back = invert_p(y, hp)
         assert back == pytest.approx(theta, rel=1e-7)
+        assert abs(stationary_second_moment(back, hp) - y) <= 1e-10 * max(1.0, y)
 
     def test_brownian_closed_form(self):
         # p(theta) = 1/theta at H = 1/2, so the inverse is exactly 1/y
@@ -122,45 +131,14 @@ class TestInvertP:
         with pytest.raises(ValueError):
             invert_p(y, HurstParam(0.6))
 
+    @pytest.mark.parametrize("y", [1e-310, 1e308])
+    def test_rejects_moment_outside_float_range(self, y):
+        with pytest.raises(ValueError):
+            invert_p(y, HurstParam(0.99))
+
     def test_rejects_short_memory(self):
         with pytest.raises(ValueError):
             invert_p(1.0, HurstParam(0.3))
-
-
-# ---------------------------------------------------------------------------
-# kappa
-# ---------------------------------------------------------------------------
-
-class TestKappa:
-    def test_brownian_reduction_is_zero(self):
-        assert kappa(0.3, 0.8, HurstParam(0.5)) == 0.0
-
-    def test_positive_for_long_memory(self):
-        h = HurstParam(0.7)
-        grid = [(0.1, 0.9), (0.4, 0.5), (2.0, 3.0)]
-        assert all(kappa(s, t, h) > 0 for s, t in grid)
-
-    @given(
-        st.floats(min_value=0.01, max_value=5.0),
-        st.floats(min_value=0.01, max_value=5.0),
-        st.floats(min_value=0.55, max_value=0.95),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_symmetry(self, s, t, h):
-        if abs(s - t) < 1e-9:
-            return
-        hp = HurstParam(h)
-        assert kappa(s, t, hp) == pytest.approx(kappa(t, s, hp), rel=1e-12)
-
-    def test_diagonal_rejected(self):
-        with pytest.raises(ValueError):
-            kappa(1.0, 1.0, HurstParam(0.7))
-
-    def test_closed_form_spot_check(self):
-        h = HurstParam(0.8)
-        a = 0.8 * 0.6  # H (2H - 1)
-        expected = a * (0.5 ** (-0.4) - 1.5 ** (-0.4))
-        assert kappa(0.5, 1.0, h) == pytest.approx(expected, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +153,14 @@ class TestCorrectionIntegral:
         rel = abs(got - expected) / expected
         print(f"  I({theta}, {h}, {big_t}) = {got:.10f}, oracle = {expected}, rel = {rel:.2e}")
         assert rel < 1e-6
+
+    @pytest.mark.parametrize("key,expected", sorted(MPMATH_CORRECTION_TABLE.items()))
+    def test_mpmath_reference(self, key, expected):
+        theta, h, big_t = key
+        got = correction_integral(theta, HurstParam(h), big_t)
+        rel = abs(got - expected) / expected
+        print(f"  I({theta}, {h}, {big_t}) = {got:.15g}, mpmath = {expected}, rel = {rel:.2e}")
+        assert rel < 1e-12
 
     def test_long_time_limit(self):
         # alpha_H I(theta, H, T) / T -> H Gamma(2H) theta^(1-2H)
