@@ -12,20 +12,24 @@ All outputs are deterministic functions of the inputs: numbers are
 formatted with %.15g, JSON keys are sorted, no timestamps are emitted, and
 worker counts never change any byte of output.
 
-A missing, unreadable or malformed --config/--in file, an invalid config,
-a missing or invalid argument value (--hurst, --theta-ref, --d, --T and
-each --T-grid horizon) are reported as one line ``msfou: error: ...`` on
-stderr with exit status 2, before any path is simulated. An --out or
---stats file that cannot be written is reported the same way when the
-result is written.
+A missing, unreadable or malformed --config/--in file, an invalid config
+or one the experiment cannot run (mc-clt needs the practical estimator
+and 1/2 < H < 3/4, mc-rate the corrected LSE), a missing or invalid
+argument value (--hurst, --theta-ref, --d, --T and each --T-grid horizon)
+and an --out or --stats file that cannot be created are reported as one
+line ``msfou: error: ...`` on stderr with exit status 2, before any path
+is simulated. Outputs are opened before the work starts; a run that fails
+afterwards removes them, so no truncated file is left to pass for a result.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, replace
 
@@ -33,6 +37,8 @@ from .estimators import Method
 from .harness import (
     _ESTIMATORS,
     ExperimentConfig,
+    _check_clt_config,
+    _check_rate_config,
     run_clt_experiment,
     run_rate_experiment,
     run_table_experiment,
@@ -63,13 +69,43 @@ def _reading(path: str):
 
 
 @contextlib.contextmanager
-def _writing(path: str):
-    """Open an output file; failing to create or write it is a _UserError."""
+def _writing(*paths: str):
+    """Open every output before the work that fills them; yield a writer.
+
+    An output that cannot be created is a _UserError before the work
+    starts. ``write(*texts)`` writes texts[i] to paths[i] and closes it.
+    If the work or a write fails, the outputs that are regular files are
+    removed, so no truncated file is left to pass for a result.
+    """
+    handles = []
+
+    def write(*texts: str) -> None:
+        for path, fh, text in zip(paths, handles, texts, strict=True):
+            try:
+                fh.write(text)
+                fh.close()
+            except OSError as exc:
+                raise _UserError(f"cannot write {path}: {exc.strerror}") from None
+
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            yield fh
-    except OSError as exc:
-        raise _UserError(f"cannot write {path}: {exc.strerror}") from None
+        for path in paths:
+            try:
+                handles.append(open(path, "w", encoding="utf-8", newline="\n"))
+            except OSError as exc:
+                raise _UserError(f"cannot write {path}: {exc.strerror}") from None
+        yield write
+    except BaseException:
+        for path, fh in zip(paths, handles):
+            with contextlib.suppress(OSError):
+                fh.close()
+            # a device such as /dev/stdout is never removed
+            if os.path.isfile(path):
+                with contextlib.suppress(OSError):
+                    os.unlink(path)
+        raise
+    finally:
+        for fh in handles:
+            fh.close()
 
 
 def _hurst(value: float) -> HurstParam:
@@ -79,15 +115,17 @@ def _hurst(value: float) -> HurstParam:
         raise _UserError(f"--hurst: {exc}") from None
 
 
-def _load_config(path: str) -> ExperimentConfig:
+def _load_config(path: str, check=None) -> ExperimentConfig:
+    """Load a config; ``check(cfg)`` may reject one the experiment cannot run."""
     with _reading(path), open(path, "r", encoding="utf-8") as fh:
-        return ExperimentConfig.from_dict(json.load(fh))
+        cfg = ExperimentConfig.from_dict(json.load(fh))
+        if check is not None:
+            check(cfg)
+        return cfg
 
 
-def _write_json(path: str, payload: dict) -> None:
-    with _writing(path) as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -97,16 +135,19 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             f"--d and --T must be positive with T/d at least one step, "
             f"got d={args.d}, T={args.T}"
         )
-    path = euler_msfou(
-        theta=args.theta,
-        H=_hurst(args.hurst),
-        d=args.d,
-        N=round(steps),
-        seed=args.seed,
-        x0=args.x0,
-    )
-    with _writing(args.out) as fh:
-        write_path_csv(path, fh)
+    hurst = _hurst(args.hurst)
+    with _writing(args.out) as write:
+        path = euler_msfou(
+            theta=args.theta,
+            H=hurst,
+            d=args.d,
+            N=round(steps),
+            seed=args.seed,
+            x0=args.x0,
+        )
+        buf = io.StringIO()
+        write_path_csv(path, buf)
+        write(buf.getvalue())
     return 0
 
 
@@ -121,52 +162,51 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         hurst = _hurst(args.hurst)
     if method is Method.LSE_SKOROHOD and args.theta_ref is None:
         raise _UserError("--theta-ref is required for method lse")
-    result = _ESTIMATORS[method](path, hurst, args.theta_ref, args.mesh)
-    payload = {
-        "theta_hat": result.theta_hat,
-        "method": result.method.value,
-        "denominator": result.denominator,
-        "diagnostics": result.diagnostics,
-    }
-    _write_json(args.out, payload)
+    with _writing(args.out) as write:
+        result = _ESTIMATORS[method](path, hurst, args.theta_ref, args.mesh)
+        payload = {
+            "theta_hat": result.theta_hat,
+            "method": result.method.value,
+            "denominator": result.denominator,
+            "diagnostics": result.diagnostics,
+        }
+        write(_json_text(payload))
     return 0
 
 
 def _cmd_mc_table(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
-    stats = run_table_experiment(cfg, workers=args.workers)
-    header = "theta_true,H,d,T,reps,mean,median,sdev,n_failed"
-    row = ",".join(
-        [
-            _fmt(cfg.theta_true),
-            _fmt(cfg.H),
-            _fmt(cfg.d),
-            _fmt(cfg.T),
-            str(cfg.replications),
-            _fmt(stats.mean),
-            _fmt(stats.median),
-            _fmt(stats.sdev),
-            str(stats.n_failed),
-        ]
-    )
-    with _writing(args.out) as fh:
-        fh.write(header + "\n" + row + "\n")
+    with _writing(args.out) as write:
+        stats = run_table_experiment(cfg, workers=args.workers)
+        header = "theta_true,H,d,T,reps,mean,median,sdev,n_failed"
+        row = ",".join(
+            [
+                _fmt(cfg.theta_true),
+                _fmt(cfg.H),
+                _fmt(cfg.d),
+                _fmt(cfg.T),
+                str(cfg.replications),
+                _fmt(stats.mean),
+                _fmt(stats.median),
+                _fmt(stats.sdev),
+                str(stats.n_failed),
+            ]
+        )
+        write(header + "\n" + row + "\n")
     return 0
 
 
 def _cmd_mc_clt(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    phi, stats = run_clt_experiment(cfg, workers=args.workers)
-    with _writing(args.out) as fh:
-        fh.write("phi\n")
-        for value in phi:
-            fh.write(_fmt(value) + "\n")
-    _write_json(args.stats, asdict(stats))
+    cfg = _load_config(args.config, _check_clt_config)
+    with _writing(args.out, args.stats) as write:
+        phi, stats = run_clt_experiment(cfg, workers=args.workers)
+        sample = "phi\n" + "".join(_fmt(value) + "\n" for value in phi)
+        write(sample, _json_text(asdict(stats)))
     return 0
 
 
 def _cmd_mc_rate(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, _check_rate_config)
     try:
         t_grid = [float(tok) for tok in args.t_grid.split(",") if tok.strip()]
         for big_t in t_grid:
@@ -175,11 +215,12 @@ def _cmd_mc_rate(args: argparse.Namespace) -> int:
         raise _UserError(f"--T-grid: {exc}") from None
     if not t_grid:
         raise _UserError("--T-grid must list at least one horizon")
-    rows = run_rate_experiment(cfg, t_grid, workers=args.workers)
-    with _writing(args.out) as fh:
-        fh.write("T,scaled_sdev,n_failed\n")
-        for big_t, sdev, n_failed in rows:
-            fh.write(f"{_fmt(big_t)},{_fmt(sdev)},{n_failed}\n")
+    with _writing(args.out) as write:
+        rows = run_rate_experiment(cfg, t_grid, workers=args.workers)
+        write(
+            "T,scaled_sdev,n_failed\n"
+            + "".join(f"{_fmt(big_t)},{_fmt(sdev)},{n_failed}\n" for big_t, sdev, n_failed in rows)
+        )
     return 0
 
 

@@ -237,6 +237,24 @@ def run_table_experiment(cfg: ExperimentConfig, workers: int = 1) -> SummaryStat
     return summarize(estimates, n_failed)
 
 
+def _check_clt_config(cfg: ExperimentConfig) -> None:
+    """ValueError unless the CLT experiment applies: practical, 1/2 < H < 3/4."""
+    if cfg.estimator is not Method.PRACTICAL:
+        raise ValueError(
+            f"the CLT experiment needs estimator practical, got {cfg.estimator.value}"
+        )
+    if not 0.5 < cfg.H < 0.75:
+        raise ValueError(f"the CLT experiment needs 1/2 < H < 3/4, got H={cfg.H}")
+
+
+def _check_rate_config(cfg: ExperimentConfig) -> None:
+    """ValueError unless the rate experiment applies: corrected LSE."""
+    if cfg.estimator is not Method.LSE_SKOROHOD:
+        raise ValueError(
+            f"the rate experiment needs estimator lse, got {cfg.estimator.value}"
+        )
+
+
 def run_clt_experiment(
     cfg: ExperimentConfig, workers: int = 1
 ) -> tuple[np.ndarray, SummaryStats]:
@@ -247,10 +265,7 @@ def run_clt_experiment(
     estimator = PRACTICAL. Replications run and fail exactly as in
     ``run_table_experiment``.
     """
-    if cfg.estimator is not Method.PRACTICAL:
-        raise ValueError("run_clt_experiment requires estimator = PRACTICAL")
-    if not 0.5 < cfg.H < 0.75:
-        raise ValueError(f"run_clt_experiment requires 1/2 < H < 3/4, got H={cfg.H}")
+    _check_clt_config(cfg)
     estimates, n_failed = _run_replications(cfg, workers)
     if estimates.size == 0:
         raise RuntimeError(f"all {cfg.replications} replications failed")
@@ -283,8 +298,7 @@ def run_rate_experiment(
     n_failed). The scaling matches the asymptotic regime of H, so the
     column is approximately flat in T when the rate is right.
     """
-    if cfg.estimator is not Method.LSE_SKOROHOD:
-        raise ValueError("run_rate_experiment requires estimator = LSE_SKOROHOD")
+    _check_rate_config(cfg)
     rows = []
     for t_idx, big_t in enumerate(t_grid):
         big_t = float(big_t)

@@ -3,14 +3,19 @@
 The sampler is dimensionless: it produces unit-variance noise per unit lag.
 Time scaling (``d**H``) is applied by the path-building layer, not here.
 
-Generation is by circulant embedding of the fGn covariance. The embedding
-of size ``2n`` has nonnegative eigenvalues for fGn, so the synthesized
-vector has exactly the requested covariance.
+Generation is by circulant embedding of the fGn covariance (Dietrich &
+Newsam 1997; Wood & Chan 1994). The embedding of size ``2n`` has
+nonnegative eigenvalues for fGn, so the synthesized vector has exactly the
+requested covariance. The spectrum depends only on (n, H), so it is
+computed once per (n, H) and cached; each sample then costs its ``4n``
+normals and one inverse FFT.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,34 +110,44 @@ def fgn_autocovariance(k, H: HurstParam):
     return rho
 
 
-def _circulant_fgn(n: int, H: HurstParam, rng: np.random.Generator) -> np.ndarray:
+@functools.lru_cache(maxsize=8)
+def _circulant_sqrt_eig(n: int, H: HurstParam) -> np.ndarray:
+    """Read-only square roots of the 2n circulant embedding's eigenvalues."""
     # First row of the 2n circulant: [rho(0..n), rho(n-1), ..., rho(1)].
     rho = fgn_autocovariance(np.arange(n + 1), H)
     row = np.concatenate([rho, rho[-2:0:-1]])
-    m = row.size  # 2n
     eig = np.fft.fft(row).real
 
     # Eigenvalues are provably >= 0 for fGn; anything beyond roundoff means
-    # the covariance (or this embedding) is wrong, so fail loudly.
+    # the covariance (or this embedding) is wrong, so fail loudly. The cache
+    # stores no exception, so a bad embedding raises on every call.
     tol = 1e-10 * eig.max()
     if eig.min() < -tol:
         raise RuntimeError(
             f"circulant embedding produced negative eigenvalue {eig.min():.3e}"
         )
-    eig = np.maximum(eig, 0.0)
+    root = np.sqrt(np.maximum(eig, 0.0))
+    root.setflags(write=False)
+    return root
 
+
+def _circulant_fgn(n: int, H: HurstParam, rng: np.random.Generator) -> np.ndarray:
+    root = _circulant_sqrt_eig(n, H)
+    m = root.size  # 2n
     z = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     # Re(ifft(sqrt(eig) z)) * sqrt(m) has exactly the circulant covariance:
     # E[z_k^2] = 0, so the real part carries half of E|.|^2 = 2 eig / m.
-    x = np.sqrt(m) * np.fft.ifft(np.sqrt(eig) * z).real
-    return x[:n]
+    # Scaling is elementwise, so scaling only the n kept entries is exact.
+    return math.sqrt(m) * np.fft.ifft(root * z).real[:n]
 
 
 def sample_fgn(spec: NoiseSpec, H: HurstParam) -> np.ndarray:
     """Sample a zero-mean stationary Gaussian vector with fGn covariance.
 
     The vector is synthesized by circulant embedding, so its covariance is
-    exactly ``fgn_autocovariance(., H)``, not an approximation of it.
+    exactly ``fgn_autocovariance(., H)``, not an approximation of it. The
+    embedding's spectrum is computed once per (n, H) and reused, so a call
+    with a seen (n, H) costs only its normals and one inverse FFT.
 
     Parameters
     ----------

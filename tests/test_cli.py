@@ -6,9 +6,11 @@ Covers:
      every method, per-method argument requirements.
   3. mc-table / mc-clt / mc-rate: headers, payloads, agreement with the
      harness, and byte determinism across reruns and worker counts.
-  4. Argument errors exit non-zero; user errors in input files, configs
-     and argument values print one line and exit 2 before anything is
-     simulated; an unwritable output file prints one line and exits 2.
+  4. Argument errors exit non-zero; user errors in input files, configs,
+     experiment preconditions and argument values print one line and exit
+     2 before anything is simulated; an unwritable output file prints one
+     line and exits 2 before anything is simulated, and a run that fails
+     leaves no output file behind.
 
 All commands run in-process through main(argv).
 """
@@ -16,6 +18,7 @@ All commands run in-process through main(argv).
 import io
 import json
 
+import numpy as np
 import pytest
 
 from msfou import (
@@ -26,6 +29,7 @@ from msfou import (
     mle,
     nonergodic_estimator,
     practical_estimator,
+    SamplePath,
     read_path_csv,
     run_clt_experiment,
     run_table_experiment,
@@ -374,6 +378,27 @@ class TestUserErrors:
         assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize(
+        "command,overrides,message",
+        [
+            (["mc-rate", "--T-grid", "5"], {"estimator": "practical"}, "estimator lse"),
+            (["mc-rate", "--T-grid", "5"], {"estimator": "nonergodic"}, "estimator lse"),
+            (["mc-clt", "--stats", "s.json"], {"estimator": "lse"}, "estimator practical"),
+            (["mc-clt", "--stats", "s.json"], {"H": 0.8}, "1/2 < H < 3/4"),
+            (["mc-clt", "--stats", "s.json"], {"H": 0.5}, "1/2 < H < 3/4"),
+        ],
+        ids=["rate-practical", "rate-nonergodic", "clt-lse", "clt-h-above", "clt-h-half"],
+    )
+    def test_experiment_precondition(self, tmp_path, capsys, monkeypatch, command,
+                                     overrides, message):
+        monkeypatch.chdir(tmp_path)
+        cfg_file = tmp_path / "cfg.json"
+        _write_config(cfg_file, **overrides)
+        argv = command + ["--config", str(cfg_file), "--out", "o.csv"]
+        line = _one_error_line(capsys, argv)
+        assert "cfg.json" in line and message in line
+        assert not (tmp_path / "o.csv").exists() and not (tmp_path / "s.json").exists()
+
+    @pytest.mark.parametrize(
         "d,big_t",
         [("0", "1"), ("-0.1", "1"), ("0.1", "-1"), ("0.1", "0"), ("1", "0.4"), ("nan", "1")],
         ids=["zero-d", "negative-d", "negative-T", "zero-T", "no-step", "nan-d"],
@@ -387,7 +412,13 @@ class TestUserErrors:
 
 class TestUnwritableOutput:
     @pytest.mark.parametrize("command", ["simulate", "estimate", "mc-table", "mc-clt", "mc-rate"])
-    def test_one_error_line(self, tmp_path, capsys, command):
+    def test_one_error_line(self, tmp_path, capsys, monkeypatch, command):
+        if command.startswith("mc-"):
+            # the output is probed before the experiment starts
+            def simulated(*args, **kwargs):
+                raise AssertionError("a path was simulated")
+
+            monkeypatch.setattr(harness, "euler_msfou", simulated)
         cfg_file = tmp_path / "cfg.json"
         # mc-rate runs only the corrected LSE, mc-clt only the practical estimator
         _write_config(cfg_file, estimator="lse" if command == "mc-rate" else "practical",
@@ -408,3 +439,25 @@ class TestUnwritableOutput:
                         "--out", str(bad)],
         }[command]
         assert _one_error_line(capsys, argv).startswith(f"msfou: error: cannot write {bad}: ")
+        # mc-clt opened its --out before failing on --stats, then removed it
+        assert not (tmp_path / "phi.csv").exists()
+
+    @pytest.mark.parametrize("command", ["mc-table", "mc-clt", "mc-rate"])
+    def test_failed_run_leaves_no_output(self, tmp_path, monkeypatch, command):
+        # every replication simulates the zero path and fails, so the
+        # experiment raises after its outputs were opened
+        monkeypatch.setattr(
+            harness, "euler_msfou", lambda **kw: SamplePath(d=kw["d"], values=np.zeros(kw["N"]))
+        )
+        cfg_file = tmp_path / "cfg.json"
+        _write_config(cfg_file, estimator="lse" if command == "mc-rate" else "practical",
+                      replications=3)
+        out, stats = tmp_path / "out.csv", tmp_path / "stats.json"
+        argv = {
+            "mc-table": ["mc-table"],
+            "mc-clt": ["mc-clt", "--stats", str(stats)],
+            "mc-rate": ["mc-rate", "--T-grid", "4"],
+        }[command] + ["--config", str(cfg_file), "--out", str(out)]
+        with pytest.raises(RuntimeError, match="failed|too few"):
+            main(argv)
+        assert not out.exists() and not stats.exists()

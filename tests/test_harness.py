@@ -5,7 +5,7 @@ Covers:
   2. summarize against an independent moment implementation (scipy.stats).
   3. Per-replication seed derivation.
   4. run_table_experiment: determinism, worker-count invariance, failure
-     accounting.
+     accounting, invariance to the state of the noise spectrum cache.
   5. run_clt_experiment: gates and the standardization pipeline.
   6. run_rate_experiment: gates, shape, and the regime scaling map.
 """
@@ -23,6 +23,7 @@ from msfou import (
     SamplePath,
     SummaryStats,
     harness,
+    noise,
     phi_statistic,
     run_clt_experiment,
     run_rate_experiment,
@@ -234,6 +235,17 @@ class TestRunTableExperiment:
         serial = run_table_experiment(cfg, workers=1)
         parallel = run_table_experiment(cfg, workers=2)
         assert serial == parallel
+
+    def test_spectrum_cache_state_does_not_change_results(self):
+        # cold cache, warm cache, and forked pool workers that inherit the
+        # warm cache all give the same statistics
+        cfg = _config(H=0.65, replications=6, T=2.0, d=0.01)
+        noise._circulant_sqrt_eig.cache_clear()
+        cold = run_table_experiment(cfg)
+        assert noise._circulant_sqrt_eig.cache_info().misses == 1
+        warm = run_table_experiment(cfg)
+        pooled = run_table_experiment(cfg, workers=2)
+        assert cold == warm == pooled
 
     def test_estimates_depend_on_master_seed(self):
         a = run_table_experiment(_config(master_seed=1))

@@ -4,7 +4,9 @@ Covers:
   1. HurstParam validation and regime classification.
   2. fGn autocovariance closed form (frozen values, Brownian reduction).
   3. Sampler determinism and stream separation.
-  4. Statistical sanity of both generation methods.
+  4. Statistical sanity of the circulant generator.
+  5. The per-(n, H) spectrum cache: same bytes cold and warm, one miss per
+     experiment, read-only entries, no cached failure.
 """
 
 import numpy as np
@@ -12,7 +14,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msfou import HurstParam, HurstRegime, NoiseSpec, fgn_autocovariance, sample_fgn
+from msfou import (
+    ExperimentConfig,
+    HurstParam,
+    HurstRegime,
+    Method,
+    NoiseSpec,
+    fgn_autocovariance,
+    noise,
+    run_table_experiment,
+    sample_fgn,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -159,3 +171,52 @@ class TestSamplerStatistics:
         x = sample_fgn(NoiseSpec(n=2**14, seed=5), HurstParam(0.5))
         lag1 = float(np.mean(x[:-1] * x[1:]))
         assert abs(lag1) < 4.0 / np.sqrt(x.size)
+
+
+# ---------------------------------------------------------------------------
+# Spectrum cache
+# ---------------------------------------------------------------------------
+
+class TestSpectrumCache:
+    @pytest.mark.parametrize("n", [2, 3, 1000, 10000])
+    @pytest.mark.parametrize("h", [0.3, 0.5, 0.65, 0.9])
+    def test_cold_and_warm_give_same_bytes(self, n, h):
+        spec, hurst = NoiseSpec(n=n, seed=31, stream=1), HurstParam(h)
+        noise._circulant_sqrt_eig.cache_clear()
+        cold = sample_fgn(spec, hurst)
+        warm = sample_fgn(spec, hurst)
+        assert noise._circulant_sqrt_eig.cache_info().hits >= 1
+        assert cold.tobytes() == warm.tobytes()
+
+    def test_one_miss_per_table_experiment(self):
+        cfg = ExperimentConfig(
+            theta_true=1.0, H=0.65, d=0.05, T=5.0, replications=20,
+            master_seed=5, estimator=Method.PRACTICAL,
+        )
+        noise._circulant_sqrt_eig.cache_clear()
+        run_table_experiment(cfg)
+        info = noise._circulant_sqrt_eig.cache_info()
+        assert (info.misses, info.hits) == (1, 19)
+
+    def test_cached_spectrum_is_read_only(self):
+        root = noise._circulant_sqrt_eig(64, HurstParam(0.7))
+        assert not root.flags.writeable
+        with pytest.raises(ValueError):
+            root[0] = 0.0
+
+    def test_non_psd_embedding_raises_every_call(self, monkeypatch):
+        # an autocovariance with rho(1) > rho(0) is no covariance: its
+        # circulant has a negative eigenvalue, and no call may be served
+        # from the cache
+        def not_a_covariance(k, H):
+            rho = np.zeros(np.size(k))
+            rho[:2] = [1.0, 2.0]
+            return rho
+
+        monkeypatch.setattr(noise, "fgn_autocovariance", not_a_covariance)
+        noise._circulant_sqrt_eig.cache_clear()
+        spec, hurst = NoiseSpec(n=8, seed=1), HurstParam(0.6)
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="negative eigenvalue"):
+                sample_fgn(spec, hurst)
+        assert noise._circulant_sqrt_eig.cache_info().currsize == 0
