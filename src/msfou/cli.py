@@ -15,11 +15,12 @@ worker counts never change any byte of output.
 A missing, unreadable or malformed --config/--in file, an invalid config
 or one the experiment cannot run (mc-clt needs the practical estimator
 and 1/2 < H < 3/4, mc-rate the corrected LSE), a missing or invalid
-argument value (--hurst, --theta-ref, --d, --T and each --T-grid horizon)
-and an --out or --stats file that cannot be created are reported as one
-line ``msfou: error: ...`` on stderr with exit status 2, before any path
-is simulated. Outputs are opened before the work starts; a run that fails
-afterwards removes them, so no truncated file is left to pass for a result.
+argument value (--hurst, --theta-ref, --d, --T, each --T-grid horizon, and
+any value the library rejects, such as simulate --seed -1 or estimate
+--mesh 4) and an --out or --stats file that cannot be created are reported
+as one line ``msfou: error: ...`` on stderr with exit status 2, before any
+path is simulated. Outputs are opened before the work starts; a run that
+fails afterwards removes them, so no truncated file passes for a result.
 """
 
 from __future__ import annotations
@@ -108,11 +109,13 @@ def _writing(*paths: str):
             fh.close()
 
 
-def _hurst(value: float) -> HurstParam:
+@contextlib.contextmanager
+def _rejecting(label: str = ""):
+    """Report the library's ValueError for a bad argument as a _UserError."""
     try:
-        return HurstParam(value)
+        yield
     except ValueError as exc:
-        raise _UserError(f"--hurst: {exc}") from None
+        raise _UserError(f"{label}{exc}") from None
 
 
 def _load_config(path: str, check=None) -> ExperimentConfig:
@@ -135,16 +138,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             f"--d and --T must be positive with T/d at least one step, "
             f"got d={args.d}, T={args.T}"
         )
-    hurst = _hurst(args.hurst)
+    with _rejecting("--hurst: "):
+        hurst = HurstParam(args.hurst)
     with _writing(args.out) as write:
-        path = euler_msfou(
-            theta=args.theta,
-            H=hurst,
-            d=args.d,
-            N=round(steps),
-            seed=args.seed,
-            x0=args.x0,
-        )
+        with _rejecting():
+            path = euler_msfou(
+                theta=args.theta, H=hurst, d=args.d, N=round(steps), seed=args.seed, x0=args.x0
+            )
         buf = io.StringIO()
         write_path_csv(path, buf)
         write(buf.getvalue())
@@ -159,11 +159,13 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     if method is not Method.NONERGODIC:
         if args.hurst is None:
             raise _UserError(f"--hurst is required for method {method.value}")
-        hurst = _hurst(args.hurst)
+        with _rejecting("--hurst: "):
+            hurst = HurstParam(args.hurst)
     if method is Method.LSE_SKOROHOD and args.theta_ref is None:
         raise _UserError("--theta-ref is required for method lse")
     with _writing(args.out) as write:
-        result = _ESTIMATORS[method](path, hurst, args.theta_ref, args.mesh)
+        with _rejecting():
+            result = _ESTIMATORS[method](path, hurst, args.theta_ref, args.mesh)
         payload = {
             "theta_hat": result.theta_hat,
             "method": result.method.value,

@@ -52,7 +52,7 @@ class ExperimentConfig:
 
     A config its estimator cannot apply to is rejected here, before any
     path is simulated, with a ValueError naming the field: LSE needs
-    theta_true > 0 and H > 1/2, MLE needs 8 <= mle_mesh <= N.
+    theta_true > 0 and H > 1/2; practical and MLE H >= 1/2; MLE 8 <= mle_mesh <= N.
     """
 
     theta_true: float
@@ -83,6 +83,8 @@ class ExperimentConfig:
                 raise ValueError(f"estimator lse needs theta_true > 0, got {self.theta_true}")
             if not self.H > 0.5:
                 raise ValueError(f"estimator lse needs H > 1/2, got {self.H}")
+        if self.estimator in (Method.PRACTICAL, Method.MLE) and not self.H >= 0.5:
+            raise ValueError(f"estimator {self.estimator.value} needs H >= 1/2, got {self.H}")
         if self.estimator is Method.MLE and not 8 <= int(self.mle_mesh) <= self.n_steps:
             raise ValueError(
                 f"estimator mle needs mle_mesh in [8, N={self.n_steps}], got {self.mle_mesh}"
@@ -200,31 +202,25 @@ _ESTIMATORS = {
 }
 
 
-def _estimate_one(cfg: ExperimentConfig, rep: int) -> float:
-    """One replication: simulate, estimate, return theta_hat (may raise)."""
-    path = _simulate_one(cfg, rep)
-    estimate = _ESTIMATORS[cfg.estimator]
-    return estimate(path, cfg.hurst, cfg.theta_true, cfg.mle_mesh).theta_hat
-
-
-def _guarded_estimate(args: tuple) -> tuple[int, float | None]:
-    cfg, rep = args
+def _guarded_estimate(cfg: ExperimentConfig, rep: int) -> float | None:
+    """One replication: simulate, estimate, theta_hat; None on a numerical failure."""
     try:
-        return rep, _estimate_one(cfg, rep)
+        path = _simulate_one(cfg, rep)
+        estimate = _ESTIMATORS[cfg.estimator]
+        return estimate(path, cfg.hurst, cfg.theta_true, cfg.mle_mesh).theta_hat
     except (ValueError, RuntimeError, FloatingPointError, np.linalg.LinAlgError):
-        return rep, None
+        return None
 
 
 def _run_replications(cfg: ExperimentConfig, workers: int) -> tuple[np.ndarray, int]:
-    """Estimates in replication order plus the failure count."""
-    jobs = [(cfg, rep) for rep in range(cfg.replications)]
+    """Estimates in replication order (both maps keep input order), failure count."""
+    cfgs, reps = [cfg] * cfg.replications, range(cfg.replications)
     if workers <= 1:
-        results = [_guarded_estimate(job) for job in jobs]
+        results = list(map(_guarded_estimate, cfgs, reps))
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_guarded_estimate, jobs, chunksize=8))
-    results.sort(key=lambda pair: pair[0])
-    estimates = [value for _, value in results if value is not None]
+            results = list(pool.map(_guarded_estimate, cfgs, reps, chunksize=8))
+    estimates = [value for value in results if value is not None]
     n_failed = cfg.replications - len(estimates)
     return np.array(estimates, dtype=float), n_failed
 

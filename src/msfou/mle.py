@@ -118,8 +118,9 @@ def decompose(x: SamplePath, h: HurstParam, m: int = 128) -> MartingaleDecomposi
     _require_small_residual(max(res_uniform, res_graded))
 
     dx = np.diff(full)
-    t_full = x.full_times()
-    t_mid = t_full[:-1] + 0.5 * x.d
+    # observation times t_i at even positions, midpoints t_i + d/2 at odd ones
+    grid = np.repeat(x.full_times(), 2)[:-1]
+    grid[1::2] += 0.5 * x.d
 
     bracket = np.concatenate(
         ([0.0], _layer_cumulative_square_integral(mesh[1:], np.asarray(diag), rho))
@@ -128,27 +129,26 @@ def decompose(x: SamplePath, h: HurstParam, m: int = 128) -> MartingaleDecomposi
     if np.any(dm <= 0.0):
         raise RuntimeError("degenerate bracket increment in <M>")
 
-    z_vals = np.empty(m + 1)
-    f_vals = np.empty(m + 1)  # F(t_k) = int_0^{t_k} g(s, t_k) X_s ds
+    z_vals = np.zeros(m + 1)
+    f_vals = np.zeros(m + 1)  # F(t_k) = int_0^{t_k} g(s, t_k) X_s ds
     q_vals = np.empty(m + 1)
-    z_vals[0] = 0.0
-    f_vals[0] = 0.0
     for k in range(1, m + 1):
         t_k = mesh[k]
         stop = idx[k]
         prev = idx[k - 1]
-        g_mid = _interp_unit_solution(sols[k - 1], rho, t_mid[:stop] / t_k)
-        z_vals[k] = float(g_mid @ dx[:stop])
-        g_nodes = _interp_unit_solution(sols[k - 1], rho, t_full[: stop + 1] / t_k)
-        f_vals[k] = float(np.trapezoid(g_nodes * full[: stop + 1], dx=x.d))
+        g = _interp_unit_solution(sols[k - 1], rho, grid[: 2 * stop + 1] / t_k)
+        # contiguous copy: a strided @ sums in another order, moving Z's last bits
+        z_vals[k] = float(np.ascontiguousarray(g[1::2]) @ dx[:stop])
+        gx = g[0::2] * full[: stop + 1]
+        f_vals[k] = float(np.trapezoid(gx, dx=x.d))
         # Q(t_{k-1}) by a predictable forward difference: the kernel is
         # advanced to t_k but the path is frozen at t_{k-1}, so Q never
         # peeks at the innovation it multiplies in the likelihood sums
         # (a look-ahead Q turns the numerator into a symmetric integral
         # and attenuates theta_hat by O(1), independent of the mesh).
         # The frozen-state panel uses int_0^{t_k} g(s, t_k) ds = <M>_k.
-        c_k = float(np.trapezoid(g_nodes[: prev + 1] * full[: prev + 1], dx=x.d))
-        d_k = float(np.trapezoid(g_nodes[: prev + 1], dx=x.d))
+        c_k = float(np.trapezoid(gx[: prev + 1], dx=x.d))
+        d_k = float(np.trapezoid(g[: 2 * prev + 1 : 2], dx=x.d))
         q_vals[k - 1] = (
             c_k - f_vals[k - 1] + full[prev] * (bracket[k] - d_k)
         ) / dm[k - 1]

@@ -511,12 +511,13 @@ def _require_small_residual(residual: float) -> None:
 
 
 def _interp_unit_solution(sols: np.ndarray, rho: float, sigma) -> np.ndarray:
-    """Evaluate a unit-mesh kernel solution at arbitrary sigma in [0, 1].
+    """Evaluate a unit-mesh kernel solution at ascending sigma in [0, 1].
 
     Edge regions reuse the Nystrom representation (quadratic in the layer
     coordinate, anchored at G(0) = 1 on the left); the interior
     interpolates the slowly varying layer factor w = (1 - G)/sigma^rho
     linearly, so the left boundary layer stays resolved between nodes.
+    Where the two edge regions overlap (m <= 2 * order), the right one wins.
     """
     m = sols.size
     hstep = 1.0 / m
@@ -525,23 +526,18 @@ def _interp_unit_solution(sols: np.ndarray, rho: float, sigma) -> np.ndarray:
     sig = np.asarray(sigma, dtype=float)
     exponent = rho if rho >= _MIN_LAYER_RHO else 1.0
     shape = _edge_shape_matrix(exponent, hstep, order)
-    out = np.empty_like(sig)
+    last = int(np.searchsorted(sig, 1.0 - order * hstep))
+    first = min(int(np.searchsorted(sig, order * hstep, side="right")), last)
 
-    first = sig <= order * hstep
-    if np.any(first):
-        coef = shape @ np.concatenate(([1.0], sols[:order]))
-        u = sig[first] ** exponent
-        out[first] = sum(coef[p] * u**p for p in range(order + 1))
-    last = sig >= 1.0 - order * hstep
-    if np.any(last):
-        coef = shape @ sols[-1 : -order - 2 : -1]
-        w = (1.0 - sig[last]) ** exponent
-        out[last] = sum(coef[p] * w**p for p in range(order + 1))
-    mid = ~(first | last)
-    if np.any(mid):
-        w_nodes = (1.0 - sols) / nodes**exponent
-        out[mid] = 1.0 - sig[mid] ** exponent * np.interp(sig[mid], nodes, w_nodes)
-    return out
+    def edge(values: np.ndarray, u: np.ndarray) -> np.ndarray:
+        coef = shape @ values
+        return sum(coef[p] * u**p for p in range(order + 1))
+
+    left = edge(np.concatenate(([1.0], sols[:order])), sig[:first] ** exponent)
+    right = edge(sols[-1 : -order - 2 : -1], (1.0 - sig[last:]) ** exponent)
+    w_nodes = (1.0 - sols) / nodes**exponent
+    mid = sig[first:last]
+    return np.concatenate((left, 1.0 - mid**exponent * np.interp(mid, nodes, w_nodes), right))
 
 
 def _fit_power_quadratics(x: np.ndarray, y: np.ndarray, exponent: float) -> np.ndarray:

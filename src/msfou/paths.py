@@ -183,6 +183,8 @@ def euler_msfou(
     """
     if not d > 0.0:
         raise ValueError(f"grid spacing d must be positive, got {d!r}")
+    if not (math.isfinite(theta) and math.isfinite(x0)):
+        raise ValueError(f"theta and x0 must be finite, got theta={theta!r}, x0={x0!r}")
     if int(N) < 1:
         raise ValueError(f"need at least one step, got N={N!r}")
     N = int(N)

@@ -35,7 +35,7 @@ from msfou import (
     run_table_experiment,
     write_path_csv,
 )
-from msfou import cli, harness
+from msfou import cli, harness, paths
 from msfou.cli import main
 
 
@@ -104,6 +104,23 @@ class TestSimulate:
         main(base + ["--seed", "1", "--out", str(a)])
         main(base + ["--seed", "2", "--out", str(b)])
         assert a.read_bytes() != b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "theta,seed,message",
+        [("1", "-1", "seed must fit"), ("nan", "1", "theta and x0 must be finite")],
+        ids=["negative-seed", "nan-theta"],
+    )
+    def test_library_rejection_is_one_line(self, tmp_path, capsys, monkeypatch, theta, seed,
+                                           message):
+        def sampled(*args, **kwargs):
+            raise AssertionError("noise was drawn")
+
+        monkeypatch.setattr(paths, "sample_fgn", sampled)
+        out = tmp_path / "q.csv"
+        argv = ["simulate", "--theta", theta, "--hurst", "0.6", "--d", "0.1", "--T", "1",
+                "--seed", seed, "--out", str(out)]
+        assert message in _one_error_line(capsys, argv)
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +214,20 @@ class TestEstimate:
         argv = ["estimate", "--method", "lse", "--hurst", "0.6", "--in", str(path_csv),
                 "--out", str(tmp_path / "x.json")]
         assert "--theta-ref is required" in _one_error_line(capsys, argv)
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["--method", "mle", "--hurst", "0.6", "--mesh", "4"], "mesh size must be >= 8"),
+            (["--method", "lse", "--hurst", "0.4", "--theta-ref", "1"], "requires H > 1/2"),
+        ],
+        ids=["mle-mesh-4", "lse-hurst-0.4"],
+    )
+    def test_estimator_rejection_is_one_line(self, path_csv, tmp_path, capsys, args, message):
+        out = tmp_path / "x.json"
+        argv = ["estimate", *args, "--in", str(path_csv), "--out", str(out)]
+        assert message in _one_error_line(capsys, argv)
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +351,11 @@ class TestUserErrors:
             ({"estimator": "mle", "mle_mesh": 128}, "mle_mesh"),
             ({"estimator": "practical", "H": 1.5}, "H"),
             ({"estimator": "practical", "seed": 1}, "seed"),
+            ({"estimator": "practical", "H": 0.3}, "H >= 1/2"),
+            ({"estimator": "mle", "H": 0.3, "mle_mesh": 8}, "H >= 1/2"),
         ],
-        ids=["lse-negative-theta", "mle-mesh-above-N", "bad-hurst", "unknown-field"],
+        ids=["lse-negative-theta", "mle-mesh-above-N", "bad-hurst", "unknown-field",
+             "practical-H-below-half", "mle-H-below-half"],
     )
     def test_invalid_config(self, tmp_path, capsys, overrides, field):
         cfg_file = tmp_path / "cfg.json"

@@ -84,9 +84,11 @@ class TestExperimentConfig:
             (dict(estimator=Method.LSE_SKOROHOD, H=0.5), "H"),
             (dict(estimator=Method.MLE, mle_mesh=4), "mle_mesh"),
             (dict(estimator=Method.MLE, mle_mesh=128), "mle_mesh"),  # N = 100
+            (dict(estimator=Method.PRACTICAL, H=0.3), "H >= 1/2"),
+            (dict(estimator=Method.MLE, H=0.3, mle_mesh=8), "H >= 1/2"),
         ],
         ids=["lse-negative-theta", "lse-zero-theta", "lse-brownian-H", "mle-mesh-below-8",
-             "mle-mesh-above-N"],
+             "mle-mesh-above-N", "practical-H-below-half", "mle-H-below-half"],
     )
     def test_rejects_fields_the_estimator_cannot_use(self, overrides, field):
         with pytest.raises(ValueError, match=field):
@@ -96,6 +98,8 @@ class TestExperimentConfig:
         assert _config(estimator=Method.MLE, mle_mesh=8).mle_mesh == 8
         assert _config(estimator=Method.MLE, mle_mesh=100).mle_mesh == 100
         assert _config(estimator=Method.NONERGODIC, theta_true=-1.0, H=0.5).theta_true == -1.0
+        assert _config(estimator=Method.PRACTICAL, H=0.5).H == 0.5
+        assert _config(estimator=Method.MLE, H=0.5, mle_mesh=8).H == 0.5
 
     def test_estimator_must_be_method(self):
         with pytest.raises(TypeError):

@@ -208,6 +208,18 @@ class TestMle:
         got = mle(x, h, m=1024).theta_hat
         assert got == pytest.approx(0.9925235842650837, rel=1e-9)
 
+    @pytest.mark.xfail(strict=True, reason="known defect: mle collapses for 1/2 < H <~ 0.53")
+    def test_continuous_at_the_brownian_limit(self):
+        # the H = 0.501 path differs from the H = 0.5 one by at most 0.004
+        # (path RMS 0.93) and the moment estimator reads 1.159 on both, yet
+        # mle gives 0.972 at H = 0.5 and -0.058 at H = 0.501
+        theta_hat = {}
+        for hh in (0.5, 0.501):
+            h = HurstParam(hh)
+            x = euler_msfou(theta=1.0, H=h, d=0.01, N=5000, seed=3)
+            theta_hat[hh] = mle(x, h, m=250).theta_hat
+        assert abs(theta_hat[0.501] - theta_hat[0.5]) <= 0.1
+
     def test_result_fields(self):
         h = HurstParam(0.6)
         x = euler_msfou(theta=1.0, H=h, d=0.02, N=128, seed=8)

@@ -27,7 +27,12 @@ from msfou import (
     solve_g_kernel,
     stationary_second_moment,
 )
-from msfou.numerics import _batch_scaled_solve, _graded_unit_system, _unit_kernel_system
+from msfou.numerics import (
+    _batch_scaled_solve,
+    _graded_unit_system,
+    _interp_unit_solution,
+    _unit_kernel_system,
+)
 
 # mpmath, 50 digits; tests/oracles/gamma_values.py
 GAMMA_TABLE = {
@@ -288,6 +293,62 @@ class TestBatchScaledSolve:
         assert float(np.max(np.abs(sols - want))) <= 1e-12
         gap = (1.0 - cs[:, None] * anchor) - sols - cs[:, None] * (sols @ weights.T)
         assert residual == float(np.max(np.abs(gap)))
+
+
+class TestInterpUnitSolution:
+    # m = 64 puts the edge-region boundaries at 2/m and 1 - 2/m, both exact
+    M = 64
+
+    @pytest.fixture(params=[0.501, 0.65, 0.9], ids=["H0.501", "H0.65", "H0.9"])
+    def solution(self, request):
+        hh = request.param
+        weights, anchor = _unit_kernel_system(hh, self.M)
+        sols, _ = _batch_scaled_solve(weights, anchor, np.array([5.0]))
+        return sols[0], 2.0 * hh - 1.0
+
+    def _spanning_sigma(self):
+        edges = [2.0 / self.M, 1.0 - 2.0 / self.M]
+        return np.unique(np.concatenate([np.linspace(0.0, 1.0, 401), edges]))
+
+    def test_one_at_zero(self, solution):
+        sols, rho = solution
+        assert _interp_unit_solution(sols, rho, np.array([0.0]))[0] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("m", [4, 64])
+    def test_reproduces_nodes(self, m):
+        # m = 4 makes the two edge regions meet at sigma = 1/2
+        rho = 0.3
+        nodes = np.arange(1, m + 1) / m
+        sols = 1.0 - 0.4 * nodes**rho + 0.1 * nodes
+        got = _interp_unit_solution(sols, rho, np.concatenate(([0.0], nodes)))
+        np.testing.assert_allclose(got, np.concatenate(([1.0], sols)), rtol=0, atol=1e-12)
+
+    def test_reproduces_kernel_solution_nodes(self, solution):
+        sols, rho = solution
+        got = _interp_unit_solution(sols, rho, np.arange(1, self.M + 1) / self.M)
+        np.testing.assert_allclose(got, sols, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("edge", [2.0 / 64, 1.0 - 2.0 / 64], ids=["left", "right"])
+    def test_continuous_across_region_boundaries(self, solution, edge):
+        sols, rho = solution
+        eps = 1e-10
+        lo, at, hi = _interp_unit_solution(sols, rho, np.array([edge - eps, edge, edge + eps]))
+        assert abs(hi - lo) < 1e-7 and abs(at - lo) < 1e-7
+
+    def test_input_in_one_region(self, solution):
+        # each region alone leaves the other two slices empty and gives
+        # the same values as the spanning evaluation
+        sols, rho = solution
+        sig = self._spanning_sigma()
+        whole = _interp_unit_solution(sols, rho, sig)
+        assert whole.shape == sig.shape
+        for part in (
+            sig <= 2.0 / self.M,
+            (sig > 2.0 / self.M) & (sig < 1.0 - 2.0 / self.M),
+            sig >= 1.0 - 2.0 / self.M,
+        ):
+            np.testing.assert_array_equal(_interp_unit_solution(sols, rho, sig[part]), whole[part])
+        assert _interp_unit_solution(sols, rho, np.empty(0)).shape == (0,)
 
 
 class TestKernelSolution:

@@ -217,6 +217,11 @@ class TestEulerMsfou:
         with pytest.raises(ValueError):
             euler_msfou(theta=1.0, H=HurstParam(0.6), seed=1, **kwargs)
 
+    @pytest.mark.parametrize("theta,x0", [(math.nan, 0.0), (-math.inf, 0.0), (1.0, math.nan)])
+    def test_rejects_non_finite_drift_and_start(self, theta, x0):
+        with pytest.raises(ValueError, match="theta and x0 must be finite"):
+            euler_msfou(theta=theta, H=HurstParam(0.6), d=0.1, N=10, seed=1, x0=x0)
+
 
 # ---------------------------------------------------------------------------
 # CSV round trip
