@@ -51,7 +51,8 @@ class ExperimentConfig:
     carries the same field names (see ``from_dict``).
 
     A config its estimator cannot apply to is rejected here, before any
-    path is simulated, with a ValueError naming the field: LSE needs
+    path is simulated, with a ValueError naming the field: every numeric
+    field but H must be finite (H must lie in (0, 1)); LSE needs
     theta_true > 0 and H > 1/2; practical and MLE H >= 1/2; MLE 8 <= mle_mesh <= N.
     """
 
@@ -68,6 +69,9 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.estimator, Method):
             raise TypeError(f"estimator must be a Method, got {self.estimator!r}")
+        for name in ("theta_true", "x0", "d", "T", "replications", "master_seed", "mle_mesh"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 < self.H < 1.0:
             raise ValueError(f"H must lie in (0, 1), got {self.H}")
         if int(self.replications) < 1:

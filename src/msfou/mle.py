@@ -23,6 +23,13 @@ forward finite difference of the numerator integral against increments of
 stays predictable (one-sided at the right endpoint, which the sums never
 use). At H = 1/2 everything collapses to g = 1, Z = X, Q_{k-1} = X_{k-1},
 <M> = t, and the estimator coincides with the classical OU MLE.
+
+The integrals against the path are sums over the observation grid of the
+unit-mesh interpolant of g(., t_k) (``numerics._unit_interpolant``). Away
+from the right endpoint that interpolant is separable in sigma = s/t_k, so
+all m sums come from a few prefix sums of the path read at the interpolant's
+panel boundaries: O(N + m * 256) work per path instead of O(m * N). Only the
+thin layer next to s = t_k is evaluated point by point.
 """
 
 from __future__ import annotations
@@ -36,9 +43,10 @@ from .noise import HurstParam
 from .numerics import (
     _cached_diagonal_values,
     _cached_endpoint_solutions,
-    _interp_unit_solution,
     _layer_cumulative_square_integral,
     _require_small_residual,
+    _unit_interpolant,
+    _UnitInterpolant,
 )
 from .paths import SamplePath
 
@@ -48,6 +56,10 @@ __all__ = ["MartingaleDecomposition", "decompose", "mle"]
 # assembly per Hurst value; solutions are cached across paths sharing a
 # mesh, so Monte Carlo loops pay the dense solves once.
 _UNIT_MESH = 256
+
+# Mesh points per block of the panel sums, so their (block x panels)
+# temporaries stay near 256 KiB whatever the estimation mesh.
+_ROW_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -83,10 +95,14 @@ def decompose(x: SamplePath, h: HurstParam, m: int = 128) -> MartingaleDecomposi
     Mesh time k is observation index round(k N / m), so the mesh inherits
     the grid exactly and ends at T. Z(t_k) integrates g(., t_k) against the
     raw path increments (midpoint evaluation of g on each observation
-    step); the Q numerator integrates g * X by the trapezoid rule on the
-    full grid. Requires N >= m >= 8 and H >= 1/2. Raises RuntimeError when
-    a kernel solve's linear-system residual exceeds 1e-6, as
-    ``solve_g_kernel`` does.
+    step); the Q numerator F(t_k) integrates g * X by the trapezoid rule on
+    the full grid, and the frozen-state panel of Q integrates g * X and g
+    by the trapezoid rule up to t_{k-1}. Each of these four integrals is a
+    plain sum of g(s_i, t_k) a_i over the grid, taken for all k at once by
+    ``_kernel_sums`` from prefix sums of a, with the trapezoid's half
+    weights at s = 0, t_{k-1} and t_k subtracted afterwards. Requires
+    N >= m >= 8 and H >= 1/2. Raises RuntimeError when a kernel solve's
+    linear-system residual exceeds 1e-6, as ``solve_g_kernel`` does.
     """
     if not isinstance(h, HurstParam):
         raise TypeError(f"expected HurstParam, got {type(h).__name__}")
@@ -117,11 +133,6 @@ def decompose(x: SamplePath, h: HurstParam, m: int = 128) -> MartingaleDecomposi
     diag, res_graded = _cached_diagonal_values(h.h, _UNIT_MESH, cs)
     _require_small_residual(max(res_uniform, res_graded))
 
-    dx = np.diff(full)
-    # observation times t_i at even positions, midpoints t_i + d/2 at odd ones
-    grid = np.repeat(x.full_times(), 2)[:-1]
-    grid[1::2] += 0.5 * x.d
-
     bracket = np.concatenate(
         ([0.0], _layer_cumulative_square_integral(mesh[1:], np.asarray(diag), rho))
     )
@@ -129,33 +140,95 @@ def decompose(x: SamplePath, h: HurstParam, m: int = 128) -> MartingaleDecomposi
     if np.any(dm <= 0.0):
         raise RuntimeError("degenerate bracket increment in <M>")
 
-    z_vals = np.zeros(m + 1)
-    f_vals = np.zeros(m + 1)  # F(t_k) = int_0^{t_k} g(s, t_k) X_s ds
+    kernel = _unit_interpolant(sols, rho)
+    t = mesh[1:]
+    stop, prev = idx[1:], idx[:-1]
+    times = x.full_times()
+    # Z(t_k): g(., t_k) at the step midpoints against the raw increments
+    (z_vals,) = _kernel_sums(kernel, t, times[:-1] + 0.5 * x.d, [(np.diff(full), stop)])
+    # F(t_k) = int_0^{t_k} g(s, t_k) X_s ds and the frozen-state panel
+    # sums c_k, d_k below are trapezoid rules on the observation times:
+    # plain sums up to the last point, minus half of each end value
+    f_sum, c_sum, d_sum = _kernel_sums(
+        kernel, t, times, [(full, stop + 1), (full, prev + 1), (np.ones_like(full), prev + 1)]
+    )
+    rows = np.arange(m)
+    g_0 = kernel.at(rows, np.zeros(m))
+    g_stop = kernel.at(rows, times[stop] / t)
+    g_prev = kernel.at(rows, times[prev] / t)
+    f_vals = x.d * (f_sum - 0.5 * (g_0 * full[0] + g_stop * full[stop]))
+    # Q(t_{k-1}) by a predictable forward difference: the kernel is
+    # advanced to t_k but the path is frozen at t_{k-1}, so Q never
+    # peeks at the innovation it multiplies in the likelihood sums
+    # (a look-ahead Q turns the numerator into a symmetric integral
+    # and attenuates theta_hat by O(1), independent of the mesh).
+    # The frozen-state panel uses int_0^{t_k} g(s, t_k) ds = <M>_k.
+    c_vals = x.d * (c_sum - 0.5 * (g_0 * full[0] + g_prev * full[prev]))
+    d_vals = x.d * (d_sum - 0.5 * (g_0 + g_prev))
+    f_before = np.concatenate(([0.0], f_vals[:-1]))
     q_vals = np.empty(m + 1)
-    for k in range(1, m + 1):
-        t_k = mesh[k]
-        stop = idx[k]
-        prev = idx[k - 1]
-        g = _interp_unit_solution(sols[k - 1], rho, grid[: 2 * stop + 1] / t_k)
-        # contiguous copy: a strided @ sums in another order, moving Z's last bits
-        z_vals[k] = float(np.ascontiguousarray(g[1::2]) @ dx[:stop])
-        gx = g[0::2] * full[: stop + 1]
-        f_vals[k] = float(np.trapezoid(gx, dx=x.d))
-        # Q(t_{k-1}) by a predictable forward difference: the kernel is
-        # advanced to t_k but the path is frozen at t_{k-1}, so Q never
-        # peeks at the innovation it multiplies in the likelihood sums
-        # (a look-ahead Q turns the numerator into a symmetric integral
-        # and attenuates theta_hat by O(1), independent of the mesh).
-        # The frozen-state panel uses int_0^{t_k} g(s, t_k) ds = <M>_k.
-        c_k = float(np.trapezoid(gx[: prev + 1], dx=x.d))
-        d_k = float(np.trapezoid(g[: 2 * prev + 1 : 2], dx=x.d))
-        q_vals[k - 1] = (
-            c_k - f_vals[k - 1] + full[prev] * (bracket[k] - d_k)
-        ) / dm[k - 1]
+    q_vals[:-1] = (c_vals - f_before + full[prev] * (bracket[1:] - d_vals)) / dm
     # right endpoint: one-sided, never enters the left-point sums
-    q_vals[m] = (f_vals[m] - f_vals[m - 1]) / dm[m - 1]
+    q_vals[m] = (f_vals[-1] - f_vals[-2]) / dm[-1]
 
-    return MartingaleDecomposition(mesh=mesh, Z=z_vals, Q=q_vals, bracket_M=bracket)
+    return MartingaleDecomposition(
+        mesh=mesh, Z=np.concatenate(([0.0], z_vals)), Q=q_vals, bracket_M=bracket
+    )
+
+
+def _kernel_sums(
+    kernel: _UnitInterpolant,
+    t: np.ndarray,
+    s: np.ndarray,
+    terms: list[tuple[np.ndarray, np.ndarray]],
+) -> list[np.ndarray]:
+    """For each (a, n) in terms, the sums over i < n[k] of g_k(s_i / t_k) a_i.
+
+    g_k is row k of ``kernel``; s is a uniform grid from s_0 >= 0 with
+    s_i <= t_k for i < n[k]. With sigma = s/t_k and e the interpolant's
+    exponent, the left layer (sum_p c_p sigma^(p e)) and each interior
+    panel (1 - sigma^e (A_q + B_q sigma)) are separable, so their sums are
+    t_k^(-p e) and t_k^(-e-1) times the prefix sums cumsum(a s^(p e)) and
+    cumsum(a s^(e+1)), read where the panel boundaries cut s. Summed by
+    parts, each boundary carries the jump of A_q or B_q across it. The
+    prefix sums cost O(N) per term, the boundaries O(panels) per row. Only
+    the right layer, where (1 - sigma)^e does not separate, is evaluated
+    point by point.
+    """
+    e = kernel.exponent
+    inner = kernel.inner
+    bounds = kernel.nodes[inner.start : inner.stop + 1]
+    u = s**e
+    factors = [u**p for p in range(kernel.left.shape[1])] + [u * s]
+    prefix = [[np.concatenate(([0.0], np.cumsum(a * f))) for f in factors] for a, _ in terms]
+
+    def jumps(coef: np.ndarray) -> np.ndarray:
+        return -np.diff(coef[:, inner], axis=1, prepend=0.0, append=0.0)
+
+    sums = [np.empty(t.size) for _ in terms]
+    for start in range(0, t.size, _ROW_BLOCK):
+        block = slice(start, start + _ROW_BLOCK)
+        t_b = t[block]
+        t_e = t_b**-e
+        # samples below each boundary; a sample within rounding of a
+        # boundary may fall on either side, where the interpolant is continuous
+        below = np.ceil((np.outer(t_b, bounds) - s[0]) / (s[1] - s[0]))
+        below = np.clip(below, 0, s.size).astype(int)
+        jump_u, jump_us = jumps(kernel.offset[block]), jumps(kernel.slope[block])
+        for (a, n), (*powers, tail), out in zip(terms, prefix, sums):
+            cut = np.minimum(below, n[block, None])
+            first, last = cut[:, 0], cut[:, -1]
+            val = sum(kernel.left[block, p] * t_e**p * pw[first] for p, pw in enumerate(powers))
+            val += powers[0][last] - powers[0][first]
+            val -= t_e * np.einsum("kr,kr->k", powers[1][cut], jump_u)
+            val -= t_e / t_b * np.einsum("kr,kr->k", tail[cut], jump_us)
+            # right layer: samples last[j] .. n[k] - 1 of row k = start + j
+            length = np.maximum(n[block] - last, 0)
+            local = np.repeat(np.arange(t_b.size), length)
+            pos = np.arange(length.sum()) + np.repeat(last - np.cumsum(length) + length, length)
+            g = kernel.at(start + local, s[pos] / t_b[local])
+            out[block] = val + np.bincount(local, weights=g * a[pos], minlength=t_b.size)
+    return sums
 
 
 def mle(x: SamplePath, h: HurstParam, m: int = 128) -> EstimateResult:

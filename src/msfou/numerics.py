@@ -510,34 +510,99 @@ def _require_small_residual(residual: float) -> None:
         raise RuntimeError(f"Nystrom linear-system residual {residual:.3e} > 1e-6")
 
 
-def _interp_unit_solution(sols: np.ndarray, rho: float, sigma) -> np.ndarray:
-    """Evaluate a unit-mesh kernel solution at ascending sigma in [0, 1].
+@dataclass(frozen=True, eq=False)
+class _UnitInterpolant:
+    """Piecewise coefficients of unit-mesh kernel solutions, one row each.
 
-    Edge regions reuse the Nystrom representation (quadratic in the layer
-    coordinate, anchored at G(0) = 1 on the left); the interior
-    interpolates the slowly varying layer factor w = (1 - G)/sigma^rho
-    linearly, so the left boundary layer stays resolved between nodes.
+    Row r of an m-node solution G (nodes sigma_j = j/m, j = 1..m, and the
+    known G(0) = 1) is interpolated, with u = sigma^exponent, as
+
+    * left layer, sigma <= order/m: sum_p left[r, p] u^p, the Nystrom edge
+      element (quadratic in u through G(0) and the first ``order`` nodes);
+    * interior panel q, nodes[q] <= sigma <= nodes[q + 1]:
+      1 - u (offset[r, q] + slope[r, q] sigma), i.e. the slowly varying
+      layer factor w = (1 - G)/sigma^rho interpolated linearly, so the
+      left boundary layer stays resolved between nodes;
+    * right layer, sigma >= 1 - order/m: sum_p right[r, p] v^p with
+      v = (1 - sigma)^exponent, the Nystrom edge element at sigma = 1.
+
     Where the two edge regions overlap (m <= 2 * order), the right one wins.
+    Below ``_MIN_LAYER_RHO`` the exponent is 1 (plain polynomials).
     """
-    m = sols.size
+
+    exponent: float
+    nodes: np.ndarray
+    left: np.ndarray
+    offset: np.ndarray
+    slope: np.ndarray
+    right: np.ndarray
+
+    @property
+    def edge(self) -> float:
+        """Width order/m of each edge layer in sigma."""
+        return _EDGE_ORDER / self.nodes.size
+
+    @property
+    def inner(self) -> slice:
+        """The interior panels q, from sigma = order/m to 1 - order/m."""
+        return slice(_EDGE_ORDER - 1, self.nodes.size - _EDGE_ORDER - 1)
+
+    def at(self, rows, sigma) -> np.ndarray:
+        """Value of row rows[i] at sigma[i] in [0, 1], elementwise (rows broadcasts)."""
+        sig = np.asarray(sigma, dtype=float)
+        rows = np.broadcast_to(rows, sig.shape)
+        out = np.empty(sig.shape)
+        right = sig >= 1.0 - self.edge
+        left = (sig <= self.edge) & ~right
+        mid = ~(left | right)
+        out[left] = _power_series(self.left[rows[left]], sig[left] ** self.exponent)
+        out[right] = _power_series(
+            self.right[rows[right]], (1.0 - sig[right]) ** self.exponent
+        )
+        s_mid = sig[mid]
+        q = np.clip(np.searchsorted(self.nodes, s_mid, side="right") - 1, 0, self.nodes.size - 2)
+        r_mid = rows[mid]
+        out[mid] = 1.0 - s_mid**self.exponent * (
+            self.offset[r_mid, q] + self.slope[r_mid, q] * s_mid
+        )
+        return out
+
+
+def _power_series(coef: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sum_p coef[..., p] u^p."""
+    return sum(coef[..., p] * u**p for p in range(coef.shape[-1]))
+
+
+def _unit_interpolant(sols: np.ndarray, rho: float) -> _UnitInterpolant:
+    """Interpolant coefficients of the solutions sols[r] (shape (rows, m))."""
+    sols = np.atleast_2d(np.asarray(sols, dtype=float))
+    m = sols.shape[-1]
     hstep = 1.0 / m
     order = _EDGE_ORDER
     nodes = np.arange(1, m + 1) * hstep
-    sig = np.asarray(sigma, dtype=float)
     exponent = rho if rho >= _MIN_LAYER_RHO else 1.0
     shape = _edge_shape_matrix(exponent, hstep, order)
-    last = int(np.searchsorted(sig, 1.0 - order * hstep))
-    first = min(int(np.searchsorted(sig, order * hstep, side="right")), last)
+    ones = np.ones((sols.shape[0], 1))
+    left = np.concatenate((ones, sols[:, :order]), axis=1) @ shape.T
+    right = sols[:, -1 : -order - 2 : -1] @ shape.T
+    # in place where possible: these (rows x m) arrays set the peak memory
+    # of a warm mle call
+    w = 1.0 - sols
+    w /= nodes**exponent
+    slope = np.diff(w, axis=1)
+    slope /= np.diff(nodes)
+    offset = slope * -nodes[:-1]
+    offset += w[:, :-1]
+    return _UnitInterpolant(exponent, nodes, left, offset, slope, right)
 
-    def edge(values: np.ndarray, u: np.ndarray) -> np.ndarray:
-        coef = shape @ values
-        return sum(coef[p] * u**p for p in range(order + 1))
 
-    left = edge(np.concatenate(([1.0], sols[:order])), sig[:first] ** exponent)
-    right = edge(sols[-1 : -order - 2 : -1], (1.0 - sig[last:]) ** exponent)
-    w_nodes = (1.0 - sols) / nodes**exponent
-    mid = sig[first:last]
-    return np.concatenate((left, 1.0 - mid**exponent * np.interp(mid, nodes, w_nodes), right))
+def _interp_unit_solution(sols: np.ndarray, rho: float, sigma) -> np.ndarray:
+    """Evaluate one unit-mesh kernel solution at sigma in [0, 1].
+
+    This is row 0 of ``_unit_interpolant``, the function ``mle.decompose``
+    integrates against the path.
+    """
+    return _unit_interpolant(sols, rho).at(0, sigma)
 
 
 def _fit_power_quadratics(x: np.ndarray, y: np.ndarray, exponent: float) -> np.ndarray:

@@ -17,6 +17,7 @@ All commands run in-process through main(argv).
 
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -353,9 +354,16 @@ class TestUserErrors:
             ({"estimator": "practical", "seed": 1}, "seed"),
             ({"estimator": "practical", "H": 0.3}, "H >= 1/2"),
             ({"estimator": "mle", "H": 0.3, "mle_mesh": 8}, "H >= 1/2"),
+            ({"estimator": "practical", "theta_true": math.nan}, "theta_true must be finite"),
+            ({"estimator": "practical", "x0": math.nan}, "x0 must be finite"),
+            ({"estimator": "practical", "d": math.inf}, "d must be finite"),
+            ({"estimator": "practical", "T": math.inf}, "T must be finite"),
+            ({"estimator": "practical", "replications": math.inf}, "replications must be finite"),
+            ({"estimator": "mle", "mle_mesh": math.nan}, "mle_mesh must be finite"),
         ],
         ids=["lse-negative-theta", "mle-mesh-above-N", "bad-hurst", "unknown-field",
-             "practical-H-below-half", "mle-H-below-half"],
+             "practical-H-below-half", "mle-H-below-half", "nan-theta", "nan-x0",
+             "infinite-d", "infinite-T", "infinite-replications", "nan-mle-mesh"],
     )
     def test_invalid_config(self, tmp_path, capsys, overrides, field):
         cfg_file = tmp_path / "cfg.json"

@@ -10,6 +10,7 @@ Covers:
   6. run_rate_experiment: gates, shape, and the regime scaling map.
 """
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -86,9 +87,17 @@ class TestExperimentConfig:
             (dict(estimator=Method.MLE, mle_mesh=128), "mle_mesh"),  # N = 100
             (dict(estimator=Method.PRACTICAL, H=0.3), "H >= 1/2"),
             (dict(estimator=Method.MLE, H=0.3, mle_mesh=8), "H >= 1/2"),
+            (dict(theta_true=math.nan), "theta_true must be finite"),
+            (dict(x0=math.nan), "x0 must be finite"),
+            (dict(d=math.inf), "d must be finite"),
+            (dict(T=math.inf), "T must be finite"),
+            (dict(replications=math.inf), "replications must be finite"),
+            (dict(master_seed=math.inf), "master_seed must be finite"),
         ],
         ids=["lse-negative-theta", "lse-zero-theta", "lse-brownian-H", "mle-mesh-below-8",
-             "mle-mesh-above-N", "practical-H-below-half", "mle-H-below-half"],
+             "mle-mesh-above-N", "practical-H-below-half", "mle-H-below-half",
+             "nan-theta", "nan-x0", "infinite-d", "infinite-T", "infinite-replications",
+             "infinite-master-seed"],
     )
     def test_rejects_fields_the_estimator_cannot_use(self, overrides, field):
         with pytest.raises(ValueError, match=field):

@@ -4,7 +4,9 @@ Covers:
   1. MartingaleDecomposition container validation.
   2. decompose: Brownian shortcut, mesh embedding, degenerate paths,
      noise-free drift recovery, parameter gates.
-  3. mle: exact agreement with the classical discretized OU likelihood
+  3. decompose against a per-mesh-point reference loop that evaluates the
+     kernel on every observation up to each mesh time.
+  4. mle: exact agreement with the classical discretized OU likelihood
      estimate at H = 1/2, mesh-refinement stability, the algebraic error
      identity, and a small Monte Carlo sign check.
 """
@@ -26,6 +28,7 @@ from msfou import (
 
 # the package re-exports the function mle under the module's name
 mle_module = importlib.import_module("msfou.mle")
+numerics = importlib.import_module("msfou.numerics")
 
 
 def _classical_ou_mle(values: np.ndarray, d: float) -> float:
@@ -137,6 +140,87 @@ class TestDecompose:
         da = decompose(a, h, m=8)
         db = decompose(b, h, m=8)
         np.testing.assert_array_equal(da.bracket_M, db.bracket_M)
+
+
+# ---------------------------------------------------------------------------
+# decompose against the per-mesh-point reference
+# ---------------------------------------------------------------------------
+
+def _reference_decompose(x, h, m):
+    """decompose as one kernel evaluation per mesh point: O(m N) work.
+
+    For each mesh time t_k the interpolant is evaluated on every
+    observation time and step midpoint up to t_k; Z takes the midpoint
+    sum against the increments, F and the frozen-state panel take
+    np.trapezoid on the observation times.
+    """
+    n = x.n
+    idx = np.round(np.arange(m + 1) * (n / m)).astype(int)
+    idx[0], idx[-1] = 0, n
+    mesh = idx * x.d
+    full = x.full_values()
+    rho = 2.0 * h.h - 1.0
+    cs = tuple(float(c) for c in mesh[1:] ** rho)
+    sols, _ = numerics._cached_endpoint_solutions(h.h, mle_module._UNIT_MESH, cs)
+    diag, _ = numerics._cached_diagonal_values(h.h, mle_module._UNIT_MESH, cs)
+    bracket = np.concatenate(
+        ([0.0], numerics._layer_cumulative_square_integral(mesh[1:], np.asarray(diag), rho))
+    )
+    dm = np.diff(bracket)
+    dx = np.diff(full)
+    grid = np.repeat(x.full_times(), 2)[:-1]
+    grid[1::2] += 0.5 * x.d
+
+    z_vals = np.zeros(m + 1)
+    f_vals = np.zeros(m + 1)
+    q_vals = np.empty(m + 1)
+    for k in range(1, m + 1):
+        stop, prev = idx[k], idx[k - 1]
+        g = numerics._interp_unit_solution(sols[k - 1], rho, grid[: 2 * stop + 1] / mesh[k])
+        z_vals[k] = float(g[1::2] @ dx[:stop])
+        gx = g[0::2] * full[: stop + 1]
+        f_vals[k] = float(np.trapezoid(gx, dx=x.d))
+        c_k = float(np.trapezoid(gx[: prev + 1], dx=x.d))
+        d_k = float(np.trapezoid(g[: 2 * prev + 1 : 2], dx=x.d))
+        q_vals[k - 1] = (c_k - f_vals[k - 1] + full[prev] * (bracket[k] - d_k)) / dm[k - 1]
+    q_vals[m] = (f_vals[m] - f_vals[m - 1]) / dm[m - 1]
+    return MartingaleDecomposition(mesh=mesh, Z=z_vals, Q=q_vals, bracket_M=bracket)
+
+
+def _theta_hat(dec):
+    q = dec.Q[:-1]
+    return -float(q @ np.diff(dec.Z)) / float((q * q) @ np.diff(dec.bracket_M))
+
+
+class TestDecomposeMatchesReference:
+    # the panel sums reassociate the reference's sums, so outputs agree to
+    # rounding, not bit for bit; <M> takes the same path in both
+    @pytest.mark.parametrize(
+        "hh,n,m,seed",
+        [
+            (0.65, 20000, 1024, 314),  # the README path
+            (0.55, 3001, 129, 7),
+            (0.85, 5000, 8, 7),
+            (0.6, 777, 777, 7),
+            (0.65, 20000, 4096, 7),
+            (0.501, 5000, 250, 7),
+            (0.9, 20000, 1024, 7),
+            (0.5002, 3000, 100, 9),  # rho below _MIN_LAYER_RHO: exponent 1
+        ],
+    )
+    def test_matches_per_mesh_point_loop(self, hh, n, m, seed):
+        h = HurstParam(hh)
+        x = euler_msfou(1.0, H=h, d=0.01, N=n, seed=seed)
+        got = decompose(x, h, m)
+        want = _reference_decompose(x, h, m)
+        np.testing.assert_array_equal(got.mesh, want.mesh)
+        np.testing.assert_array_equal(got.bracket_M, want.bracket_M)
+        for name in ("Z", "Q"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert np.abs(g - w).max() <= 1e-9 * np.abs(w).max(), name
+        theta = mle(x, h, m).theta_hat
+        assert theta == _theta_hat(got)
+        assert theta == pytest.approx(_theta_hat(want), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
