@@ -12,11 +12,13 @@ All outputs are deterministic functions of the inputs: numbers are
 formatted with %.15g, JSON keys are sorted, no timestamps are emitted, and
 worker counts never change any byte of output.
 
-A missing, unreadable or malformed --config/--in file, an invalid config
-or one the experiment cannot run (mc-clt needs the practical estimator
-and 1/2 < H < 3/4, mc-rate the corrected LSE), a missing or invalid
-argument value (--hurst, --theta-ref, --d, --T, each --T-grid horizon, and
-any value the library rejects, such as simulate --seed -1 or estimate
+A missing, unreadable or malformed --config/--in file (a config that is
+not a JSON object or gives a field a non-number, a path row without
+exactly the two fields t,value), an invalid config or one the experiment
+cannot run (mc-clt needs the practical estimator and 1/2 < H < 3/4,
+mc-rate the corrected LSE), a missing or invalid argument value (--hurst,
+--theta-ref, --d, --T, each --T-grid horizon, --workers below 1, and any
+value the library rejects, such as simulate --seed -1 or estimate
 --mesh 4) and an --out or --stats file that cannot be created are reported
 as one line ``msfou: error: ...`` on stderr with exit status 2, before any
 path is simulated. Outputs are opened before the work starts; a run that
@@ -281,6 +283,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if getattr(args, "workers", 1) < 1:
+            raise _UserError(f"--workers must be at least 1, got {args.workers}")
         return args.func(args)
     except _UserError as exc:
         print(f"msfou: error: {exc}", file=sys.stderr)

@@ -41,7 +41,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .noise import HurstParam
-from .numerics import _correction_info, _invert_p_impl, gamma_fn, stationary_second_moment
+from .numerics import (
+    _correction_info,
+    _invert_p_impl,
+    _require_hurst,
+    gamma_fn,
+    stationary_second_moment,
+)
 from .paths import SamplePath
 
 __all__ = [
@@ -113,8 +119,7 @@ def lse_skorohod(x: SamplePath, h: HurstParam, theta_ref: float) -> EstimateResu
     (known) drift used to generate the path: the correction term depends on
     it, which is exactly why this estimator is usable only in simulation.
     """
-    if not isinstance(h, HurstParam):
-        raise TypeError(f"expected HurstParam, got {type(h).__name__}")
+    _require_hurst(h)
     if h.h <= 0.5:
         raise ValueError("lse_skorohod requires H > 1/2")
     theta_ref = float(theta_ref)
@@ -146,8 +151,7 @@ def practical_estimator(x: SamplePath, h: HurstParam) -> EstimateResult:
     The samples are the path's values at t_1..t_N, the initial point
     excluded. Permutation-invariant by construction.
     """
-    if not isinstance(h, HurstParam):
-        raise TypeError(f"expected HurstParam, got {type(h).__name__}")
+    _require_hurst(h)
     if h.h < 0.5:
         raise ValueError("practical_estimator requires H >= 1/2")
     moment = float(np.mean(x.values * x.values))
@@ -195,8 +199,7 @@ def sigma_H(theta: float, h: HurstParam) -> float:
     (Gamma(3-4H) pole); the boundary case has its own constant, see
     boundary_variance.
     """
-    if not isinstance(h, HurstParam):
-        raise TypeError(f"expected HurstParam, got {type(h).__name__}")
+    _require_hurst(h)
     theta = float(theta)
     if not theta > 0.0:
         raise ValueError(f"sigma_H requires theta > 0, got {theta}")
@@ -250,8 +253,7 @@ def phi_statistic(
     1/2 < H < 3/4 once theta N d >> 1. Affine in theta_tilde and zero
     exactly at theta_tilde = theta.
     """
-    if not isinstance(h, HurstParam):
-        raise TypeError(f"expected HurstParam, got {type(h).__name__}")
+    _require_hurst(h)
     theta = float(theta)
     if not theta > 0.0:
         raise ValueError(f"phi_statistic requires theta > 0, got {theta}")

@@ -109,9 +109,13 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         """Build from a plain mapping (JSON config); estimator by CLI name.
 
-        Keys are the dataclass field names; unknown keys and missing fields
-        without a default raise ValueError naming them.
+        Keys are the dataclass field names. A value that is not a mapping,
+        unknown keys, missing fields without a default and a field other
+        than estimator whose value is not a number (a string, null or a
+        boolean) raise ValueError naming them.
         """
+        if not isinstance(raw, dict):
+            raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
         known = {f.name for f in fields(cls)}
         unknown = set(raw) - known
         if unknown:
@@ -119,6 +123,11 @@ class ExperimentConfig:
         missing = {f.name for f in fields(cls) if f.default is MISSING} - set(raw)
         if missing:
             raise ValueError(f"missing config fields: {sorted(missing)}")
+        for name, value in raw.items():
+            if name != "estimator" and (
+                isinstance(value, bool) or not isinstance(value, (int, float))
+            ):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         data = dict(raw)
         data["estimator"] = Method(data["estimator"])
         return cls(**data)

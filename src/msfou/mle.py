@@ -25,11 +25,9 @@ use). At H = 1/2 everything collapses to g = 1, Z = X, Q_{k-1} = X_{k-1},
 <M> = t, and the estimator coincides with the classical OU MLE.
 
 The integrals against the path are sums over the observation grid of the
-unit-mesh interpolant of g(., t_k) (``numerics._unit_interpolant``). Away
-from the right endpoint that interpolant is separable in sigma = s/t_k, so
-all m sums come from a few prefix sums of the path read at the interpolant's
-panel boundaries: O(N + m * 256) work per path instead of O(m * N). Only the
-thin layer next to s = t_k is evaluated point by point.
+unit-mesh interpolant of g(., t_k) (``numerics._unit_interpolant``), whose
+``sums`` method takes all m of them from a few prefix sums of the path:
+O(N + m * 256) work per path instead of O(m * N).
 """
 
 from __future__ import annotations
@@ -44,9 +42,9 @@ from .numerics import (
     _cached_diagonal_values,
     _cached_endpoint_solutions,
     _layer_cumulative_square_integral,
+    _require_hurst,
     _require_small_residual,
     _unit_interpolant,
-    _UnitInterpolant,
 )
 from .paths import SamplePath
 
@@ -56,10 +54,6 @@ __all__ = ["MartingaleDecomposition", "decompose", "mle"]
 # assembly per Hurst value; solutions are cached across paths sharing a
 # mesh, so Monte Carlo loops pay the dense solves once.
 _UNIT_MESH = 256
-
-# Mesh points per block of the panel sums, so their (block x panels)
-# temporaries stay near 256 KiB whatever the estimation mesh.
-_ROW_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -99,13 +93,12 @@ def decompose(x: SamplePath, h: HurstParam, m: int = 128) -> MartingaleDecomposi
     the full grid, and the frozen-state panel of Q integrates g * X and g
     by the trapezoid rule up to t_{k-1}. Each of these four integrals is a
     plain sum of g(s_i, t_k) a_i over the grid, taken for all k at once by
-    ``_kernel_sums`` from prefix sums of a, with the trapezoid's half
-    weights at s = 0, t_{k-1} and t_k subtracted afterwards. Requires
+    the interpolant's ``sums`` from prefix sums of a, with the trapezoid's
+    half weights at s = 0, t_{k-1} and t_k subtracted afterwards. Requires
     N >= m >= 8 and H >= 1/2. Raises RuntimeError when a kernel solve's
     linear-system residual exceeds 1e-6, as ``solve_g_kernel`` does.
     """
-    if not isinstance(h, HurstParam):
-        raise TypeError(f"expected HurstParam, got {type(h).__name__}")
+    _require_hurst(h)
     if h.h < 0.5:
         raise ValueError("decompose requires H >= 1/2")
     m = int(m)
@@ -145,12 +138,12 @@ def decompose(x: SamplePath, h: HurstParam, m: int = 128) -> MartingaleDecomposi
     stop, prev = idx[1:], idx[:-1]
     times = x.full_times()
     # Z(t_k): g(., t_k) at the step midpoints against the raw increments
-    (z_vals,) = _kernel_sums(kernel, t, times[:-1] + 0.5 * x.d, [(np.diff(full), stop)])
+    (z_vals,) = kernel.sums(t, times[:-1] + 0.5 * x.d, [(np.diff(full), stop)])
     # F(t_k) = int_0^{t_k} g(s, t_k) X_s ds and the frozen-state panel
     # sums c_k, d_k below are trapezoid rules on the observation times:
     # plain sums up to the last point, minus half of each end value
-    f_sum, c_sum, d_sum = _kernel_sums(
-        kernel, t, times, [(full, stop + 1), (full, prev + 1), (np.ones_like(full), prev + 1)]
+    f_sum, c_sum, d_sum = kernel.sums(
+        t, times, [(full, stop + 1), (full, prev + 1), (np.ones_like(full), prev + 1)]
     )
     rows = np.arange(m)
     g_0 = kernel.at(rows, np.zeros(m))
@@ -174,61 +167,6 @@ def decompose(x: SamplePath, h: HurstParam, m: int = 128) -> MartingaleDecomposi
     return MartingaleDecomposition(
         mesh=mesh, Z=np.concatenate(([0.0], z_vals)), Q=q_vals, bracket_M=bracket
     )
-
-
-def _kernel_sums(
-    kernel: _UnitInterpolant,
-    t: np.ndarray,
-    s: np.ndarray,
-    terms: list[tuple[np.ndarray, np.ndarray]],
-) -> list[np.ndarray]:
-    """For each (a, n) in terms, the sums over i < n[k] of g_k(s_i / t_k) a_i.
-
-    g_k is row k of ``kernel``; s is a uniform grid from s_0 >= 0 with
-    s_i <= t_k for i < n[k]. With sigma = s/t_k and e the interpolant's
-    exponent, the left layer (sum_p c_p sigma^(p e)) and each interior
-    panel (1 - sigma^e (A_q + B_q sigma)) are separable, so their sums are
-    t_k^(-p e) and t_k^(-e-1) times the prefix sums cumsum(a s^(p e)) and
-    cumsum(a s^(e+1)), read where the panel boundaries cut s. Summed by
-    parts, each boundary carries the jump of A_q or B_q across it. The
-    prefix sums cost O(N) per term, the boundaries O(panels) per row. Only
-    the right layer, where (1 - sigma)^e does not separate, is evaluated
-    point by point.
-    """
-    e = kernel.exponent
-    inner = kernel.inner
-    bounds = kernel.nodes[inner.start : inner.stop + 1]
-    u = s**e
-    factors = [u**p for p in range(kernel.left.shape[1])] + [u * s]
-    prefix = [[np.concatenate(([0.0], np.cumsum(a * f))) for f in factors] for a, _ in terms]
-
-    def jumps(coef: np.ndarray) -> np.ndarray:
-        return -np.diff(coef[:, inner], axis=1, prepend=0.0, append=0.0)
-
-    sums = [np.empty(t.size) for _ in terms]
-    for start in range(0, t.size, _ROW_BLOCK):
-        block = slice(start, start + _ROW_BLOCK)
-        t_b = t[block]
-        t_e = t_b**-e
-        # samples below each boundary; a sample within rounding of a
-        # boundary may fall on either side, where the interpolant is continuous
-        below = np.ceil((np.outer(t_b, bounds) - s[0]) / (s[1] - s[0]))
-        below = np.clip(below, 0, s.size).astype(int)
-        jump_u, jump_us = jumps(kernel.offset[block]), jumps(kernel.slope[block])
-        for (a, n), (*powers, tail), out in zip(terms, prefix, sums):
-            cut = np.minimum(below, n[block, None])
-            first, last = cut[:, 0], cut[:, -1]
-            val = sum(kernel.left[block, p] * t_e**p * pw[first] for p, pw in enumerate(powers))
-            val += powers[0][last] - powers[0][first]
-            val -= t_e * np.einsum("kr,kr->k", powers[1][cut], jump_u)
-            val -= t_e / t_b * np.einsum("kr,kr->k", tail[cut], jump_us)
-            # right layer: samples last[j] .. n[k] - 1 of row k = start + j
-            length = np.maximum(n[block] - last, 0)
-            local = np.repeat(np.arange(t_b.size), length)
-            pos = np.arange(length.sum()) + np.repeat(last - np.cumsum(length) + length, length)
-            g = kernel.at(start + local, s[pos] / t_b[local])
-            out[block] = val + np.bincount(local, weights=g * a[pos], minlength=t_b.size)
-    return sums
 
 
 def mle(x: SamplePath, h: HurstParam, m: int = 128) -> EstimateResult:

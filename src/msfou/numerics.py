@@ -1,6 +1,6 @@
 """Numerical kernels shared across the library.
 
-Four independent tools live here:
+Four tools live here:
 
 * ``gamma_fn``: validated gamma function.
 * ``correction_integral``: the weakly singular double integral entering the
@@ -16,6 +16,12 @@ Four independent tools live here:
   ``kappa(r,s) = H(2H-1)(|r-s|^(2H-2) - (r+s)^(2H-2))``, whose solution
   defines the fundamental martingale, together with the diagonal
   ``g(s,s)`` and the bracket ``<M>_t = int_0^t g(s,s)^2 ds``.
+
+This module is the only one that knows how g is discretized. ``mle``
+takes from it the cached unit-mesh solutions and diagonal values, the
+bracket quadrature ``_layer_cumulative_square_integral``, and the
+interpolant ``_unit_interpolant``, which evaluates g(., t) at any sigma
+(``at``) and sums it against data on a uniform grid (``sums``).
 
 The kernel ``kappa`` is homogeneous of degree ``2H-2``, so ``g(t*sigma, t)``
 as a function of ``sigma`` solves ``(I + t^(2H-1) K) G = 1`` on a fixed unit
@@ -37,8 +43,11 @@ elements in the layer coordinate ``u = sigma^rho`` (resp.
 linear hats in between. The diagonal uses linear hats throughout, on a
 mesh graded toward both ends. All kernel moments are exact: both systems
 take their linear-hat moments from one assembly of elementary power
-antiderivatives (``_hat_panel_moments``); the edge elements use
-incomplete-beta and Gauss hypergeometric closed forms.
+antiderivatives (``_hat_panel_moments``); both edge elements take theirs
+from one routine of incomplete-beta and Gauss hypergeometric closed forms
+(``_edge_moments``). Integrals over a mesh of nodal values (the bracket,
+``KernelSolution.integral_g``) share one power-pair quadrature
+(``_power_pair_integrals``).
 """
 
 from __future__ import annotations
@@ -73,6 +82,10 @@ _MIN_LAYER_RHO = 1e-3
 _EDGE_ORDER = 2
 
 _MAX_MESH = 4096
+
+# Mesh points per block of the interpolant's grid sums, so their
+# (block x panels) temporaries stay near 256 KiB whatever the row count.
+_ROW_BLOCK = 128
 
 
 def _require_hurst(h) -> HurstParam:
@@ -262,79 +275,52 @@ def _edge_shape_matrix(exponent: float, hstep: float, order: int) -> np.ndarray:
     return out
 
 
-def _tail_power_moment(x, k: int, rho: float):
-    """int_0^x v^(rho-1) (1+v)^(k rho) dv via the Euler hypergeometric form."""
-    x = np.asarray(x, dtype=float)
-    return x**rho / rho * _sp.hyp2f1(-k * rho, rho, rho + 1.0, -x)
+def _edge_moments(rho: float, m: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Moments of kappa-hat over the two edge elements, X = order/m.
 
-
-def _left_edge_moments(rho: float, m: int, order: int) -> np.ndarray:
-    """moments[k, i] = int_0^X r^(k rho) kappa-hat(r, sigma_i) dr, X = order/m.
-
-    kappa-hat is the unit kernel WITHOUT the alpha prefactor:
-    |r - sigma|^(rho-1) - (r + sigma)^(rho-1). Same-side parts reduce to
-    incomplete beta functions (splitting at sigma_i when it falls inside
-    the element), cross parts to the Gauss hypergeometric.
+    left[k, i] = int_0^X r^(k rho) kappa-hat(r, sigma_i) dr and
+    right[k, i] = int_0^X w^(k rho) kappa-hat(1 - w, sigma_i) dw, where
+    kappa-hat is the unit kernel WITHOUT the alpha prefactor,
+    |r - sigma|^(rho-1) - (r + sigma)^(rho-1), and w = 1 - r maps the last
+    ``order`` panels onto [0, X]. Both same-side parts are
+    int_0^X w^(k rho) |c_i - w|^(rho-1) dw, with c_i = sigma_i on the left
+    and c_i = 1 - sigma_i on the right: an incomplete beta function when
+    c_i >= X, split at w = c_i when 0 < c_i < X (the tail in the Euler
+    hypergeometric form), an elementary power at c_i = 0 (the final node).
+    The cross part is a Gauss hypergeometric on the left and, as
+    1 + sigma_i > X, an incomplete beta on the right.
     """
     hstep = 1.0 / m
     big_x = order * hstep
-    sig = np.arange(1, m + 1) * hstep
     idx = np.arange(1, m + 1)
-    out = np.empty((order + 1, m))
-    for k in range(order + 1):
-        ap = k * rho + 1.0
-        b_full = _sp.beta(ap, rho)
-        scale = sig ** ((k + 1.0) * rho)
-        same = np.empty(m)
-        far = idx >= order  # sigma_i >= X: element entirely left of the node
-        same[far] = (
-            scale[far] * b_full * _sp.betainc(ap, rho, np.minimum(big_x / sig[far], 1.0))
-        )
-        inside = ~far  # sigma_i interior to the element: split at sigma_i
-        if np.any(inside):
-            tail = _tail_power_moment((big_x - sig[inside]) / sig[inside], k, rho)
-            same[inside] = scale[inside] * (b_full + tail)
-        xq = big_x / sig
-        cross = scale * xq**ap / ap * _sp.hyp2f1(1.0 - rho, ap, ap + 1.0, -xq)
-        out[k] = same - cross
-    return out
-
-
-def _right_edge_moments(rho: float, m: int, order: int) -> np.ndarray:
-    """moments[k, i] = int_0^X w^(k rho) kappa-hat(1 - w, sigma_i) dw, X = order/m.
-
-    w = 1 - r maps the last ``order`` panels onto [0, X]. The same-side
-    distance becomes |c_i - w| with c_i = 1 - sigma_i (zero at the final
-    node, where the moment is an elementary power integral); the cross
-    part becomes (c'_i - w) with c'_i = 1 + sigma_i > X, a pure
-    incomplete-beta case.
-    """
-    hstep = 1.0 / m
-    big_x = order * hstep
-    sig = np.arange(1, m + 1) * hstep
-    idx = np.arange(1, m + 1)
-    c_same = 1.0 - sig
+    sig = idx * hstep
+    xq = big_x / sig
     c_cross = 1.0 + sig
-    out = np.empty((order + 1, m))
+    left = np.empty((order + 1, m))
+    right = np.empty((order + 1, m))
     for k in range(order + 1):
         ap = k * rho + 1.0
         b_full = _sp.beta(ap, rho)
-        same = np.empty(m)
-        far = idx <= m - order  # c_i >= X
-        sc_far = c_same[far] ** ((k + 1.0) * rho)
-        same[far] = (
-            sc_far * b_full * _sp.betainc(ap, rho, np.minimum(big_x / c_same[far], 1.0))
-        )
-        inside = (idx > m - order) & (idx < m)  # 0 < c_i < X
-        if np.any(inside):
-            cc = c_same[inside]
-            tail = _tail_power_moment((big_x - cc) / cc, k, rho)
-            same[inside] = cc ** ((k + 1.0) * rho) * (b_full + tail)
-        same[m - 1] = big_x ** (k * rho + rho) / (k * rho + rho)  # c_m = 0
-        sc_cross = c_cross ** ((k + 1.0) * rho)
-        cross = sc_cross * b_full * _sp.betainc(ap, rho, big_x / c_cross)
-        out[k] = same - cross
-    return out
+        pw = (k + 1.0) * rho
+
+        def same_side(c: np.ndarray, steps: np.ndarray) -> np.ndarray:
+            # steps = m c, the panels between the node and w = 0
+            out = np.empty(m)
+            far = steps >= order
+            ratio = np.minimum(big_x / c[far], 1.0)
+            out[far] = c[far] ** pw * b_full * _sp.betainc(ap, rho, ratio)
+            inside = (steps > 0) & ~far
+            v = (big_x - c[inside]) / c[inside]
+            tail = v**rho / rho * _sp.hyp2f1(-k * rho, rho, rho + 1.0, -v)
+            out[inside] = c[inside] ** pw * (b_full + tail)
+            out[steps == 0] = big_x ** (k * rho + rho) / (k * rho + rho)
+            return out
+
+        cross = sig**pw * xq**ap / ap * _sp.hyp2f1(1.0 - rho, ap, ap + 1.0, -xq)
+        left[k] = same_side(sig, idx) - cross
+        cross = c_cross**pw * b_full * _sp.betainc(ap, rho, big_x / c_cross)
+        right[k] = same_side(1.0 - sig, m - idx) - cross
+    return left, right
 
 
 def _hat_panel_moments(
@@ -393,10 +379,9 @@ def _unit_kernel_system(hh: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     m0, u1 = _hat_panel_moments(a, a + hstep, sig, rho, alpha, hstep)
 
     shape = _edge_shape_matrix(rho, hstep, order)  # (order+1, order+1)
-    left = alpha * _left_edge_moments(rho, m, order)  # (order+1, m)
-    right = alpha * _right_edge_moments(rho, m, order)
-    left_contrib = left.T @ shape  # (m, order+1), column j <-> node sigma = j/m
-    right_contrib = right.T @ shape  # column j <-> node sigma = 1 - j/m
+    left, right = _edge_moments(rho, m, order)  # each (order+1, m)
+    left_contrib = (alpha * left).T @ shape  # (m, order+1), column j <-> node sigma = j/m
+    right_contrib = (alpha * right).T @ shape  # column j <-> node sigma = 1 - j/m
 
     weights = np.zeros((m, m))
     anchor = left_contrib[:, 0].copy()  # known node g(0, t) = 1
@@ -537,23 +522,14 @@ class _UnitInterpolant:
     slope: np.ndarray
     right: np.ndarray
 
-    @property
-    def edge(self) -> float:
-        """Width order/m of each edge layer in sigma."""
-        return _EDGE_ORDER / self.nodes.size
-
-    @property
-    def inner(self) -> slice:
-        """The interior panels q, from sigma = order/m to 1 - order/m."""
-        return slice(_EDGE_ORDER - 1, self.nodes.size - _EDGE_ORDER - 1)
-
     def at(self, rows, sigma) -> np.ndarray:
         """Value of row rows[i] at sigma[i] in [0, 1], elementwise (rows broadcasts)."""
         sig = np.asarray(sigma, dtype=float)
         rows = np.broadcast_to(rows, sig.shape)
         out = np.empty(sig.shape)
-        right = sig >= 1.0 - self.edge
-        left = (sig <= self.edge) & ~right
+        edge = _EDGE_ORDER / self.nodes.size  # width of each edge layer
+        right = sig >= 1.0 - edge
+        left = (sig <= edge) & ~right
         mid = ~(left | right)
         out[left] = _power_series(self.left[rows[left]], sig[left] ** self.exponent)
         out[right] = _power_series(
@@ -566,6 +542,61 @@ class _UnitInterpolant:
             self.offset[r_mid, q] + self.slope[r_mid, q] * s_mid
         )
         return out
+
+    def sums(
+        self, t: np.ndarray, s: np.ndarray, terms: list[tuple[np.ndarray, np.ndarray]]
+    ) -> list[np.ndarray]:
+        """For each (a, n) in terms, the sums over i < n[k] of g_k(s_i / t_k) a_i.
+
+        g_k is row k; s is a uniform grid from s_0 >= 0 with s_i <= t_k for
+        i < n[k]. With sigma = s/t_k and e the exponent, the left layer
+        (sum_p c_p sigma^(p e)) and each interior panel
+        (1 - sigma^e (A_q + B_q sigma)) are separable, so their sums are
+        t_k^(-p e) and t_k^(-e-1) times the prefix sums cumsum(a s^(p e))
+        and cumsum(a s^(e+1)), read where the panel boundaries cut s.
+        Summed by parts, each boundary carries the jump of A_q or B_q across
+        it. The prefix sums cost O(N) per term, the boundaries O(panels) per
+        row. Only the right layer, where (1 - sigma)^e does not separate, is
+        evaluated point by point. Rows go in blocks of ``_ROW_BLOCK``.
+        """
+        e = self.exponent
+        # the interior panels q, from sigma = order/m to 1 - order/m
+        inner = slice(_EDGE_ORDER - 1, self.nodes.size - _EDGE_ORDER - 1)
+        bounds = self.nodes[inner.start : inner.stop + 1]
+        u = s**e
+        factors = [u**p for p in range(self.left.shape[1])] + [u * s]
+        prefix = [[np.concatenate(([0.0], np.cumsum(a * f))) for f in factors] for a, _ in terms]
+
+        def jumps(coef: np.ndarray) -> np.ndarray:
+            return -np.diff(coef[:, inner], axis=1, prepend=0.0, append=0.0)
+
+        sums = [np.empty(t.size) for _ in terms]
+        for start in range(0, t.size, _ROW_BLOCK):
+            block = slice(start, start + _ROW_BLOCK)
+            t_b = t[block]
+            t_e = t_b**-e
+            # samples below each boundary; a sample within rounding of a
+            # boundary may fall on either side, where the interpolant is continuous
+            below = np.ceil((np.outer(t_b, bounds) - s[0]) / (s[1] - s[0]))
+            below = np.clip(below, 0, s.size).astype(int)
+            jump_u, jump_us = jumps(self.offset[block]), jumps(self.slope[block])
+            for (a, n), (*powers, tail), out in zip(terms, prefix, sums):
+                cut = np.minimum(below, n[block, None])
+                first, last = cut[:, 0], cut[:, -1]
+                val = sum(
+                    self.left[block, p] * t_e**p * pw[first] for p, pw in enumerate(powers)
+                )
+                val += powers[0][last] - powers[0][first]
+                val -= t_e * np.einsum("kr,kr->k", powers[1][cut], jump_u)
+                val -= t_e / t_b * np.einsum("kr,kr->k", tail[cut], jump_us)
+                # right layer: samples last[j] .. n[k] - 1 of row k = start + j
+                length = np.maximum(n[block] - last, 0)
+                local = np.repeat(np.arange(t_b.size), length)
+                run = np.cumsum(length) - length  # where row j's samples start in pos
+                pos = np.arange(length.sum()) + np.repeat(last - run, length)
+                g = self.at(start + local, s[pos] / t_b[local])
+                out[block] = val + np.bincount(local, weights=g * a[pos], minlength=t_b.size)
+        return sums
 
 
 def _power_series(coef: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -594,15 +625,6 @@ def _unit_interpolant(sols: np.ndarray, rho: float) -> _UnitInterpolant:
     offset = slope * -nodes[:-1]
     offset += w[:, :-1]
     return _UnitInterpolant(exponent, nodes, left, offset, slope, right)
-
-
-def _interp_unit_solution(sols: np.ndarray, rho: float, sigma) -> np.ndarray:
-    """Evaluate one unit-mesh kernel solution at sigma in [0, 1].
-
-    This is row 0 of ``_unit_interpolant``, the function ``mle.decompose``
-    integrates against the path.
-    """
-    return _unit_interpolant(sols, rho).at(0, sigma)
 
 
 def _fit_power_quadratics(x: np.ndarray, y: np.ndarray, exponent: float) -> np.ndarray:
@@ -639,41 +661,55 @@ def _power_poly_integral(
     return total
 
 
-def _layer_cumulative_square_integral(
-    nodes: np.ndarray, values: np.ndarray, rho: float
-) -> np.ndarray:
-    """Cumulative int_0^{s_j} y(u)^2 du for y given at nodes, y(0) = 1.
+def _power_pair_integrals(
+    x: np.ndarray, y: np.ndarray, exponent: float, squared: bool
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Integrals of the panel fits to y at nodes x, in u = x^exponent.
 
-    Panel pairs carry quadratic fits in u = s^rho (the boundary-layer
-    coordinate near 0; plain quadratics when rho is negligible), squared
-    and integrated in closed form; an odd trailing panel falls back to the
-    two-point power pair.
+    Consecutive panel pairs carry quadratic fits in u through their three
+    nodes; an odd trailing panel carries the two-point power pair
+    c0 + c1 u. Returns the integrals of each fit (or of its square) over
+    the first panel of every pair, over every whole pair, and over the
+    trailing panel (0.0 when the panel count is even).
     """
-    x = np.concatenate(([0.0], nodes))
-    y = np.concatenate(([1.0], values))
-    exponent = rho if rho >= _MIN_LAYER_RHO else 1.0
-    m = nodes.size
-    out = np.empty(m)
-    n_pair = m // 2
+    n_pair = (x.size - 1) // 2
+    stop = 2 * n_pair + 1
+    first = whole = np.empty(0)
     if n_pair:
-        stop = 2 * n_pair + 1
         coef = _fit_power_quadratics(x[:stop], y[:stop], exponent)
-        lo = x[0 : 2 * n_pair : 2]
-        mid = x[1 : 2 * n_pair : 2]
-        hi = x[2 : stop : 2]
-        inc_mid = _power_poly_integral(coef, lo, mid, exponent, squared=True)
-        inc_full = _power_poly_integral(coef, lo, hi, exponent, squared=True)
-        base = np.concatenate(([0.0], np.cumsum(inc_full)))
-        out[0 : 2 * n_pair : 2] = base[:-1] + inc_mid
-        out[1 : 2 * n_pair : 2] = base[1:]
-    if m % 2 == 1:
+        lo, mid, hi = x[0 : stop - 1 : 2], x[1 : stop - 1 : 2], x[2:stop:2]
+        first = _power_poly_integral(coef, lo, mid, exponent, squared)
+        whole = _power_poly_integral(coef, lo, hi, exponent, squared)
+    trailing = 0.0
+    if x.size > stop:
         u0 = x[-2] ** exponent
         u1 = x[-1] ** exponent
         cb = (y[-1] - y[-2]) / (u1 - u0)
         ca = y[-2] - cb * u0
         coef = np.array([ca, cb, 0.0])
-        inc = _power_poly_integral(coef, x[-2], x[-1], exponent, squared=True)
-        out[m - 1] = (out[m - 2] if m >= 2 else 0.0) + float(inc)
+        trailing = float(_power_poly_integral(coef, x[-2], x[-1], exponent, squared))
+    return first, whole, trailing
+
+
+def _layer_cumulative_square_integral(
+    nodes: np.ndarray, values: np.ndarray, rho: float
+) -> np.ndarray:
+    """Cumulative int_0^{s_j} y(u)^2 du for y given at nodes, y(0) = 1.
+
+    The power-pair fits of ``_power_pair_integrals`` in u = s^rho (the
+    boundary-layer coordinate near 0; plain quadratics when rho is
+    negligible), squared and integrated in closed form.
+    """
+    x = np.concatenate(([0.0], nodes))
+    y = np.concatenate(([1.0], values))
+    exponent = rho if rho >= _MIN_LAYER_RHO else 1.0
+    first, whole, trailing = _power_pair_integrals(x, y, exponent, squared=True)
+    base = np.concatenate(([0.0], np.cumsum(whole)))
+    out = np.empty(nodes.size)
+    out[0 : 2 * whole.size : 2] = base[:-1] + first
+    out[1 : 2 * whole.size : 2] = base[1:]
+    if nodes.size % 2 == 1:
+        out[-1] = base[-1] + trailing
     return out
 
 
@@ -729,27 +765,9 @@ class KernelSolution:
         y = np.concatenate(([1.0], self.g_values))
         m = self.mesh.size
 
-        # panels 0 .. m-3 by quadratic pairs (odd leftover -> power pair)
-        n_left = m - 2
-        total = 0.0
-        n_pair = n_left // 2
-        if n_pair:
-            stop = 2 * n_pair + 1
-            coef = _fit_power_quadratics(x[:stop], y[:stop], exponent)
-            lo = x[0 : 2 * n_pair : 2]
-            hi = x[2 : stop : 2]
-            total += float(
-                np.sum(_power_poly_integral(coef, lo, hi, exponent, squared=False))
-            )
-        if n_left % 2 == 1:
-            u0 = x[n_left - 1] ** exponent
-            u1 = x[n_left] ** exponent
-            cb = (y[n_left] - y[n_left - 1]) / (u1 - u0)
-            ca = y[n_left - 1] - cb * u0
-            coef = np.array([ca, cb, 0.0])
-            total += float(
-                _power_poly_integral(coef, x[n_left - 1], x[n_left], exponent, squared=False)
-            )
+        # panels 0 .. m-3 by the power-pair fits in s^rho
+        _, whole, trailing = _power_pair_integrals(x[: m - 1], y[: m - 1], exponent, squared=False)
+        total = float(np.sum(whole)) + trailing
 
         # final two panels: quadratic in w = t - s through the last three nodes
         w_nodes = self.t - x[m - 2 :][::-1]  # [0, h_t, 2 h_t]

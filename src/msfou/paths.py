@@ -219,16 +219,24 @@ def write_path_csv(path: SamplePath, fh) -> None:
 def read_path_csv(fh) -> SamplePath:
     """Read a path written by :func:`write_path_csv` from an open text handle.
 
-    The time column must start at 0 and be uniformly spaced (to float
-    tolerance); the spacing becomes ``d``.
+    Every row must hold exactly the two fields t,value; blank lines are
+    skipped. The time column must start at 0 and be uniformly spaced (to
+    float tolerance); the spacing becomes ``d``.
     """
     header = fh.readline().strip()
     if header != "t,value":
         raise ValueError(f"expected header 't,value', got {header!r}")
-    rows = [line.strip() for line in fh if line.strip()]
+    rows = []
+    for lineno, line in enumerate(fh, start=2):
+        cells = line.strip().split(",")
+        if cells == [""]:
+            continue
+        if len(cells) != 2:
+            raise ValueError(f"line {lineno}: expected 2 fields t,value, got {len(cells)}")
+        rows.append([float(c) for c in cells])
     if len(rows) < 2:
         raise ValueError("path CSV needs at least the t=0 row and one more")
-    data = np.array([[float(c) for c in row.split(",")] for row in rows])
+    data = np.array(rows)
     t, values = data[:, 0], data[:, 1]
     if abs(t[0]) > 0.0:
         raise ValueError("first row must be at t=0")

@@ -360,10 +360,15 @@ class TestUserErrors:
             ({"estimator": "practical", "T": math.inf}, "T must be finite"),
             ({"estimator": "practical", "replications": math.inf}, "replications must be finite"),
             ({"estimator": "mle", "mle_mesh": math.nan}, "mle_mesh must be finite"),
+            ({"estimator": "practical", "replications": "5"}, "replications must be a number"),
+            ({"estimator": "practical", "x0": None}, "x0 must be a number"),
+            ({"estimator": "practical", "H": "0.65"}, "H must be a number"),
+            ({"estimator": "practical", "T": True}, "T must be a number"),
         ],
         ids=["lse-negative-theta", "mle-mesh-above-N", "bad-hurst", "unknown-field",
              "practical-H-below-half", "mle-H-below-half", "nan-theta", "nan-x0",
-             "infinite-d", "infinite-T", "infinite-replications", "nan-mle-mesh"],
+             "infinite-d", "infinite-T", "infinite-replications", "nan-mle-mesh",
+             "string-replications", "null-x0", "string-H", "true-T"],
     )
     def test_invalid_config(self, tmp_path, capsys, overrides, field):
         cfg_file = tmp_path / "cfg.json"
@@ -377,6 +382,26 @@ class TestUserErrors:
         assert field in _one_error_line(capsys, argv)
         assert not (tmp_path / "o").exists()
 
+    def test_config_not_an_object(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text("[1, 2]", encoding="utf-8")
+        argv = ["mc-table", "--config", str(cfg_file), "--out", str(tmp_path / "o")]
+        assert "config must be a JSON object, got list" in _one_error_line(capsys, argv)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    @pytest.mark.parametrize(
+        "command", [["mc-table"], ["mc-clt", "--stats", "s.json"], ["mc-rate", "--T-grid", "5"]],
+        ids=["mc-table", "mc-clt", "mc-rate"],
+    )
+    def test_workers_below_one(self, tmp_path, capsys, monkeypatch, command, workers):
+        monkeypatch.chdir(tmp_path)
+        cfg_file = tmp_path / "cfg.json"
+        _write_config(cfg_file, estimator="lse" if command[0] == "mc-rate" else "practical")
+        argv = command + ["--config", str(cfg_file), "--out", "o.csv", "--workers", workers]
+        assert f"--workers must be at least 1, got {workers}" in _one_error_line(capsys, argv)
+        assert not (tmp_path / "o.csv").exists() and not (tmp_path / "s.json").exists()
+
     def test_malformed_json(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text("{not json", encoding="utf-8")
@@ -384,16 +409,25 @@ class TestUserErrors:
         assert "cfg.json" in _one_error_line(capsys, argv)
 
     @pytest.mark.parametrize(
-        "content", [None, "time,value\n0,0\n1,1\n", "t,value\n0,0\n1,x\n"],
-        ids=["missing", "bad-header", "bad-number"],
+        "content,message",
+        [
+            (None, "No such file"),
+            ("time,value\n0,0\n1,1\n", "expected header"),
+            ("t,value\n0,0\n1,x\n", "could not convert"),
+            ("t,value\n0\n1\n", "line 2: expected 2 fields t,value, got 1"),
+            ("t,value\n0,0,7\n1,1,7\n", "line 2: expected 2 fields t,value, got 3"),
+        ],
+        ids=["missing", "bad-header", "bad-number", "one-column", "three-column"],
     )
-    def test_bad_path_csv(self, tmp_path, capsys, content):
+    def test_bad_path_csv(self, tmp_path, capsys, content, message):
         path_file = tmp_path / "path.csv"
         if content is not None:
             path_file.write_text(content, encoding="utf-8")
         argv = ["estimate", "--method", "nonergodic", "--in", str(path_file),
                 "--out", str(tmp_path / "r.json")]
-        assert "path.csv" in _one_error_line(capsys, argv)
+        line = _one_error_line(capsys, argv)
+        assert "path.csv" in line and message in line
+        assert not (tmp_path / "r.json").exists()
 
     def test_bad_hurst(self, tmp_path, capsys):
         path_file = tmp_path / "p.csv"

@@ -154,6 +154,33 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=r"missing config fields: \['T', 'estimator'\]"):
             ExperimentConfig.from_dict(raw)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("replications", "5"), ("x0", None), ("H", "0.65"), ("T", True), ("d", False),
+         ("master_seed", [1])],
+        ids=["string-replications", "null-x0", "string-H", "true-T", "false-d", "list-seed"],
+    )
+    def test_from_dict_rejects_non_numbers(self, field, value):
+        raw = {
+            "theta_true": 1.0,
+            "H": 0.6,
+            "d": 0.1,
+            "T": 1.0,
+            "replications": 2,
+            "master_seed": 1,
+            "estimator": "practical",
+            field: value,
+        }
+        with pytest.raises(ValueError, match=f"{field} must be a number"):
+            ExperimentConfig.from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "raw", [[1, 2], "cfg", 3.0, None], ids=["list", "string", "number", "null"]
+    )
+    def test_from_dict_rejects_non_object(self, raw):
+        with pytest.raises(ValueError, match="config must be a JSON object"):
+            ExperimentConfig.from_dict(raw)
+
     def test_from_dict_rejects_unknown_estimator(self):
         raw = {
             "theta_true": 1.0,

@@ -176,7 +176,7 @@ def _reference_decompose(x, h, m):
     q_vals = np.empty(m + 1)
     for k in range(1, m + 1):
         stop, prev = idx[k], idx[k - 1]
-        g = numerics._interp_unit_solution(sols[k - 1], rho, grid[: 2 * stop + 1] / mesh[k])
+        g = numerics._unit_interpolant(sols[k - 1], rho).at(0, grid[: 2 * stop + 1] / mesh[k])
         z_vals[k] = float(g[1::2] @ dx[:stop])
         gx = g[0::2] * full[: stop + 1]
         f_vals[k] = float(np.trapezoid(gx, dx=x.d))

@@ -6,6 +6,7 @@ Covers:
   3. Correction integral against a brute-force tensor-grid oracle and an
      mpmath reference.
   4. The kernel equation solver: residual, identity, stability, reductions.
+  5. The edge-element kernel moments against an mpmath reference.
 
 Frozen constants come from the scripts in tests/oracles/, which use only
 mpmath / direct quadrature and never import this package.
@@ -13,6 +14,7 @@ mpmath / direct quadrature and never import this package.
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,8 +31,9 @@ from msfou import (
 )
 from msfou.numerics import (
     _batch_scaled_solve,
+    _edge_moments,
     _graded_unit_system,
-    _interp_unit_solution,
+    _unit_interpolant,
     _unit_kernel_system,
 )
 
@@ -295,6 +298,55 @@ class TestBatchScaledSolve:
         assert residual == float(np.max(np.abs(gap)))
 
 
+def _edge_moment_reference(rho: float, m: int, k: int, i: int, side: str) -> float:
+    """mpmath, 30 digits: the order-2 edge moment of kappa-hat at sigma_i = i/m.
+
+    The same-side factor |w - c|^(rho-1) is removed by the substitution
+    |w - c| = v^(1/rho), dw = v^(1/rho-1)/rho dv, which leaves the smooth
+    integrand w^(k rho)/rho on each side of w = c; plain tanh-sinh on
+    the singular integrand misses the c = 0 row by 3.8e-4 at H = 0.55.
+    """
+    with mp.workdps(30):
+        r = mp.mpf(rho)
+        big_x = mp.mpf(2) / m
+        sig = mp.mpf(i) / m
+        c = sig if side == "left" else 1 - sig
+
+        def layer(w):
+            return w ** (k * r) if k else mp.mpf(1)
+
+        same = mp.mpf(0)
+        if c > 0:  # w < c; the clip absorbs rounding at w = 0
+            lo = min(c, big_x)
+            same += mp.quad(lambda v: layer(max(c - v ** (1 / r), 0)) / r, [(c - lo) ** r, c**r])
+        if c < big_x:  # w > c
+            same += mp.quad(lambda v: layer(c + v ** (1 / r)) / r, [0, (big_x - c) ** r])
+        if side == "left":
+            cross = mp.quad(lambda w: layer(w) * (w + sig) ** (r - 1), [0, big_x])
+        else:
+            cross = mp.quad(lambda w: layer(w) * (1 + sig - w) ** (r - 1), [0, big_x])
+        return float(same - cross)
+
+
+class TestEdgeMoments:
+    # m = 4: every node; m = 64: both edge elements, their neighbours and
+    # the middle, so each branch (c >= X, 0 < c < X, c = 0) is taken
+    @pytest.mark.parametrize(
+        "m,rows", [(4, (1, 2, 3, 4)), (64, (1, 2, 3, 31, 62, 63, 64))], ids=["m4", "m64"]
+    )
+    @pytest.mark.parametrize("hh", [0.55, 0.9])
+    def test_matches_mpmath(self, hh, m, rows):
+        rho = 2.0 * hh - 1.0
+        got = dict(zip(("left", "right"), _edge_moments(rho, m, 2)))
+        for side in ("left", "right"):
+            for k in range(3):
+                for i in rows:
+                    want = _edge_moment_reference(rho, m, k, i, side)
+                    # same-side and cross parts nearly cancel far from the
+                    # element: measured up to 8.4e-14 relative
+                    assert got[side][k, i - 1] == pytest.approx(want, rel=1e-12), (side, k, i)
+
+
 class TestInterpUnitSolution:
     # m = 64 puts the edge-region boundaries at 2/m and 1 - 2/m, both exact
     M = 64
@@ -312,7 +364,8 @@ class TestInterpUnitSolution:
 
     def test_one_at_zero(self, solution):
         sols, rho = solution
-        assert _interp_unit_solution(sols, rho, np.array([0.0]))[0] == pytest.approx(1.0, abs=1e-12)
+        got = _unit_interpolant(sols, rho).at(0, np.array([0.0]))[0]
+        assert got == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("m", [4, 64])
     def test_reproduces_nodes(self, m):
@@ -320,19 +373,19 @@ class TestInterpUnitSolution:
         rho = 0.3
         nodes = np.arange(1, m + 1) / m
         sols = 1.0 - 0.4 * nodes**rho + 0.1 * nodes
-        got = _interp_unit_solution(sols, rho, np.concatenate(([0.0], nodes)))
+        got = _unit_interpolant(sols, rho).at(0, np.concatenate(([0.0], nodes)))
         np.testing.assert_allclose(got, np.concatenate(([1.0], sols)), rtol=0, atol=1e-12)
 
     def test_reproduces_kernel_solution_nodes(self, solution):
         sols, rho = solution
-        got = _interp_unit_solution(sols, rho, np.arange(1, self.M + 1) / self.M)
+        got = _unit_interpolant(sols, rho).at(0, np.arange(1, self.M + 1) / self.M)
         np.testing.assert_allclose(got, sols, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("edge", [2.0 / 64, 1.0 - 2.0 / 64], ids=["left", "right"])
     def test_continuous_across_region_boundaries(self, solution, edge):
         sols, rho = solution
         eps = 1e-10
-        lo, at, hi = _interp_unit_solution(sols, rho, np.array([edge - eps, edge, edge + eps]))
+        lo, at, hi = _unit_interpolant(sols, rho).at(0, np.array([edge - eps, edge, edge + eps]))
         assert abs(hi - lo) < 1e-7 and abs(at - lo) < 1e-7
 
     def test_input_in_one_region(self, solution):
@@ -340,15 +393,16 @@ class TestInterpUnitSolution:
         # the same values as the spanning evaluation
         sols, rho = solution
         sig = self._spanning_sigma()
-        whole = _interp_unit_solution(sols, rho, sig)
+        kernel = _unit_interpolant(sols, rho)
+        whole = kernel.at(0, sig)
         assert whole.shape == sig.shape
         for part in (
             sig <= 2.0 / self.M,
             (sig > 2.0 / self.M) & (sig < 1.0 - 2.0 / self.M),
             sig >= 1.0 - 2.0 / self.M,
         ):
-            np.testing.assert_array_equal(_interp_unit_solution(sols, rho, sig[part]), whole[part])
-        assert _interp_unit_solution(sols, rho, np.empty(0)).shape == (0,)
+            np.testing.assert_array_equal(kernel.at(0, sig[part]), whole[part])
+        assert kernel.at(0, np.empty(0)).shape == (0,)
 
 
 class TestKernelSolution:

@@ -245,6 +245,16 @@ class TestPathCsv:
         write_path_csv(p, b)
         assert a.getvalue() == b.getvalue()
 
+    @pytest.mark.parametrize(
+        "content,lineno",
+        [("t,value\n0\n1\n", 2), ("t,value\n0,0\n\n1,1,9\n", 4)],
+        ids=["one-column", "three-column"],
+    )
+    def test_rejects_rows_without_two_fields(self, content, lineno):
+        # line numbers count the header and the skipped blank lines
+        with pytest.raises(ValueError, match=f"line {lineno}: expected 2 fields"):
+            read_path_csv(io.StringIO(content))
+
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=20))
     @settings(max_examples=40, deadline=None)
     def test_round_trip_arbitrary_values(self, vals):
