@@ -110,9 +110,9 @@ class ExperimentConfig:
         """Build from a plain mapping (JSON config); estimator by CLI name.
 
         Keys are the dataclass field names. A value that is not a mapping,
-        unknown keys, missing fields without a default and a field other
-        than estimator whose value is not a number (a string, null or a
-        boolean) raise ValueError naming them.
+        unknown keys, missing fields without a default, a field other than
+        estimator whose value is not a number (a string, null or a boolean)
+        and an estimator that is not a CLI name raise ValueError naming them.
         """
         if not isinstance(raw, dict):
             raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
@@ -129,7 +129,13 @@ class ExperimentConfig:
             ):
                 raise ValueError(f"{name} must be a number, got {value!r}")
         data = dict(raw)
-        data["estimator"] = Method(data["estimator"])
+        try:
+            data["estimator"] = Method(data["estimator"])
+        except ValueError:
+            names = ", ".join(method.value for method in Method)
+            raise ValueError(
+                f"estimator must be one of {names}, got {raw['estimator']!r}"
+            ) from None
         return cls(**data)
 
 
@@ -227,8 +233,10 @@ def _guarded_estimate(cfg: ExperimentConfig, rep: int) -> float | None:
 
 def _run_replications(cfg: ExperimentConfig, workers: int) -> tuple[np.ndarray, int]:
     """Estimates in replication order (both maps keep input order), failure count."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     cfgs, reps = [cfg] * cfg.replications, range(cfg.replications)
-    if workers <= 1:
+    if workers == 1:
         results = list(map(_guarded_estimate, cfgs, reps))
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:

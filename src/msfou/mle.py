@@ -24,10 +24,12 @@ stays predictable (one-sided at the right endpoint, which the sums never
 use). At H = 1/2 everything collapses to g = 1, Z = X, Q_{k-1} = X_{k-1},
 <M> = t, and the estimator coincides with the classical OU MLE.
 
-The integrals against the path are sums over the observation grid of the
-unit-mesh interpolant of g(., t_k) (``numerics._unit_interpolant``), whose
-``sums`` method takes all m of them from a few prefix sums of the path:
-O(N + m * 256) work per path instead of O(m * N).
+The kernel comes from one call, ``numerics._mesh_kernel``, which returns
+the unit-mesh interpolant of g(., t_k) for every mesh time and <M> on the
+mesh, cached per (H, mesh). The integrals against the path are sums over
+the observation grid of that interpolant, whose ``sums`` method takes all
+m of them from a few prefix sums of the path: O(N + m * 256) work per path
+instead of O(m * N).
 """
 
 from __future__ import annotations
@@ -38,21 +40,14 @@ import numpy as np
 
 from .estimators import EstimateResult, Method
 from .noise import HurstParam
-from .numerics import (
-    _cached_diagonal_values,
-    _cached_endpoint_solutions,
-    _layer_cumulative_square_integral,
-    _require_hurst,
-    _require_small_residual,
-    _unit_interpolant,
-)
+from .numerics import _mesh_kernel, _require_hurst
 from .paths import SamplePath
 
 __all__ = ["MartingaleDecomposition", "decompose", "mle"]
 
 # Unit-mesh resolution for the kernel solves behind Z, Q and <M>. One
-# assembly per Hurst value; solutions are cached across paths sharing a
-# mesh, so Monte Carlo loops pay the dense solves once.
+# assembly per Hurst value; the kernel and its interpolant are cached per
+# (H, mesh), so Monte Carlo loops pay the dense solves once.
 _UNIT_MESH = 256
 
 
@@ -120,21 +115,12 @@ def decompose(x: SamplePath, h: HurstParam, m: int = 128) -> MartingaleDecomposi
         vals = full[idx]
         return MartingaleDecomposition(mesh=mesh, Z=vals, Q=vals.copy(), bracket_M=mesh)
 
-    rho = 2.0 * h.h - 1.0
-    cs = tuple(float(c) for c in mesh[1:] ** rho)
-    sols, res_uniform = _cached_endpoint_solutions(h.h, _UNIT_MESH, cs)
-    diag, res_graded = _cached_diagonal_values(h.h, _UNIT_MESH, cs)
-    _require_small_residual(max(res_uniform, res_graded))
-
-    bracket = np.concatenate(
-        ([0.0], _layer_cumulative_square_integral(mesh[1:], np.asarray(diag), rho))
-    )
+    t = mesh[1:]
+    kernel, bracket = _mesh_kernel(h.h, _UNIT_MESH, tuple(t.tolist()))
     dm = np.diff(bracket)
     if np.any(dm <= 0.0):
         raise RuntimeError("degenerate bracket increment in <M>")
 
-    kernel = _unit_interpolant(sols, rho)
-    t = mesh[1:]
     stop, prev = idx[1:], idx[:-1]
     times = x.full_times()
     # Z(t_k): g(., t_k) at the step midpoints against the raw increments

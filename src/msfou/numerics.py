@@ -18,10 +18,11 @@ Four tools live here:
   ``g(s,s)`` and the bracket ``<M>_t = int_0^t g(s,s)^2 ds``.
 
 This module is the only one that knows how g is discretized. ``mle``
-takes from it the cached unit-mesh solutions and diagonal values, the
-bracket quadrature ``_layer_cumulative_square_integral``, and the
-interpolant ``_unit_interpolant``, which evaluates g(., t) at any sigma
-(``at``) and sums it against data on a uniform grid (``sums``).
+takes from it one cached call, ``_mesh_kernel``, which gives for an
+estimation mesh the interpolant of g(., t_k) at every mesh time and the
+bracket <M> on the mesh. The interpolant evaluates g(., t) at any sigma
+(``at``) and sums it against data on a uniform grid (``sums``). Both it
+and ``solve_g_kernel`` take their solves from ``_solve_kernel``.
 
 The kernel ``kappa`` is homogeneous of degree ``2H-2``, so ``g(t*sigma, t)``
 as a function of ``sigma`` solves ``(I + t^(2H-1) K) G = 1`` on a fixed unit
@@ -389,9 +390,10 @@ def _unit_kernel_system(hh: float, m: int) -> tuple[np.ndarray, np.ndarray]:
         weights[:, j - 1] += left_contrib[:, j]
     for j in range(order + 1):
         weights[:, m - 1 - j] += right_contrib[:, j]
-    for q in range(order, m - order):
-        weights[:, q - 1] += m0[:, q] - u1[:, q]
-        weights[:, q] += u1[:, q]
+    # interior hats: u1 to each panel's right node, then m0 - u1 to its left
+    inner = slice(order, m - order)
+    weights[:, inner] += u1[:, inner]
+    weights[:, order - 1 : m - order - 1] += m0[:, inner] - u1[:, inner]
 
     weights.setflags(write=False)
     anchor.setflags(write=False)
@@ -432,16 +434,6 @@ def _batch_scaled_solve(
     return sols, residual
 
 
-@functools.lru_cache(maxsize=16)
-def _cached_endpoint_solutions(
-    hh: float, m: int, cs_key: tuple
-) -> tuple[np.ndarray, float]:
-    weights, anchor = _unit_kernel_system(hh, m)
-    sols, residual = _batch_scaled_solve(weights, anchor, np.array(cs_key))
-    sols.setflags(write=False)
-    return sols, residual
-
-
 @functools.lru_cache(maxsize=8)
 def _graded_unit_system(hh: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Hat-basis Nystrom system on a mesh graded toward both endpoints.
@@ -475,24 +467,6 @@ def _graded_unit_system(hh: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     weights_mat.setflags(write=False)
     anchor.setflags(write=False)
     return weights_mat, anchor
-
-
-@functools.lru_cache(maxsize=16)
-def _cached_diagonal_values(
-    hh: float, n: int, cs_key: tuple
-) -> tuple[np.ndarray, float]:
-    """g(t, t) for each scale c = t^rho, via the graded system's last node."""
-    weights, anchor = _graded_unit_system(hh, n)
-    sols, residual = _batch_scaled_solve(weights, anchor, np.array(cs_key))
-    vals = np.ascontiguousarray(sols[:, -1])
-    vals.setflags(write=False)
-    return vals, residual
-
-
-def _require_small_residual(residual: float) -> None:
-    """Reject kernel solves whose linear-system residual exceeds 1e-6."""
-    if residual > 1e-6:
-        raise RuntimeError(f"Nystrom linear-system residual {residual:.3e} > 1e-6")
 
 
 @dataclass(frozen=True, eq=False)
@@ -616,14 +590,11 @@ def _unit_interpolant(sols: np.ndarray, rho: float) -> _UnitInterpolant:
     ones = np.ones((sols.shape[0], 1))
     left = np.concatenate((ones, sols[:, :order]), axis=1) @ shape.T
     right = sols[:, -1 : -order - 2 : -1] @ shape.T
-    # in place where possible: these (rows x m) arrays set the peak memory
-    # of a warm mle call
-    w = 1.0 - sols
-    w /= nodes**exponent
-    slope = np.diff(w, axis=1)
-    slope /= np.diff(nodes)
-    offset = slope * -nodes[:-1]
-    offset += w[:, :-1]
+    w = (1.0 - sols) / nodes**exponent
+    slope = np.diff(w, axis=1) / np.diff(nodes)
+    offset = w[:, :-1] - slope * nodes[:-1]
+    for arr in (nodes, left, offset, slope, right):
+        arr.setflags(write=False)
     return _UnitInterpolant(exponent, nodes, left, offset, slope, right)
 
 
@@ -713,6 +684,46 @@ def _layer_cumulative_square_integral(
     return out
 
 
+def _solve_kernel(
+    hh: float, unit: int, ends: np.ndarray, mesh: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Kernel solutions on unit meshes of ``unit`` nodes, uncached.
+
+    Returns (rows, diagonal, bracket, residual): rows[k] holds g(t sigma_j,
+    t) at t = ends[k] from the uniform system; diagonal[j] = g(s_j, s_j)
+    and bracket[j] = <M>_{s_j} at s_j = mesh[j] (increasing, positive)
+    from the graded system; residual is the larger of the two systems'.
+    Raises RuntimeError when the residual exceeds 1e-6.
+    """
+    rho = 2.0 * hh - 1.0
+    weights, anchor = _unit_kernel_system(hh, unit)
+    rows, res_uniform = _batch_scaled_solve(weights, anchor, ends**rho)
+    weights, anchor = _graded_unit_system(hh, unit)
+    sols, res_graded = _batch_scaled_solve(weights, anchor, mesh**rho)
+    residual = max(res_uniform, res_graded)
+    if residual > 1e-6:
+        raise RuntimeError(f"Nystrom linear-system residual {residual:.3e} > 1e-6")
+    diagonal = sols[:, -1]
+    bracket = _layer_cumulative_square_integral(mesh, diagonal, rho)
+    return rows, diagonal, bracket, residual
+
+
+@functools.lru_cache(maxsize=16)
+def _mesh_kernel(hh: float, unit: int, t_key: tuple) -> tuple[_UnitInterpolant, np.ndarray]:
+    """Interpolant of g(., t_k) and <M> at (0,) + t_key, on unit meshes of ``unit`` nodes.
+
+    Row k of the interpolant is g(., t_k) for t_k = t_key[k] (increasing,
+    positive). Cached per (H, unit, mesh), so paths sharing a mesh pay the
+    solves and the interpolant's build once; every returned array is
+    read-only. Raises RuntimeError as ``_solve_kernel`` does.
+    """
+    t = np.array(t_key)
+    rows, _, bracket, _ = _solve_kernel(hh, unit, t, t)
+    bracket = np.concatenate(([0.0], bracket))
+    bracket.setflags(write=False)
+    return _unit_interpolant(rows, 2.0 * hh - 1.0), bracket
+
+
 @dataclass(frozen=True, eq=False)
 class KernelSolution:
     """Discretized g(., t) plus derived quantities on the mesh s_j = j t/m.
@@ -769,16 +780,12 @@ class KernelSolution:
         _, whole, trailing = _power_pair_integrals(x[: m - 1], y[: m - 1], exponent, squared=False)
         total = float(np.sum(whole)) + trailing
 
-        # final two panels: quadratic in w = t - s through the last three nodes
-        w_nodes = self.t - x[m - 2 :][::-1]  # [0, h_t, 2 h_t]
-        w_vals = y[m - 2 :][::-1]
-        uw = w_nodes**exponent
-        basis = np.stack([np.ones(3), uw, uw * uw], axis=-1)
-        coef_w = np.linalg.solve(basis, w_vals)
-        total += float(
-            _power_poly_integral(coef_w, 0.0, w_nodes[-1], exponent, squared=False)
+        # final two panels: the quadratic fit in (t - s)^rho through the last
+        # three nodes, taken on the reversed nodes t - s = [0, h_t, 2 h_t]
+        _, whole, _ = _power_pair_integrals(
+            self.t - x[m - 2 :][::-1], y[m - 2 :][::-1], exponent, squared=False
         )
-        return total
+        return total + float(whole[0])
 
 
 def solve_g_kernel(t: float, h: HurstParam, m: int = 256) -> KernelSolution:
@@ -813,19 +820,12 @@ def solve_g_kernel(t: float, h: HurstParam, m: int = 256) -> KernelSolution:
         )
     if h.h < 0.5:
         raise ValueError("solve_g_kernel requires H >= 1/2")
-    rho = 2.0 * h.h - 1.0
-    cs = tuple(float(c) for c in mesh**rho)
-    sols, res_uniform = _cached_endpoint_solutions(h.h, m, cs[-1:])
-    g_diag, res_graded = _cached_diagonal_values(h.h, m, cs)
-    residual = max(res_uniform, res_graded)
-    _require_small_residual(residual)
-    g_values = sols[-1].copy()
-    bracket = _layer_cumulative_square_integral(mesh, g_diag.copy(), rho)
+    rows, g_diag, bracket, residual = _solve_kernel(h.h, m, mesh[-1:], mesh)
     return KernelSolution(
         t=t,
         h=h,
         mesh=mesh,
-        g_values=g_values,
+        g_values=rows[-1],
         g_diag=g_diag,
         bracket_M=bracket,
         residual=residual,

@@ -219,9 +219,10 @@ def write_path_csv(path: SamplePath, fh) -> None:
 def read_path_csv(fh) -> SamplePath:
     """Read a path written by :func:`write_path_csv` from an open text handle.
 
-    Every row must hold exactly the two fields t,value; blank lines are
-    skipped. The time column must start at 0 and be uniformly spaced (to
-    float tolerance); the spacing becomes ``d``.
+    Every row must hold exactly the two numbers t,value; blank lines are
+    skipped, and a bad row is reported with its line number. The time
+    column must start at 0 and be uniformly spaced (to float tolerance);
+    the spacing becomes ``d``.
     """
     header = fh.readline().strip()
     if header != "t,value":
@@ -233,7 +234,10 @@ def read_path_csv(fh) -> SamplePath:
             continue
         if len(cells) != 2:
             raise ValueError(f"line {lineno}: expected 2 fields t,value, got {len(cells)}")
-        rows.append([float(c) for c in cells])
+        try:
+            rows.append([float(c) for c in cells])
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     if len(rows) < 2:
         raise ValueError("path CSV needs at least the t=0 row and one more")
     data = np.array(rows)

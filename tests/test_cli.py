@@ -364,11 +364,12 @@ class TestUserErrors:
             ({"estimator": "practical", "x0": None}, "x0 must be a number"),
             ({"estimator": "practical", "H": "0.65"}, "H must be a number"),
             ({"estimator": "practical", "T": True}, "T must be a number"),
+            ({"estimator": 3}, "estimator must be one of mle, lse, practical, nonergodic, got 3"),
         ],
         ids=["lse-negative-theta", "mle-mesh-above-N", "bad-hurst", "unknown-field",
              "practical-H-below-half", "mle-H-below-half", "nan-theta", "nan-x0",
              "infinite-d", "infinite-T", "infinite-replications", "nan-mle-mesh",
-             "string-replications", "null-x0", "string-H", "true-T"],
+             "string-replications", "null-x0", "string-H", "true-T", "number-estimator"],
     )
     def test_invalid_config(self, tmp_path, capsys, overrides, field):
         cfg_file = tmp_path / "cfg.json"
@@ -413,7 +414,7 @@ class TestUserErrors:
         [
             (None, "No such file"),
             ("time,value\n0,0\n1,1\n", "expected header"),
-            ("t,value\n0,0\n1,x\n", "could not convert"),
+            ("t,value\n0,0\n1,x\n", "line 3: could not convert string to float: 'x'"),
             ("t,value\n0\n1\n", "line 2: expected 2 fields t,value, got 1"),
             ("t,value\n0,0,7\n1,1,7\n", "line 2: expected 2 fields t,value, got 3"),
         ],

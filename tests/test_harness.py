@@ -8,6 +8,7 @@ Covers:
      accounting, invariance to the state of the noise spectrum cache.
   5. run_clt_experiment: gates and the standardization pipeline.
   6. run_rate_experiment: gates, shape, and the regime scaling map.
+  7. All three experiments reject workers below 1 before any path.
 """
 
 import math
@@ -189,10 +190,14 @@ class TestExperimentConfig:
             "T": 1.0,
             "replications": 2,
             "master_seed": 1,
-            "estimator": "bogus",
         }
-        with pytest.raises(ValueError):
-            ExperimentConfig.from_dict(raw)
+        for value, shown in (("bogus", "'bogus'"), (3, "3")):
+            raw["estimator"] = value
+            with pytest.raises(
+                ValueError,
+                match=f"^estimator must be one of mle, lse, practical, nonergodic, got {shown}$",
+            ):
+                ExperimentConfig.from_dict(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +313,31 @@ class TestRunTableExperiment:
         print(f"  practical MC mean: {stats.mean:.4f} sdev: {stats.sdev:.4f}")
         assert 0.4 < stats.mean < 1.8
         assert stats.n_failed == 0
+
+
+class TestWorkersBelowOne:
+    @pytest.fixture(autouse=True)
+    def _no_simulation(self, monkeypatch):
+        def simulated(*args, **kwargs):
+            raise AssertionError("a path was simulated")
+
+        monkeypatch.setattr(harness, "euler_msfou", simulated)
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda w: run_table_experiment(_config(), workers=w),
+            lambda w: run_clt_experiment(_config(), workers=w),
+            lambda w: run_rate_experiment(
+                _config(estimator=Method.LSE_SKOROHOD), t_grid=[5.0], workers=w
+            ),
+        ],
+        ids=["table", "clt", "rate"],
+    )
+    def test_rejected_before_any_path(self, run, workers):
+        with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+            run(workers)
 
 
 # ---------------------------------------------------------------------------

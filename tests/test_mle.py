@@ -119,18 +119,39 @@ class TestDecompose:
         with pytest.raises(ValueError):
             decompose(x, h, m=65)
 
-    @pytest.mark.parametrize(
-        "solve", ["_cached_endpoint_solutions", "_cached_diagonal_values"]
-    )
-    def test_large_solve_residual_raises(self, solve, monkeypatch):
-        # the faulty solve is patched where decompose looks it up, so no
-        # cached entry of the real solver can stand in for it
-        real = getattr(mle_module, solve)
-        monkeypatch.setattr(mle_module, solve, lambda *key: (real(*key)[0], 1e-3))
+    @pytest.mark.parametrize("system", ["_unit_kernel_system", "_graded_unit_system"])
+    def test_large_solve_residual_raises(self, system, monkeypatch):
+        # the batch solve of one of the two systems reports a residual of
+        # 1e-3, on a grid (d = 0.0371) that no other test decomposes, so no
+        # cached kernel can stand in for the solve
         h = HurstParam(0.65)
-        x = euler_msfou(theta=1.0, H=h, d=0.02, N=64, seed=5)
+        faulty, _ = getattr(numerics, system)(h.h, mle_module._UNIT_MESH)
+        real = numerics._batch_scaled_solve
+
+        def solve(weights, anchor, cs):
+            sols, residual = real(weights, anchor, cs)
+            return sols, 1e-3 if weights is faulty else residual
+
+        monkeypatch.setattr(numerics, "_batch_scaled_solve", solve)
+        x = euler_msfou(theta=1.0, H=h, d=0.0371, N=64, seed=5)
         with pytest.raises(RuntimeError, match="residual 1.000e-03 > 1e-6"):
             decompose(x, h, m=8)
+
+    def test_cached_kernel_is_read_only(self):
+        # decompose's kernel and <M> are shared by every path on the grid
+        h = HurstParam(0.7)
+        x = euler_msfou(theta=1.0, H=h, d=0.0293, N=64, seed=3)
+        first = decompose(x, h, m=8)
+        key = (h.h, mle_module._UNIT_MESH, tuple(first.mesh[1:].tolist()))
+        hits = numerics._mesh_kernel.cache_info().hits
+        kernel, bracket = numerics._mesh_kernel(*key)
+        assert numerics._mesh_kernel.cache_info().hits == hits + 1
+        for arr in (kernel.nodes, kernel.left, kernel.offset, kernel.slope, kernel.right, bracket):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+        second = decompose(x, h, m=8)
+        for name in ("Z", "Q", "bracket_M"):
+            np.testing.assert_array_equal(getattr(second, name), getattr(first, name))
 
     def test_bracket_is_deterministic_in_the_path(self):
         # <M> depends only on (H, mesh), not on the observed values
@@ -160,12 +181,8 @@ def _reference_decompose(x, h, m):
     mesh = idx * x.d
     full = x.full_values()
     rho = 2.0 * h.h - 1.0
-    cs = tuple(float(c) for c in mesh[1:] ** rho)
-    sols, _ = numerics._cached_endpoint_solutions(h.h, mle_module._UNIT_MESH, cs)
-    diag, _ = numerics._cached_diagonal_values(h.h, mle_module._UNIT_MESH, cs)
-    bracket = np.concatenate(
-        ([0.0], numerics._layer_cumulative_square_integral(mesh[1:], np.asarray(diag), rho))
-    )
+    sols, _, bracket, _ = numerics._solve_kernel(h.h, mle_module._UNIT_MESH, mesh[1:], mesh[1:])
+    bracket = np.concatenate(([0.0], bracket))
     dm = np.diff(bracket)
     dx = np.diff(full)
     grid = np.repeat(x.full_times(), 2)[:-1]

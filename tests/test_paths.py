@@ -255,6 +255,10 @@ class TestPathCsv:
         with pytest.raises(ValueError, match=f"line {lineno}: expected 2 fields"):
             read_path_csv(io.StringIO(content))
 
+    def test_names_the_line_of_a_non_number(self):
+        with pytest.raises(ValueError, match="^line 4: could not convert string to float: 'x'$"):
+            read_path_csv(io.StringIO("t,value\n0,0\n\n0.2,x\n"))
+
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=20))
     @settings(max_examples=40, deadline=None)
     def test_round_trip_arbitrary_values(self, vals):
