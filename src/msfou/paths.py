@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.linalg import blas
 
 from .noise import HurstParam, NoiseSpec, sample_fgn
 
@@ -198,9 +198,15 @@ def euler_msfou(
 
     drive = ds + dw
     a = 1.0 - theta * d
-    # Linear recursion X_{i+1} = a X_i + drive_i as an IIR filter.
+    # X_i = a X_{i-1} + drive_i is the bidiagonal solve (I - a*shift) X = drive.
+    # The transposed band makes each step round as fl(drive_i + fl(a X_{i-1})),
+    # the plain loop's rounding; the direct sweep fuses the multiply-add.
     drive[0] += a * x0
-    values = lfilter([1.0], [1.0, -a], drive)
+    band = np.empty((2, N), order="F")  # BLAS layout: no copy inside dtbsv
+    band[0, 0] = 0.0
+    band[0, 1:] = -a
+    band[1] = 1.0
+    values = blas.dtbsv(1, band, drive, lower=0, trans=1, diag=1)
     return SamplePath(d=d, values=values, initial_value=x0)
 
 

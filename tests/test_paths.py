@@ -162,6 +162,14 @@ class TestMsfbmPath:
 # Euler scheme
 # ---------------------------------------------------------------------------
 
+def _drive_parts(h, d, n, seed):
+    """The sfBm and Brownian increments ``euler_msfou`` draws for ``seed``."""
+    fgn = sample_fgn(NoiseSpec(n=2 * n, seed=seed, stream=0), h)
+    ds = np.diff(sfbm_path(two_sided_fbm(fgn, d, h)).full_values())
+    rng = NoiseSpec(n=n, seed=seed, stream=1).rng()
+    return ds, math.sqrt(d) * rng.standard_normal(n)
+
+
 class TestEulerMsfou:
     def test_deterministic(self):
         a = euler_msfou(theta=1.0, H=HurstParam(0.65), d=0.01, N=100, seed=11)
@@ -197,18 +205,37 @@ class TestEulerMsfou:
         theta, d, n, seed = 0.7, 0.02, 64, 99
         h = HurstParam(0.55)
         x = euler_msfou(theta=theta, H=h, d=d, N=n, seed=seed, x0=0.5)
-
-        fgn = sample_fgn(NoiseSpec(n=2 * n, seed=seed, stream=0), h)
-        s = sfbm_path(two_sided_fbm(fgn, d, h))
-        ds = np.diff(s.full_values())
-        rng = NoiseSpec(n=n, seed=seed, stream=1).rng()
-        dw = math.sqrt(d) * rng.standard_normal(n)
+        ds, dw = _drive_parts(h, d, n, seed)
 
         cur, out = 0.5, []
         for i in range(n):
             cur = (1.0 - theta * d) * cur + ds[i] + dw[i]
             out.append(cur)
         assert np.allclose(x.values, out, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 5000])
+    @pytest.mark.parametrize("theta", [0.7, 0.0, -0.5])
+    @pytest.mark.parametrize("x0", [0.0, 0.5])
+    def test_recursion_rounds_like_the_plain_loop(self, n, theta, x0):
+        # Byte equality pins the rounding fl(drive_i + fl(a*X_{i-1})): a
+        # solver that fuses the multiply-add moves the last bits and fails.
+        d, seed = 0.02, 99
+        h = HurstParam(0.55)
+        x = euler_msfou(theta=theta, H=h, d=d, N=n, seed=seed, x0=x0)
+        ds, dw = _drive_parts(h, d, n, seed)
+        drive = ds + dw
+        a = 1.0 - theta * d
+        drive[0] += a * x0
+
+        cur, out = 0.0, []
+        for v in drive.tolist():
+            cur = v + a * cur
+            out.append(cur)
+        assert np.array_equal(x.values, out)
+
+    def test_overflowing_explosive_path_is_rejected(self):
+        with pytest.raises(ValueError, match="path values must be finite"):
+            euler_msfou(theta=-0.5, H=HurstParam(0.55), d=0.1, N=20000, seed=99)
 
     @pytest.mark.parametrize("kwargs", [
         {"d": 0.0, "N": 10}, {"d": -0.1, "N": 10}, {"d": 0.1, "N": 0},

@@ -1,15 +1,21 @@
 """Every name the demos and the README examples import from msfou exists.
 
 The demos take minutes to run, so this suite only parses them (and the
-```python blocks of the README) and resolves their msfou imports.
+```python blocks of the README) and resolves their msfou imports. It also
+pins which heavy scipy subpackages a fresh ``import msfou.cli`` loads.
 """
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import msfou
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -45,3 +51,16 @@ def test_msfou_imports_resolve(name):
 def test_sources_found():
     assert any(name.endswith(".py") for name in SOURCES)
     assert any(name.startswith("README") for name in SOURCES)
+
+
+def test_cli_import_skips_scipy_signal_and_stats():
+    # scipy.signal, with the scipy.stats it imports, costs about as much start-up
+    # as all the rest of msfou; every short CLI run and pool worker would pay it.
+    env = dict(os.environ, PYTHONPATH=str(Path(msfou.__file__).resolve().parents[1]))
+    code = (
+        "import sys, msfou.cli; "
+        "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
