@@ -52,7 +52,8 @@ class ExperimentConfig:
 
     A config its estimator cannot apply to is rejected here, before any
     path is simulated, with a ValueError naming the field: every numeric
-    field but H must be finite (H must lie in (0, 1)); LSE needs
+    field but H must be finite (H must lie in (0, 1)), and replications,
+    master_seed and mle_mesh integers (300.0 is accepted); LSE needs
     theta_true > 0 and H > 1/2; practical and MLE H >= 1/2; MLE 8 <= mle_mesh <= N.
     """
 
@@ -72,6 +73,9 @@ class ExperimentConfig:
         for name in ("theta_true", "x0", "d", "T", "replications", "master_seed", "mle_mesh"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("replications", "master_seed", "mle_mesh"):
+            if not float(getattr(self, name)).is_integer():
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)}")
         if not 0.0 < self.H < 1.0:
             raise ValueError(f"H must lie in (0, 1), got {self.H}")
         if int(self.replications) < 1:

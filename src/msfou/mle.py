@@ -24,30 +24,32 @@ stays predictable (one-sided at the right endpoint, which the sums never
 use). At H = 1/2 everything collapses to g = 1, Z = X, Q_{k-1} = X_{k-1},
 <M> = t, and the estimator coincides with the classical OU MLE.
 
-The kernel comes from one call, ``numerics._mesh_kernel``, which returns
-the unit-mesh interpolant of g(., t_k) for every mesh time and <M> on the
-mesh, cached per (H, mesh). The integrals against the path are sums over
-the observation grid of that interpolant, whose ``sums`` method takes all
-m of them from a few prefix sums of the path: O(N + m * 256) work per path
-instead of O(m * N).
+Everything in ``decompose`` but a few prefix sums of the path depends on
+the grid (H, N, d, m) alone, so it is built once per grid and cached
+(``_grid_plan``): the kernel solves and <M> from ``numerics._mesh_kernel``,
+and from its interpolant of g(., t_k) the ``numerics`` operators that sum
+g against a path on the observation grid, plus the integral of g alone.
+The interpolant itself is not kept. A path on a cached grid then costs
+O(N + m * 256) instead of O(m * N).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .estimators import EstimateResult, Method
 from .noise import HurstParam
-from .numerics import _mesh_kernel, _require_hurst
+from .numerics import _GridSums, _mesh_kernel, _require_hurst
 from .paths import SamplePath
 
 __all__ = ["MartingaleDecomposition", "decompose", "mle"]
 
 # Unit-mesh resolution for the kernel solves behind Z, Q and <M>. One
-# assembly per Hurst value; the kernel and its interpolant are cached per
-# (H, mesh), so Monte Carlo loops pay the dense solves once.
+# assembly per Hurst value; the solves and the sums built from them are
+# cached per grid (H, N, d, m), so Monte Carlo loops pay them once.
 _UNIT_MESH = 256
 
 
@@ -78,6 +80,81 @@ class MartingaleDecomposition:
             raise ValueError("bracket_M must start at 0 and strictly increase")
 
 
+def _mesh_indices(n: int, m: int) -> np.ndarray:
+    """Observation index round(k N / m) of mesh time k = 0..m."""
+    idx = np.round(np.arange(m + 1) * (n / m)).astype(int)
+    idx[0], idx[-1] = 0, n
+    if np.any(np.diff(idx) <= 0):
+        raise ValueError(f"mesh size {m} does not embed in {n} observation points")
+    return idx
+
+
+@dataclass(frozen=True, eq=False)
+class _GridPlan:
+    """The part of ``decompose`` that depends on the grid (H, N, d, m) only.
+
+    z_sums takes g(., t_k) at the step midpoints up to t_k; trap_sums at
+    the observation times up to t_k and up to t_{k-1}. g_0, g_stop and
+    g_prev are g(s, t_k) at s = 0, t_k and t_{k-1}; d_vals the trapezoid
+    int_0^{t_{k-1}} g(s, t_k) ds; bracket is <M> on the mesh, dm its steps.
+    """
+
+    z_sums: _GridSums
+    trap_sums: _GridSums
+    g_0: np.ndarray
+    g_stop: np.ndarray
+    g_prev: np.ndarray
+    d_vals: np.ndarray
+    bracket: np.ndarray
+    dm: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("g_0", "g_stop", "g_prev", "d_vals", "bracket", "dm"):
+            getattr(self, name).setflags(write=False)
+
+
+@functools.lru_cache(maxsize=16)
+def _grid_plan(hh: float, n: int, d: float, m: int) -> _GridPlan:
+    """Kernel solves and grid-only sums for paths of n steps d on an m-panel mesh.
+
+    Cached per (H, N, d, m): paths sharing a grid pay the solves, the
+    interpolant and the operators' build once, and the interpolant itself
+    is dropped once the operators hold what they need of it. Raises
+    RuntimeError as the kernel solves do.
+    """
+    idx = _mesh_indices(n, m)
+    times = d * np.arange(n + 1)  # SamplePath.full_times()
+    t = idx[1:] * d
+    kernel, bracket = _mesh_kernel(hh, _UNIT_MESH, t)
+    dm = np.diff(bracket)
+    if np.any(dm <= 0.0):
+        raise RuntimeError("degenerate bracket increment in <M>")
+    stop, prev = idx[1:], idx[:-1]
+    # Z on the step midpoints up to t_k; F (up to t_k) and the frozen-state
+    # panel sums c, d (up to t_{k-1}) on the observation times
+    z_sums, trap_sums = kernel.grid_sums(
+        t, [(times[:-1] + 0.5 * d, [stop]), (times, [stop + 1, prev + 1])]
+    )
+    rows = np.arange(m)
+    g_0 = kernel.at(rows, np.zeros(m))
+    g_stop = kernel.at(rows, times[stop] / t)
+    g_prev = kernel.at(rows, times[prev] / t)
+    # the operators hold all they need of the interpolant: drop it before
+    # the first sum runs, so the sum's temporaries do not come on top of it
+    del kernel
+    _, d_sum = trap_sums(np.ones(n + 1))
+    return _GridPlan(
+        z_sums=z_sums,
+        trap_sums=trap_sums,
+        g_0=g_0,
+        g_stop=g_stop,
+        g_prev=g_prev,
+        d_vals=d * (d_sum - 0.5 * (g_0 + g_prev)),
+        bracket=bracket,
+        dm=dm,
+    )
+
+
 def decompose(x: SamplePath, h: HurstParam, m: int = 128) -> MartingaleDecomposition:
     """Compute Z, Q, <M> at m mesh times snapped onto the observation grid.
 
@@ -87,15 +164,20 @@ def decompose(x: SamplePath, h: HurstParam, m: int = 128) -> MartingaleDecomposi
     step); the Q numerator F(t_k) integrates g * X by the trapezoid rule on
     the full grid, and the frozen-state panel of Q integrates g * X and g
     by the trapezoid rule up to t_{k-1}. Each of these four integrals is a
-    plain sum of g(s_i, t_k) a_i over the grid, taken for all k at once by
-    the interpolant's ``sums`` from prefix sums of a, with the trapezoid's
-    half weights at s = 0, t_{k-1} and t_k subtracted afterwards. Requires
-    N >= m >= 8 and H >= 1/2. Raises RuntimeError when a kernel solve's
-    linear-system residual exceeds 1e-6, as ``solve_g_kernel`` does.
+    plain sum of g(s_i, t_k) a_i over the grid, with the trapezoid's half
+    weights at s = 0, t_{k-1} and t_k subtracted afterwards. The kernel
+    solves, <M>, the integral of g alone and everything else of these sums
+    but a few prefix sums of the path are built once per grid (H, N, d, m)
+    and cached, so a further path on the grid costs O(N + m * 256). m must
+    be an integer with N >= m >= 8, and H >= 1/2. Raises RuntimeError when
+    a kernel solve's linear-system residual exceeds 1e-6, as
+    ``solve_g_kernel`` does.
     """
     _require_hurst(h)
     if h.h < 0.5:
         raise ValueError("decompose requires H >= 1/2")
+    if not float(m).is_integer():
+        raise ValueError(f"mesh size m must be an integer, got {m}")
     m = int(m)
     if m < 8:
         raise ValueError(f"mesh size must be >= 8, got {m}")
@@ -103,10 +185,7 @@ def decompose(x: SamplePath, h: HurstParam, m: int = 128) -> MartingaleDecomposi
     if n < m:
         raise ValueError(f"path has {n} points, fewer than mesh size {m}")
 
-    idx = np.round(np.arange(m + 1) * (n / m)).astype(int)
-    idx[0], idx[-1] = 0, n
-    if np.any(np.diff(idx) <= 0):
-        raise ValueError(f"mesh size {m} does not embed in {n} observation points")
+    idx = _mesh_indices(n, m)
     mesh = idx * x.d
     full = x.full_values()
 
@@ -115,38 +194,27 @@ def decompose(x: SamplePath, h: HurstParam, m: int = 128) -> MartingaleDecomposi
         vals = full[idx]
         return MartingaleDecomposition(mesh=mesh, Z=vals, Q=vals.copy(), bracket_M=mesh)
 
-    t = mesh[1:]
-    kernel, bracket = _mesh_kernel(h.h, _UNIT_MESH, tuple(t.tolist()))
-    dm = np.diff(bracket)
-    if np.any(dm <= 0.0):
-        raise RuntimeError("degenerate bracket increment in <M>")
-
+    plan = _grid_plan(h.h, n, x.d, m)
     stop, prev = idx[1:], idx[:-1]
-    times = x.full_times()
     # Z(t_k): g(., t_k) at the step midpoints against the raw increments
-    (z_vals,) = kernel.sums(t, times[:-1] + 0.5 * x.d, [(np.diff(full), stop)])
+    (z_vals,) = plan.z_sums(np.diff(full))
     # F(t_k) = int_0^{t_k} g(s, t_k) X_s ds and the frozen-state panel
-    # sums c_k, d_k below are trapezoid rules on the observation times:
-    # plain sums up to the last point, minus half of each end value
-    f_sum, c_sum, d_sum = kernel.sums(
-        t, times, [(full, stop + 1), (full, prev + 1), (np.ones_like(full), prev + 1)]
-    )
-    rows = np.arange(m)
-    g_0 = kernel.at(rows, np.zeros(m))
-    g_stop = kernel.at(rows, times[stop] / t)
-    g_prev = kernel.at(rows, times[prev] / t)
-    f_vals = x.d * (f_sum - 0.5 * (g_0 * full[0] + g_stop * full[stop]))
+    # sums c_k below and d_k (the plan's d_vals) are trapezoid rules on the
+    # observation times: plain sums up to the last point, minus half of
+    # each end value
+    f_sum, c_sum = plan.trap_sums(full)
+    f_vals = x.d * (f_sum - 0.5 * (plan.g_0 * full[0] + plan.g_stop * full[stop]))
     # Q(t_{k-1}) by a predictable forward difference: the kernel is
     # advanced to t_k but the path is frozen at t_{k-1}, so Q never
     # peeks at the innovation it multiplies in the likelihood sums
     # (a look-ahead Q turns the numerator into a symmetric integral
     # and attenuates theta_hat by O(1), independent of the mesh).
     # The frozen-state panel uses int_0^{t_k} g(s, t_k) ds = <M>_k.
-    c_vals = x.d * (c_sum - 0.5 * (g_0 * full[0] + g_prev * full[prev]))
-    d_vals = x.d * (d_sum - 0.5 * (g_0 + g_prev))
+    c_vals = x.d * (c_sum - 0.5 * (plan.g_0 * full[0] + plan.g_prev * full[prev]))
     f_before = np.concatenate(([0.0], f_vals[:-1]))
+    bracket, dm = plan.bracket, plan.dm
     q_vals = np.empty(m + 1)
-    q_vals[:-1] = (c_vals - f_before + full[prev] * (bracket[1:] - d_vals)) / dm
+    q_vals[:-1] = (c_vals - f_before + full[prev] * (bracket[1:] - plan.d_vals)) / dm
     # right endpoint: one-sided, never enters the left-point sums
     q_vals[m] = (f_vals[-1] - f_vals[-2]) / dm[-1]
 

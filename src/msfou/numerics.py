@@ -18,11 +18,15 @@ Four tools live here:
   ``g(s,s)`` and the bracket ``<M>_t = int_0^t g(s,s)^2 ds``.
 
 This module is the only one that knows how g is discretized. ``mle``
-takes from it one cached call, ``_mesh_kernel``, which gives for an
-estimation mesh the interpolant of g(., t_k) at every mesh time and the
-bracket <M> on the mesh. The interpolant evaluates g(., t) at any sigma
-(``at``) and sums it against data on a uniform grid (``sums``). Both it
-and ``solve_g_kernel`` take their solves from ``_solve_kernel``.
+takes from it ``_mesh_kernel``, which gives for an estimation mesh the
+interpolant of g(., t_k) at every mesh time and the bracket <M> on the
+mesh. The interpolant evaluates g(., t) at any sigma (``at``) and builds
+operators that sum it against data on a uniform grid (``grid_sums``):
+everything in those sums that depends on the grid alone is built with
+the operator, so applying it to data costs a few prefix sums, gathers
+and dot products. Both ``_mesh_kernel`` and ``solve_g_kernel`` take their
+solves from ``_solve_kernel``; what is worth caching is the caller's
+choice.
 
 The kernel ``kappa`` is homogeneous of degree ``2H-2``, so ``g(t*sigma, t)``
 as a function of ``sigma`` solves ``(I + t^(2H-1) K) G = 1`` on a fixed unit
@@ -84,8 +88,9 @@ _EDGE_ORDER = 2
 
 _MAX_MESH = 4096
 
-# Mesh points per block of the interpolant's grid sums, so their
-# (block x panels) temporaries stay near 256 KiB whatever the row count.
+# Mesh points per block of the grid-sum operators, as they are built and
+# as they run, so their (block x panels) temporaries stay near 256 KiB
+# whatever the row count.
 _ROW_BLOCK = 128
 
 
@@ -517,60 +522,133 @@ class _UnitInterpolant:
         )
         return out
 
-    def sums(
-        self, t: np.ndarray, s: np.ndarray, terms: list[tuple[np.ndarray, np.ndarray]]
-    ) -> list[np.ndarray]:
-        """For each (a, n) in terms, the sums over i < n[k] of g_k(s_i / t_k) a_i.
+    def grid_sums(
+        self, t: np.ndarray, grids: list[tuple[np.ndarray, list[np.ndarray]]]
+    ) -> list[_GridSums]:
+        """Operators a -> [sums over i < n[k] of g_k(s_i / t_k) a_i, for n in ns].
 
-        g_k is row k; s is a uniform grid from s_0 >= 0 with s_i <= t_k for
-        i < n[k]. With sigma = s/t_k and e the exponent, the left layer
-        (sum_p c_p sigma^(p e)) and each interior panel
-        (1 - sigma^e (A_q + B_q sigma)) are separable, so their sums are
-        t_k^(-p e) and t_k^(-e-1) times the prefix sums cumsum(a s^(p e))
-        and cumsum(a s^(e+1)), read where the panel boundaries cut s.
-        Summed by parts, each boundary carries the jump of A_q or B_q across
-        it. The prefix sums cost O(N) per term, the boundaries O(panels) per
-        row. Only the right layer, where (1 - sigma)^e does not separate, is
-        evaluated point by point. Rows go in blocks of ``_ROW_BLOCK``.
+        One operator per (s, ns) in grids; g_k is row k, s a uniform grid
+        from s_0 >= 0 with s_i <= t_k for i < n[k]. With sigma = s/t_k and
+        e the exponent, the left layer (sum_p c_p sigma^(p e)) and each
+        interior panel (1 - sigma^e (A_q + B_q sigma)) are separable, so
+        their sums are t_k^(-p e) and t_k^(-e-1) times the prefix sums
+        cumsum(a s^(p e)) and cumsum(a s^(e+1)), read where the panel
+        boundaries cut s. Summed by parts, each boundary carries the jump
+        of A_q or B_q across it. Only the right layer, where (1 - sigma)^e
+        does not separate, is evaluated point by point. Everything but the
+        prefix sums of a depends on (t, s, n) alone and is built here, once:
+        the cuts, the jumps, the powers of t and s and the right layer's
+        kernel values. The operators share the arrays that depend on t only.
         """
         e = self.exponent
         # the interior panels q, from sigma = order/m to 1 - order/m
         inner = slice(_EDGE_ORDER - 1, self.nodes.size - _EDGE_ORDER - 1)
         bounds = self.nodes[inner.start : inner.stop + 1]
-        u = s**e
-        factors = [u**p for p in range(self.left.shape[1])] + [u * s]
-        prefix = [[np.concatenate(([0.0], np.cumsum(a * f))) for f in factors] for a, _ in terms]
+        blocks = _row_blocks(t.size)
+        grid_parts = []
+        for s, ns in grids:
+            u = s**e
+            factors = tuple(u**p for p in range(self.left.shape[1])) + (u * s,)
+            cuts = [np.empty((t.size, bounds.size), dtype=np.int32) for _ in ns]
+            for block in blocks:
+                # samples below each boundary; a sample within rounding of a
+                # boundary may fall on either side, where the interpolant is continuous
+                below = np.ceil((np.outer(t[block], bounds) - s[0]) / (s[1] - s[0]))
+                below = np.clip(below, 0, s.size)
+                for cut, n in zip(cuts, ns):
+                    cut[block] = np.minimum(below, n[block, None])
+            terms = tuple(self._right_layer(t, s, n, cut) for cut, n in zip(cuts, ns))
+            grid_parts.append((factors, terms))
+        jump_u, jump_us = (np.empty((t.size, bounds.size)) for _ in range(2))
+        for block in blocks:
+            jump_u[block] = -np.diff(self.offset[block, inner], axis=1, prepend=0.0, append=0.0)
+            jump_us[block] = -np.diff(self.slope[block, inner], axis=1, prepend=0.0, append=0.0)
+        t_e = t**-e
+        lead = tuple(self.left[:, p] * t_e**p for p in range(self.left.shape[1]))
+        return [
+            _GridSums(factors, lead, t_e, t_e / t, jump_u, jump_us, terms)
+            for factors, terms in grid_parts
+        ]
 
-        def jumps(coef: np.ndarray) -> np.ndarray:
-            return -np.diff(coef[:, inner], axis=1, prepend=0.0, append=0.0)
+    def _right_layer(
+        self, t: np.ndarray, s: np.ndarray, n: np.ndarray, cut: np.ndarray
+    ) -> _CutTerm:
+        """The right-layer samples cut[k, -1] .. n[k] - 1 of each row k and g_k there."""
+        length = np.maximum(n - cut[:, -1], 0)
+        local = np.repeat(np.arange(t.size, dtype=np.int32), length)
+        end = np.cumsum(length)  # where row k's samples end in pos
+        shift = np.repeat(cut[:, -1] - (end - length), length)
+        pos = (np.arange(local.size) + shift).astype(np.int32)
+        g = np.empty(local.size)
+        for block in _row_blocks(t.size):
+            seg = slice(end[block][0] - length[block][0], end[block][-1])
+            g[seg] = self.at(local[seg], s[pos[seg]] / t[local[seg]])
+        return _CutTerm(cut, local, pos, g)
 
-        sums = [np.empty(t.size) for _ in terms]
-        for start in range(0, t.size, _ROW_BLOCK):
-            block = slice(start, start + _ROW_BLOCK)
-            t_b = t[block]
-            t_e = t_b**-e
-            # samples below each boundary; a sample within rounding of a
-            # boundary may fall on either side, where the interpolant is continuous
-            below = np.ceil((np.outer(t_b, bounds) - s[0]) / (s[1] - s[0]))
-            below = np.clip(below, 0, s.size).astype(int)
-            jump_u, jump_us = jumps(self.offset[block]), jumps(self.slope[block])
-            for (a, n), (*powers, tail), out in zip(terms, prefix, sums):
-                cut = np.minimum(below, n[block, None])
-                first, last = cut[:, 0], cut[:, -1]
-                val = sum(
-                    self.left[block, p] * t_e**p * pw[first] for p, pw in enumerate(powers)
-                )
-                val += powers[0][last] - powers[0][first]
-                val -= t_e * np.einsum("kr,kr->k", powers[1][cut], jump_u)
-                val -= t_e / t_b * np.einsum("kr,kr->k", tail[cut], jump_us)
-                # right layer: samples last[j] .. n[k] - 1 of row k = start + j
-                length = np.maximum(n[block] - last, 0)
-                local = np.repeat(np.arange(t_b.size), length)
-                run = np.cumsum(length) - length  # where row j's samples start in pos
-                pos = np.arange(length.sum()) + np.repeat(last - run, length)
-                g = self.at(start + local, s[pos] / t_b[local])
-                out[block] = val + np.bincount(local, weights=g * a[pos], minlength=t_b.size)
+
+@dataclass(frozen=True, eq=False)
+class _CutTerm:
+    """The grid-only part of one upper limit n of a ``_GridSums``.
+
+    cut[k, r]: samples of s below boundary r of row k, capped at n[k];
+    the right layer's samples pos, their rows local and g_local(s_pos/t).
+    The index arrays are int32, half the memory of numpy's default.
+    """
+
+    cut: np.ndarray
+    local: np.ndarray
+    pos: np.ndarray
+    g: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class _GridSums:
+    """Sums of every interpolant row against data on one grid; see ``grid_sums``.
+
+    lead[p] = left[:, p] t^(-p e), t_e = t^(-e), t_e1 = t^(-e-1) and the
+    jumps of the interior coefficients across each panel boundary; factors
+    are s^(p e) and s^(e+1). All arrays are read-only once built.
+    """
+
+    factors: tuple[np.ndarray, ...]
+    lead: tuple[np.ndarray, ...]
+    t_e: np.ndarray
+    t_e1: np.ndarray
+    jump_u: np.ndarray
+    jump_us: np.ndarray
+    terms: tuple[_CutTerm, ...]
+
+    def __post_init__(self) -> None:
+        for arr in (*self.factors, *self.lead, self.t_e, self.t_e1, self.jump_u, self.jump_us):
+            arr.setflags(write=False)
+        for term in self.terms:
+            for arr in (term.cut, term.local, term.pos, term.g):
+                arr.setflags(write=False)
+
+    def __call__(self, a: np.ndarray) -> list[np.ndarray]:
+        """[sum over i < n[k] of g_k(s_i / t_k) a_i, for each n]: O(N + rows * panels)."""
+        *powers, tail = (np.concatenate(([0.0], np.cumsum(a * f))) for f in self.factors)
+        sums = []
+        for term in self.terms:
+            first, last = term.cut[:, 0], term.cut[:, -1]
+            val = sum(c * pw[first] for c, pw in zip(self.lead, powers))
+            val += powers[0][last] - powers[0][first]
+            dots = np.empty((2, val.size))
+            for block in _row_blocks(val.size):
+                # numpy gathers by intp indices faster than by the stored int32
+                cut = term.cut[block].astype(np.intp)
+                dots[0, block] = np.einsum("kr,kr->k", powers[1][cut], self.jump_u[block])
+                dots[1, block] = np.einsum("kr,kr->k", tail[cut], self.jump_us[block])
+            val -= self.t_e * dots[0]
+            val -= self.t_e1 * dots[1]
+            pos = term.pos.astype(np.intp)
+            sums.append(val + np.bincount(term.local, weights=term.g * a[pos], minlength=val.size))
         return sums
+
+
+def _row_blocks(rows: int) -> list[slice]:
+    """Consecutive slices of at most ``_ROW_BLOCK`` rows covering range(rows)."""
+    return [slice(start, start + _ROW_BLOCK) for start in range(0, rows, _ROW_BLOCK)]
 
 
 def _power_series(coef: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -708,20 +786,15 @@ def _solve_kernel(
     return rows, diagonal, bracket, residual
 
 
-@functools.lru_cache(maxsize=16)
-def _mesh_kernel(hh: float, unit: int, t_key: tuple) -> tuple[_UnitInterpolant, np.ndarray]:
-    """Interpolant of g(., t_k) and <M> at (0,) + t_key, on unit meshes of ``unit`` nodes.
+def _mesh_kernel(hh: float, unit: int, t: np.ndarray) -> tuple[_UnitInterpolant, np.ndarray]:
+    """Interpolant of g(., t_k) and <M> at (0,) + t, on unit meshes of ``unit`` nodes.
 
-    Row k of the interpolant is g(., t_k) for t_k = t_key[k] (increasing,
-    positive). Cached per (H, unit, mesh), so paths sharing a mesh pay the
-    solves and the interpolant's build once; every returned array is
-    read-only. Raises RuntimeError as ``_solve_kernel`` does.
+    Row k of the interpolant is g(., t_k) for t_k = t[k] (increasing,
+    positive). Uncached: its caller keeps what it needs of the result.
+    Raises RuntimeError as ``_solve_kernel`` does.
     """
-    t = np.array(t_key)
     rows, _, bracket, _ = _solve_kernel(hh, unit, t, t)
-    bracket = np.concatenate(([0.0], bracket))
-    bracket.setflags(write=False)
-    return _unit_interpolant(rows, 2.0 * hh - 1.0), bracket
+    return _unit_interpolant(rows, 2.0 * hh - 1.0), np.concatenate(([0.0], bracket))
 
 
 @dataclass(frozen=True, eq=False)

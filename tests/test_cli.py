@@ -365,11 +365,15 @@ class TestUserErrors:
             ({"estimator": "practical", "H": "0.65"}, "H must be a number"),
             ({"estimator": "practical", "T": True}, "T must be a number"),
             ({"estimator": 3}, "estimator must be one of mle, lse, practical, nonergodic, got 3"),
+            ({"estimator": "practical", "replications": 2.5}, "replications must be an integer"),
+            ({"estimator": "practical", "master_seed": 1.5}, "master_seed must be an integer"),
+            ({"estimator": "mle", "mle_mesh": 8.9}, "mle_mesh must be an integer"),
         ],
         ids=["lse-negative-theta", "mle-mesh-above-N", "bad-hurst", "unknown-field",
              "practical-H-below-half", "mle-H-below-half", "nan-theta", "nan-x0",
              "infinite-d", "infinite-T", "infinite-replications", "nan-mle-mesh",
-             "string-replications", "null-x0", "string-H", "true-T", "number-estimator"],
+             "string-replications", "null-x0", "string-H", "true-T", "number-estimator",
+             "fractional-replications", "fractional-master-seed", "fractional-mle-mesh"],
     )
     def test_invalid_config(self, tmp_path, capsys, overrides, field):
         cfg_file = tmp_path / "cfg.json"

@@ -94,11 +94,16 @@ class TestExperimentConfig:
             (dict(T=math.inf), "T must be finite"),
             (dict(replications=math.inf), "replications must be finite"),
             (dict(master_seed=math.inf), "master_seed must be finite"),
+            (dict(replications=2.5), "replications must be an integer, got 2.5"),
+            (dict(master_seed=1.5), "master_seed must be an integer, got 1.5"),
+            (dict(estimator=Method.MLE, mle_mesh=8.9), "mle_mesh must be an integer, got 8.9"),
+            (dict(mle_mesh=8.9), "mle_mesh must be an integer, got 8.9"),
         ],
         ids=["lse-negative-theta", "lse-zero-theta", "lse-brownian-H", "mle-mesh-below-8",
              "mle-mesh-above-N", "practical-H-below-half", "mle-H-below-half",
              "nan-theta", "nan-x0", "infinite-d", "infinite-T", "infinite-replications",
-             "infinite-master-seed"],
+             "infinite-master-seed", "fractional-replications", "fractional-master-seed",
+             "fractional-mle-mesh", "fractional-mle-mesh-unused"],
     )
     def test_rejects_fields_the_estimator_cannot_use(self, overrides, field):
         with pytest.raises(ValueError, match=field):
@@ -110,6 +115,11 @@ class TestExperimentConfig:
         assert _config(estimator=Method.NONERGODIC, theta_true=-1.0, H=0.5).theta_true == -1.0
         assert _config(estimator=Method.PRACTICAL, H=0.5).H == 0.5
         assert _config(estimator=Method.MLE, H=0.5, mle_mesh=8).H == 0.5
+
+    def test_integral_floats_are_accepted(self):
+        cfg = _config(replications=300.0, master_seed=7.0, mle_mesh=16.0)
+        assert (cfg.replications, cfg.master_seed, cfg.mle_mesh) == (300, 7, 16)
+        assert all(type(v) is int for v in (cfg.replications, cfg.master_seed, cfg.mle_mesh))
 
     def test_estimator_must_be_method(self):
         with pytest.raises(TypeError):

@@ -3,7 +3,7 @@
 Covers:
   1. MartingaleDecomposition container validation.
   2. decompose: Brownian shortcut, mesh embedding, degenerate paths,
-     noise-free drift recovery, parameter gates.
+     noise-free drift recovery, parameter gates, the per-grid plan cache.
   3. decompose against a per-mesh-point reference loop that evaluates the
      kernel on every observation up to each mesh time.
   4. mle: exact agreement with the classical discretized OU likelihood
@@ -11,7 +11,9 @@ Covers:
      identity, and a small Monte Carlo sign check.
 """
 
+import dataclasses
 import importlib
+import math
 
 import numpy as np
 import pytest
@@ -118,12 +120,18 @@ class TestDecompose:
             decompose(x, h, m=7)
         with pytest.raises(ValueError):
             decompose(x, h, m=65)
+        for bad in (8.7, math.nan, math.inf):
+            for fn in (decompose, mle):
+                with pytest.raises(ValueError, match="mesh size m must be an integer"):
+                    fn(x, h, m=bad)
+        np.testing.assert_array_equal(decompose(x, h, m=8.0).Q, decompose(x, h, m=8).Q)
 
     @pytest.mark.parametrize("system", ["_unit_kernel_system", "_graded_unit_system"])
     def test_large_solve_residual_raises(self, system, monkeypatch):
         # the batch solve of one of the two systems reports a residual of
         # 1e-3, on a grid (d = 0.0371) that no other test decomposes, so no
-        # cached kernel can stand in for the solve
+        # cached plan can stand in for the solve; the cache keeps no
+        # exception, so a second call solves and raises again
         h = HurstParam(0.65)
         faulty, _ = getattr(numerics, system)(h.h, mle_module._UNIT_MESH)
         real = numerics._batch_scaled_solve
@@ -134,24 +142,50 @@ class TestDecompose:
 
         monkeypatch.setattr(numerics, "_batch_scaled_solve", solve)
         x = euler_msfou(theta=1.0, H=h, d=0.0371, N=64, seed=5)
-        with pytest.raises(RuntimeError, match="residual 1.000e-03 > 1e-6"):
-            decompose(x, h, m=8)
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="residual 1.000e-03 > 1e-6"):
+                decompose(x, h, m=8)
 
     def test_cached_kernel_is_read_only(self):
-        # decompose's kernel and <M> are shared by every path on the grid
+        # decompose's kernel sums and <M> live in a plan shared by every path on the grid
         h = HurstParam(0.7)
-        x = euler_msfou(theta=1.0, H=h, d=0.0293, N=64, seed=3)
-        first = decompose(x, h, m=8)
-        key = (h.h, mle_module._UNIT_MESH, tuple(first.mesh[1:].tolist()))
-        hits = numerics._mesh_kernel.cache_info().hits
-        kernel, bracket = numerics._mesh_kernel(*key)
-        assert numerics._mesh_kernel.cache_info().hits == hits + 1
-        for arr in (kernel.nodes, kernel.left, kernel.offset, kernel.slope, kernel.right, bracket):
+        x, y = (euler_msfou(theta=1.0, H=h, d=0.0293, N=64, seed=seed) for seed in (3, 4))
+        decompose(x, h, m=8)
+        info = mle_module._grid_plan.cache_info()
+        warm = decompose(y, h, m=8)
+        assert mle_module._grid_plan.cache_info().hits == info.hits + 1
+        assert mle_module._grid_plan.cache_info().misses == info.misses
+        arrays = list(_arrays(mle_module._grid_plan(h.h, x.n, x.d, 8)))
+        assert len(arrays) >= 20
+        for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
-                arr[0] = 0.0
-        second = decompose(x, h, m=8)
+                arr[0] = 0
+        mle_module._grid_plan.cache_clear()
+        cold = decompose(y, h, m=8)
         for name in ("Z", "Q", "bracket_M"):
-            np.testing.assert_array_equal(getattr(second, name), getattr(first, name))
+            assert getattr(warm, name).tobytes() == getattr(cold, name).tobytes(), name
+
+    def test_plan_is_keyed_on_the_observation_grid(self):
+        # (N, d) = (64, 0.02) and (128, 0.01) share the mesh t_k = 0.16 k
+        # at m = 8 but not the observation grid, so not a plan
+        h = HurstParam(0.7)
+        paths = [euler_msfou(1.0, H=h, d=d, N=n, seed=3) for n, d in ((64, 0.02), (128, 0.01))]
+        mle_module._grid_plan.cache_clear()
+        warm = []
+        for x in paths:
+            misses = mle_module._grid_plan.cache_info().misses
+            warm.append(decompose(x, h, m=8))
+            assert mle_module._grid_plan.cache_info().misses == misses + 1
+        np.testing.assert_array_equal(warm[0].mesh, warm[1].mesh)
+        for x, got in zip(paths, warm):
+            mle_module._grid_plan.cache_clear()
+            cold = decompose(x, h, m=8)
+            want = _reference_decompose(x, h, 8)
+            for name in ("Z", "Q", "bracket_M"):
+                assert getattr(got, name).tobytes() == getattr(cold, name).tobytes(), name
+            for name in ("Z", "Q"):
+                g, w = getattr(got, name), getattr(want, name)
+                assert np.abs(g - w).max() <= 1e-9 * np.abs(w).max(), name
 
     def test_bracket_is_deterministic_in_the_path(self):
         # <M> depends only on (H, mesh), not on the observed values
@@ -202,6 +236,18 @@ def _reference_decompose(x, h, m):
         q_vals[k - 1] = (c_k - f_vals[k - 1] + full[prev] * (bracket[k] - d_k)) / dm[k - 1]
     q_vals[m] = (f_vals[m] - f_vals[m - 1]) / dm[m - 1]
     return MartingaleDecomposition(mesh=mesh, Z=z_vals, Q=q_vals, bracket_M=bracket)
+
+
+def _arrays(obj):
+    """Every numpy array reachable through dataclass fields and tuples of obj."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, tuple):
+        for item in obj:
+            yield from _arrays(item)
+    elif dataclasses.is_dataclass(obj):
+        for field in dataclasses.fields(obj):
+            yield from _arrays(getattr(obj, field.name))
 
 
 def _theta_hat(dec):
