@@ -52,8 +52,9 @@ class ExperimentConfig:
 
     A config its estimator cannot apply to is rejected here, before any
     path is simulated, with a ValueError naming the field: every numeric
-    field but H must be finite (H must lie in (0, 1)), and replications,
-    master_seed and mle_mesh integers (300.0 is accepted); LSE needs
+    field but H, and N = round(T/d), must be finite and within the float
+    range (H must lie in (0, 1)), and replications, master_seed and
+    mle_mesh integers (300.0 is accepted); LSE needs
     theta_true > 0 and H > 1/2; practical and MLE H >= 1/2; MLE 8 <= mle_mesh <= N.
     """
 
@@ -71,8 +72,15 @@ class ExperimentConfig:
         if not isinstance(self.estimator, Method):
             raise TypeError(f"estimator must be a Method, got {self.estimator!r}")
         for name in ("theta_true", "x0", "d", "T", "replications", "master_seed", "mle_mesh"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an integer beyond the float range
+                raise ValueError(
+                    f"{name} is out of range, got an integer of {value.bit_length()} bits"
+                ) from None
+            if not finite:
+                raise ValueError(f"{name} must be finite, got {value}")
         for name in ("replications", "master_seed", "mle_mesh"):
             if not float(getattr(self, name)).is_integer():
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)}")
@@ -84,6 +92,8 @@ class ExperimentConfig:
             raise ValueError(f"master_seed must fit in 64 unsigned bits, got {self.master_seed}")
         if not self.d > 0.0 or not self.T > 0.0:
             raise ValueError(f"d and T must be positive, got d={self.d}, T={self.T}")
+        if math.isinf(self.T / self.d):
+            raise ValueError(f"N = round(T/d) must be finite, got d={self.d}, T={self.T}")
         if self.n_steps < 2:
             raise ValueError(f"N = round(T/d) must be >= 2, got {self.n_steps}")
         if self.estimator is Method.LSE_SKOROHOD:
@@ -235,16 +245,26 @@ def _guarded_estimate(cfg: ExperimentConfig, rep: int) -> float | None:
         return None
 
 
+# Replications per task a worker takes from the pool.
+_CHUNK = 8
+
+
 def _run_replications(cfg: ExperimentConfig, workers: int) -> tuple[np.ndarray, int]:
-    """Estimates in replication order (both maps keep input order), failure count."""
+    """Estimates in replication order (both maps keep input order), failure count.
+
+    The pool starts at most one process per chunk of replications: under
+    the fork start method it starts all its workers at the first task, and
+    a worker without a chunk would only idle.
+    """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     cfgs, reps = [cfg] * cfg.replications, range(cfg.replications)
     if workers == 1:
         results = list(map(_guarded_estimate, cfgs, reps))
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_guarded_estimate, cfgs, reps, chunksize=8))
+        processes = min(workers, -(-cfg.replications // _CHUNK))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=processes) as pool:
+            results = list(pool.map(_guarded_estimate, cfgs, reps, chunksize=_CHUNK))
     estimates = [value for value in results if value is not None]
     n_failed = cfg.replications - len(estimates)
     return np.array(estimates, dtype=float), n_failed

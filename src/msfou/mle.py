@@ -47,9 +47,9 @@ from .paths import SamplePath
 
 __all__ = ["MartingaleDecomposition", "decompose", "mle"]
 
-# Unit-mesh resolution for the kernel solves behind Z, Q and <M>. One
-# assembly per Hurst value; the solves and the sums built from them are
-# cached per grid (H, N, d, m), so Monte Carlo loops pay them once.
+# Unit-mesh resolution for the kernel solves behind Z, Q and <M>. The
+# systems are assembled and solved, and the sums built from them, once per
+# grid (H, N, d, m) in the cached plan, so Monte Carlo loops pay them once.
 _UNIT_MESH = 256
 
 
@@ -176,12 +176,18 @@ def decompose(x: SamplePath, h: HurstParam, m: int = 128) -> MartingaleDecomposi
     _require_hurst(h)
     if h.h < 0.5:
         raise ValueError("decompose requires H >= 1/2")
-    if not float(m).is_integer():
+    n = x.n
+    try:
+        integral = float(m).is_integer()
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(
+            f"path has {n} points, fewer than mesh size m (an integer of {m.bit_length()} bits)"
+        ) from None
+    if not integral:
         raise ValueError(f"mesh size m must be an integer, got {m}")
     m = int(m)
     if m < 8:
         raise ValueError(f"mesh size must be >= 8, got {m}")
-    n = x.n
     if n < m:
         raise ValueError(f"path has {n} points, fewer than mesh size {m}")
 

@@ -25,8 +25,9 @@ operators that sum it against data on a uniform grid (``grid_sums``):
 everything in those sums that depends on the grid alone is built with
 the operator, so applying it to data costs a few prefix sums, gathers
 and dot products. Both ``_mesh_kernel`` and ``solve_g_kernel`` take their
-solves from ``_solve_kernel``; what is worth caching is the caller's
-choice.
+solves from ``_solve_kernel``, which caches nothing: each call assembles
+and factors its systems anew, and ``mle`` caches what a grid's paths
+repeat.
 
 The kernel ``kappa`` is homogeneous of degree ``2H-2``, so ``g(t*sigma, t)``
 as a function of ``sigma`` solves ``(I + t^(2H-1) K) G = 1`` on a fixed unit
@@ -35,7 +36,7 @@ endpoint ``t``; changing ``t`` only rescales the system by ``c = t^(2H-1)``.
 The diagonal values ``g(s_j, s_j)`` come from a batch of such rescaled
 solves, one per right endpoint ``s_j``, each fully resolved on its own
 scaled mesh. The batch factors ``K`` once, by one eigendecomposition per
-``(H, m)``; each rescaled system is then a diagonal scaling in the
+call; each rescaled system is then a diagonal scaling in the
 eigenbasis, O(m^2) per right endpoint, and its residual is checked
 against the original system.
 
@@ -266,7 +267,6 @@ def correction_integral(theta: float, h: HurstParam, big_t: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=16)
 def _edge_shape_matrix(exponent: float, hstep: float, order: int) -> np.ndarray:
     """Coefficients of the Lagrange shape functions on the layer nodes.
 
@@ -275,10 +275,7 @@ def _edge_shape_matrix(exponent: float, hstep: float, order: int) -> np.ndarray:
     shape function that is 1 at node j and 0 at the others.
     """
     u = (np.arange(order + 1) * hstep) ** exponent
-    vand = np.vander(u, increasing=True)
-    out = np.linalg.inv(vand)
-    out.setflags(write=False)
-    return out
+    return np.linalg.inv(np.vander(u, increasing=True))
 
 
 def _edge_moments(rho: float, m: int, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -365,7 +362,6 @@ def _hat_panel_moments(
     return m0, u1
 
 
-@functools.lru_cache(maxsize=8)
 def _unit_kernel_system(hh: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Nystrom weight matrix W and anchor vector e on the unit mesh j/m.
 
@@ -399,9 +395,6 @@ def _unit_kernel_system(hh: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     inner = slice(order, m - order)
     weights[:, inner] += u1[:, inner]
     weights[:, order - 1 : m - order - 1] += m0[:, inner] - u1[:, inner]
-
-    weights.setflags(write=False)
-    anchor.setflags(write=False)
     return weights, anchor
 
 
@@ -439,7 +432,6 @@ def _batch_scaled_solve(
     return sols, residual
 
 
-@functools.lru_cache(maxsize=8)
 def _graded_unit_system(hh: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Hat-basis Nystrom system on a mesh graded toward both endpoints.
 
@@ -468,9 +460,6 @@ def _graded_unit_system(hh: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     weights_mat = u1  # right node of panel q is unknown column q
     weights_mat[:, : n - 1] += left[:, 1:]  # left nodes of panels 1..n-1
     anchor = left[:, 0].copy()  # left node of panel 0 has known value 1
-
-    weights_mat.setflags(write=False)
-    anchor.setflags(write=False)
     return weights_mat, anchor
 
 
@@ -671,8 +660,6 @@ def _unit_interpolant(sols: np.ndarray, rho: float) -> _UnitInterpolant:
     w = (1.0 - sols) / nodes**exponent
     slope = np.diff(w, axis=1) / np.diff(nodes)
     offset = w[:, :-1] - slope * nodes[:-1]
-    for arr in (nodes, left, offset, slope, right):
-        arr.setflags(write=False)
     return _UnitInterpolant(exponent, nodes, left, offset, slope, right)
 
 
@@ -790,7 +777,8 @@ def _mesh_kernel(hh: float, unit: int, t: np.ndarray) -> tuple[_UnitInterpolant,
     """Interpolant of g(., t_k) and <M> at (0,) + t, on unit meshes of ``unit`` nodes.
 
     Row k of the interpolant is g(., t_k) for t_k = t[k] (increasing,
-    positive). Uncached: its caller keeps what it needs of the result.
+    positive). Uncached, like the unit systems it assembles and solves:
+    ``mle._grid_plan`` keeps what a grid needs of the result.
     Raises RuntimeError as ``_solve_kernel`` does.
     """
     rows, _, bracket, _ = _solve_kernel(hh, unit, t, t)

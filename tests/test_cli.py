@@ -220,9 +220,11 @@ class TestEstimate:
         "args,message",
         [
             (["--method", "mle", "--hurst", "0.6", "--mesh", "4"], "mesh size must be >= 8"),
+            (["--method", "mle", "--hurst", "0.6", "--mesh", str(10**400)],
+             "fewer than mesh size m (an integer of 1329 bits)"),
             (["--method", "lse", "--hurst", "0.4", "--theta-ref", "1"], "requires H > 1/2"),
         ],
-        ids=["mle-mesh-4", "lse-hurst-0.4"],
+        ids=["mle-mesh-4", "mle-mesh-huge", "lse-hurst-0.4"],
     )
     def test_estimator_rejection_is_one_line(self, path_csv, tmp_path, capsys, args, message):
         out = tmp_path / "x.json"
@@ -368,12 +370,17 @@ class TestUserErrors:
             ({"estimator": "practical", "replications": 2.5}, "replications must be an integer"),
             ({"estimator": "practical", "master_seed": 1.5}, "master_seed must be an integer"),
             ({"estimator": "mle", "mle_mesh": 8.9}, "mle_mesh must be an integer"),
+            ({"estimator": "practical", "master_seed": 10**400}, "master_seed is out of range"),
+            ({"estimator": "practical", "x0": 10**400}, "x0 is out of range"),
+            ({"estimator": "mle", "mle_mesh": 10**400}, "mle_mesh is out of range"),
+            ({"estimator": "practical", "T": 1e300, "d": 1e-300}, "N = round(T/d) must be finite"),
         ],
         ids=["lse-negative-theta", "mle-mesh-above-N", "bad-hurst", "unknown-field",
              "practical-H-below-half", "mle-H-below-half", "nan-theta", "nan-x0",
              "infinite-d", "infinite-T", "infinite-replications", "nan-mle-mesh",
              "string-replications", "null-x0", "string-H", "true-T", "number-estimator",
-             "fractional-replications", "fractional-master-seed", "fractional-mle-mesh"],
+             "fractional-replications", "fractional-master-seed", "fractional-mle-mesh",
+             "huge-master-seed", "huge-x0", "huge-mle-mesh", "infinite-N"],
     )
     def test_invalid_config(self, tmp_path, capsys, overrides, field):
         cfg_file = tmp_path / "cfg.json"

@@ -98,12 +98,18 @@ class TestExperimentConfig:
             (dict(master_seed=1.5), "master_seed must be an integer, got 1.5"),
             (dict(estimator=Method.MLE, mle_mesh=8.9), "mle_mesh must be an integer, got 8.9"),
             (dict(mle_mesh=8.9), "mle_mesh must be an integer, got 8.9"),
+            (dict(master_seed=10**400), "master_seed is out of range, got an integer of 1329 bits"),
+            (dict(x0=10**400), "x0 is out of range"),
+            (dict(estimator=Method.MLE, mle_mesh=10**400), "mle_mesh is out of range"),
+            (dict(mle_mesh=-(10**400)), "mle_mesh is out of range"),
+            (dict(T=1e300, d=1e-300), r"N = round\(T/d\) must be finite"),
         ],
         ids=["lse-negative-theta", "lse-zero-theta", "lse-brownian-H", "mle-mesh-below-8",
              "mle-mesh-above-N", "practical-H-below-half", "mle-H-below-half",
              "nan-theta", "nan-x0", "infinite-d", "infinite-T", "infinite-replications",
              "infinite-master-seed", "fractional-replications", "fractional-master-seed",
-             "fractional-mle-mesh", "fractional-mle-mesh-unused"],
+             "fractional-mle-mesh", "fractional-mle-mesh-unused", "huge-master-seed",
+             "huge-x0", "huge-mle-mesh", "huge-mle-mesh-unused", "infinite-N"],
     )
     def test_rejects_fields_the_estimator_cannot_use(self, overrides, field):
         with pytest.raises(ValueError, match=field):
@@ -301,6 +307,37 @@ class TestRunTableExperiment:
         warm = run_table_experiment(cfg)
         pooled = run_table_experiment(cfg, workers=2)
         assert cold == warm == pooled
+
+    @pytest.mark.parametrize(
+        "replications,workers,processes",
+        [(2, 4, 1), (8, 2, 1), (9, 4, 2), (17, 2, 2), (40, 4, 4)],
+    )
+    def test_pool_starts_no_process_without_a_chunk(
+        self, monkeypatch, replications, workers, processes
+    ):
+        # a pool may start all its processes at the first task (under fork
+        # it does), and each process takes chunks of replications
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize):
+                assert len(range(0, replications, chunksize)) >= processes  # a chunk each
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        cfg = _config(replications=replications)
+        stats = run_table_experiment(cfg, workers=workers)
+        assert started == [processes]
+        assert stats == run_table_experiment(cfg)
 
     def test_estimates_depend_on_master_seed(self):
         a = run_table_experiment(_config(master_seed=1))

@@ -124,6 +124,9 @@ class TestDecompose:
             for fn in (decompose, mle):
                 with pytest.raises(ValueError, match="mesh size m must be an integer"):
                     fn(x, h, m=bad)
+        for fn in (decompose, mle):
+            with pytest.raises(ValueError, match="fewer than mesh size m"):
+                fn(x, h, m=10**400)
         np.testing.assert_array_equal(decompose(x, h, m=8.0).Q, decompose(x, h, m=8).Q)
 
     @pytest.mark.parametrize("system", ["_unit_kernel_system", "_graded_unit_system"])
@@ -133,13 +136,19 @@ class TestDecompose:
         # cached plan can stand in for the solve; the cache keeps no
         # exception, so a second call solves and raises again
         h = HurstParam(0.65)
-        faulty, _ = getattr(numerics, system)(h.h, mle_module._UNIT_MESH)
-        real = numerics._batch_scaled_solve
+        build, real = getattr(numerics, system), numerics._batch_scaled_solve
+        faulty = []  # the weight matrices this system's builder returned
+
+        def assemble(hh, m):
+            weights, anchor = build(hh, m)
+            faulty.append(weights)
+            return weights, anchor
 
         def solve(weights, anchor, cs):
             sols, residual = real(weights, anchor, cs)
-            return sols, 1e-3 if weights is faulty else residual
+            return sols, 1e-3 if any(weights is w for w in faulty) else residual
 
+        monkeypatch.setattr(numerics, system, assemble)
         monkeypatch.setattr(numerics, "_batch_scaled_solve", solve)
         x = euler_msfou(theta=1.0, H=h, d=0.0371, N=64, seed=5)
         for _ in range(2):

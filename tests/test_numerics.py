@@ -12,7 +12,9 @@ Frozen constants come from the scripts in tests/oracles/, which use only
 mpmath / direct quadrature and never import this package.
 """
 
+import gc
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -273,6 +275,23 @@ class TestSolveGKernel:
         a = solve_g_kernel(5.0, h, m=64)
         b = solve_g_kernel(10.0, h, m=64)
         assert b.bracket_M[-1] > a.bracket_M[-1]
+
+    def test_solves_keep_no_memory(self):
+        # nothing under solve_g_kernel is cached: the 512 x 512 systems of
+        # two solves at different H (2 MiB each) go with their results
+        solve_g_kernel(20.0, HurstParam(0.6), m=8)  # first-call allocations
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for hh in (0.615, 0.685):
+                solve_g_kernel(20.0, HurstParam(hh), m=512)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        print(f"  kept {kept / 2**20:.2f} MiB")
+        assert kept < 0.1 * 2**20
 
 
 def _per_shift_solutions(weights, anchor, cs):
