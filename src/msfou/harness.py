@@ -252,17 +252,18 @@ _CHUNK = 8
 def _run_replications(cfg: ExperimentConfig, workers: int) -> tuple[np.ndarray, int]:
     """Estimates in replication order (both maps keep input order), failure count.
 
-    The pool starts at most one process per chunk of replications: under
-    the fork start method it starts all its workers at the first task, and
-    a worker without a chunk would only idle.
+    The run uses at most one process per chunk of replications: under the
+    fork start method a pool starts all its workers at the first task, and
+    a worker without a chunk would only idle. A run of one process, which
+    is one worker or one chunk, maps in this process and starts no pool.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     cfgs, reps = [cfg] * cfg.replications, range(cfg.replications)
-    if workers == 1:
+    processes = min(workers, -(-cfg.replications // _CHUNK))
+    if processes == 1:
         results = list(map(_guarded_estimate, cfgs, reps))
     else:
-        processes = min(workers, -(-cfg.replications // _CHUNK))
         with concurrent.futures.ProcessPoolExecutor(max_workers=processes) as pool:
             results = list(pool.map(_guarded_estimate, cfgs, reps, chunksize=_CHUNK))
     estimates = [value for value in results if value is not None]

@@ -23,11 +23,11 @@ interpolant of g(., t_k) at every mesh time and the bracket <M> on the
 mesh. The interpolant evaluates g(., t) at any sigma (``at``) and builds
 operators that sum it against data on a uniform grid (``grid_sums``):
 everything in those sums that depends on the grid alone is built with
-the operator, so applying it to data costs a few prefix sums, gathers
-and dot products. Both ``_mesh_kernel`` and ``solve_g_kernel`` take their
-solves from ``_solve_kernel``, which caches nothing: each call assembles
-and factors its systems anew, and ``mle`` caches what a grid's paths
-repeat.
+the operator, so applying it to data costs a few prefix sums and
+sparse matrix-vector products. Both ``_mesh_kernel`` and
+``solve_g_kernel`` take their solves from ``_solve_kernel``, which caches
+nothing: each call assembles and factors its systems anew, and ``mle``
+caches what a grid's paths repeat.
 
 The kernel ``kappa`` is homogeneous of degree ``2H-2``, so ``g(t*sigma, t)``
 as a function of ``sigma`` solves ``(I + t^(2H-1) K) G = 1`` on a fixed unit
@@ -65,6 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate as _integrate
 from scipy import optimize as _opt
+from scipy import sparse as _sparse
 from scipy import special as _sp
 
 from .noise import HurstParam
@@ -89,9 +90,8 @@ _EDGE_ORDER = 2
 
 _MAX_MESH = 4096
 
-# Mesh points per block of the grid-sum operators, as they are built and
-# as they run, so their (block x panels) temporaries stay near 256 KiB
-# whatever the row count.
+# Mesh points per block as the grid-sum operators are built, so their
+# (block x panels) temporaries stay near 256 KiB whatever the row count.
 _ROW_BLOCK = 128
 
 
@@ -523,11 +523,13 @@ class _UnitInterpolant:
         their sums are t_k^(-p e) and t_k^(-e-1) times the prefix sums
         cumsum(a s^(p e)) and cumsum(a s^(e+1)), read where the panel
         boundaries cut s. Summed by parts, each boundary carries the jump
-        of A_q or B_q across it. Only the right layer, where (1 - sigma)^e
-        does not separate, is evaluated point by point. Everything but the
-        prefix sums of a depends on (t, s, n) alone and is built here, once:
-        the cuts, the jumps, the powers of t and s and the right layer's
-        kernel values. The operators share the arrays that depend on t only.
+        of A_q or B_q across it: a sparse matrix with one row per t_k and
+        one entry per boundary, applied to a prefix sum. Only the right
+        layer, where (1 - sigma)^e does not separate, is evaluated point by
+        point, as a sparse matrix applied to a. Everything but the prefix
+        sums of a depends on (t, s, n) alone and is built here, once: the
+        cuts, the jumps, the powers of t and s and the right layer's kernel
+        values. The operators share the arrays that depend on t only.
         """
         e = self.exponent
         # the interior panels q, from sigma = order/m to 1 - order/m
@@ -546,23 +548,32 @@ class _UnitInterpolant:
                 below = np.clip(below, 0, s.size)
                 for cut, n in zip(cuts, ns):
                     cut[block] = np.minimum(below, n[block, None])
-            terms = tuple(self._right_layer(t, s, n, cut) for cut, n in zip(cuts, ns))
-            grid_parts.append((factors, terms))
+            rights = [self._right_layer(t, s, n, cut) for cut, n in zip(cuts, ns)]
+            # the prefix sums of a, which start at 0, have one column more than s
+            grid_parts.append((factors, (t.size, s.size + 1), cuts, rights))
         jump_u, jump_us = (np.empty((t.size, bounds.size)) for _ in range(2))
         for block in blocks:
             jump_u[block] = -np.diff(self.offset[block, inner], axis=1, prepend=0.0, append=0.0)
             jump_us[block] = -np.diff(self.slope[block, inner], axis=1, prepend=0.0, append=0.0)
+        # each row of a jump matrix holds one entry per boundary
+        rows_at = np.arange(0, jump_u.size + 1, bounds.size, dtype=np.int32)
         t_e = t**-e
         lead = tuple(self.left[:, p] * t_e**p for p in range(self.left.shape[1]))
-        return [
-            _GridSums(factors, lead, t_e, t_e / t, jump_u, jump_us, terms)
-            for factors, terms in grid_parts
-        ]
+        ops = []
+        for factors, shape, cuts, rights in grid_parts:
+            terms = tuple(
+                _CutTerm(
+                    cut, _csr(jump_u, cut, rows_at, shape), _csr(jump_us, cut, rows_at, shape), right
+                )
+                for cut, right in zip(cuts, rights)
+            )
+            ops.append(_GridSums(factors, lead, t_e, t_e / t, jump_u, jump_us, terms))
+        return ops
 
     def _right_layer(
         self, t: np.ndarray, s: np.ndarray, n: np.ndarray, cut: np.ndarray
-    ) -> _CutTerm:
-        """The right-layer samples cut[k, -1] .. n[k] - 1 of each row k and g_k there."""
+    ) -> _sparse.csr_array:
+        """Row k sums samples cut[k, -1] .. n[k] - 1 of a against g_k there."""
         length = np.maximum(n - cut[:, -1], 0)
         local = np.repeat(np.arange(t.size, dtype=np.int32), length)
         end = np.cumsum(length)  # where row k's samples end in pos
@@ -572,22 +583,36 @@ class _UnitInterpolant:
         for block in _row_blocks(t.size):
             seg = slice(end[block][0] - length[block][0], end[block][-1])
             g[seg] = self.at(local[seg], s[pos[seg]] / t[local[seg]])
-        return _CutTerm(cut, local, pos, g)
+        rows_at = np.concatenate(([0], end)).astype(np.int32)
+        return _csr(g, pos, rows_at, (t.size, s.size))
+
+
+def _csr(
+    data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, shape: tuple[int, int]
+) -> _sparse.csr_array:
+    """CSR matrix over the given int32 index arrays and float data, raveled, not copied.
+
+    A row may repeat a column; the matrix-vector product sums its entries.
+    """
+    return _sparse.csr_array((data.ravel(), indices.ravel(), indptr), shape=shape, copy=False)
 
 
 @dataclass(frozen=True, eq=False)
 class _CutTerm:
     """The grid-only part of one upper limit n of a ``_GridSums``.
 
-    cut[k, r]: samples of s below boundary r of row k, capped at n[k];
-    the right layer's samples pos, their rows local and g_local(s_pos/t).
-    The index arrays are int32, half the memory of numpy's default.
+    cut[k, r]: samples of s below boundary r of row k, capped at n[k].
+    jump_u and jump_us read the prefix sums at the cuts against the
+    operator's jumps: CSR matrices with the cuts as indices and the jumps
+    as data, both shared, not copied. right sums the right layer's samples
+    of row k, cut[k, -1] .. n[k] - 1, against g_k there. The index arrays
+    are int32, half the memory of numpy's default.
     """
 
     cut: np.ndarray
-    local: np.ndarray
-    pos: np.ndarray
-    g: np.ndarray
+    jump_u: _sparse.csr_array
+    jump_us: _sparse.csr_array
+    right: _sparse.csr_array
 
 
 @dataclass(frozen=True, eq=False)
@@ -595,8 +620,9 @@ class _GridSums:
     """Sums of every interpolant row against data on one grid; see ``grid_sums``.
 
     lead[p] = left[:, p] t^(-p e), t_e = t^(-e), t_e1 = t^(-e-1) and the
-    jumps of the interior coefficients across each panel boundary; factors
-    are s^(p e) and s^(e+1). All arrays are read-only once built.
+    jumps of the interior coefficients across each panel boundary, which
+    every term's matrices share; factors are s^(p e) and s^(e+1). All
+    arrays, those of the matrices too, are read-only once built.
     """
 
     factors: tuple[np.ndarray, ...]
@@ -608,11 +634,13 @@ class _GridSums:
     terms: tuple[_CutTerm, ...]
 
     def __post_init__(self) -> None:
-        for arr in (*self.factors, *self.lead, self.t_e, self.t_e1, self.jump_u, self.jump_us):
-            arr.setflags(write=False)
+        arrays = [*self.factors, *self.lead, self.t_e, self.t_e1, self.jump_u, self.jump_us]
         for term in self.terms:
-            for arr in (term.cut, term.local, term.pos, term.g):
-                arr.setflags(write=False)
+            arrays.append(term.cut)
+            for mat in (term.jump_u, term.jump_us, term.right):
+                arrays += (mat.data, mat.indices, mat.indptr)
+        for arr in arrays:
+            arr.setflags(write=False)
 
     def __call__(self, a: np.ndarray) -> list[np.ndarray]:
         """[sum over i < n[k] of g_k(s_i / t_k) a_i, for each n]: O(N + rows * panels)."""
@@ -622,16 +650,9 @@ class _GridSums:
             first, last = term.cut[:, 0], term.cut[:, -1]
             val = sum(c * pw[first] for c, pw in zip(self.lead, powers))
             val += powers[0][last] - powers[0][first]
-            dots = np.empty((2, val.size))
-            for block in _row_blocks(val.size):
-                # numpy gathers by intp indices faster than by the stored int32
-                cut = term.cut[block].astype(np.intp)
-                dots[0, block] = np.einsum("kr,kr->k", powers[1][cut], self.jump_u[block])
-                dots[1, block] = np.einsum("kr,kr->k", tail[cut], self.jump_us[block])
-            val -= self.t_e * dots[0]
-            val -= self.t_e1 * dots[1]
-            pos = term.pos.astype(np.intp)
-            sums.append(val + np.bincount(term.local, weights=term.g * a[pos], minlength=val.size))
+            val -= self.t_e * (term.jump_u @ powers[1])
+            val -= self.t_e1 * (term.jump_us @ tail)
+            sums.append(val + term.right @ a)
         return sums
 
 

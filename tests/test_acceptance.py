@@ -419,6 +419,7 @@ def test_11_mle_reductions_and_stability():
 def test_12_cli_byte_determinism(tmp_path):
     """Every CLI command, rerun with identical inputs and with different
     worker counts, produces byte-identical outputs."""
+    # 16 replications are two chunks, so --workers 2 runs a pool of two
     table_cfg = tmp_path / "table.json"
     table_cfg.write_text(
         json.dumps(
@@ -427,7 +428,7 @@ def test_12_cli_byte_determinism(tmp_path):
                 "H": 0.6,
                 "d": 0.1,
                 "T": 5.0,
-                "replications": 5,
+                "replications": 16,
                 "master_seed": 99,
                 "estimator": "practical",
             }
@@ -442,7 +443,7 @@ def test_12_cli_byte_determinism(tmp_path):
                 "H": 0.618,
                 "d": 0.05,
                 "T": 4.0,
-                "replications": 6,
+                "replications": 16,
                 "master_seed": 7,
                 "estimator": "practical",
             }
@@ -457,7 +458,7 @@ def test_12_cli_byte_determinism(tmp_path):
                 "H": 0.6,
                 "d": 0.1,
                 "T": 4.0,
-                "replications": 4,
+                "replications": 16,
                 "master_seed": 13,
                 "estimator": "lse",
             }

@@ -253,8 +253,9 @@ class TestMcTable:
         assert cells[8] == "0"
 
     def test_workers_do_not_change_bytes(self, tmp_path):
+        # two chunks of replications, so --workers 2 runs a pool of two
         cfg_file = tmp_path / "cfg.json"
-        _write_config(cfg_file, replications=4)
+        _write_config(cfg_file, replications=16)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["mc-table", "--config", str(cfg_file), "--out", str(a), "--workers", "1"])
         main(["mc-table", "--config", str(cfg_file), "--out", str(b), "--workers", "2"])

@@ -292,15 +292,16 @@ class TestRunTableExperiment:
         assert a == b
 
     def test_worker_count_does_not_change_results(self):
-        cfg = _config(replications=6, T=2.0, d=0.1)
+        # two chunks of replications, so two workers start a pool of two
+        cfg = _config(replications=16, T=2.0, d=0.1)
         serial = run_table_experiment(cfg, workers=1)
         parallel = run_table_experiment(cfg, workers=2)
         assert serial == parallel
 
     def test_spectrum_cache_state_does_not_change_results(self):
         # cold cache, warm cache, and forked pool workers that inherit the
-        # warm cache all give the same statistics
-        cfg = _config(H=0.65, replications=6, T=2.0, d=0.01)
+        # warm cache all give the same statistics (two chunks: a pool of two)
+        cfg = _config(H=0.65, replications=16, T=2.0, d=0.01)
         noise._circulant_sqrt_eig.cache_clear()
         cold = run_table_experiment(cfg)
         assert noise._circulant_sqrt_eig.cache_info().misses == 1
@@ -316,7 +317,8 @@ class TestRunTableExperiment:
         self, monkeypatch, replications, workers, processes
     ):
         # a pool may start all its processes at the first task (under fork
-        # it does), and each process takes chunks of replications
+        # it does), and each process takes chunks of replications; a run of
+        # one process maps in this one and starts no pool
         started = []
 
         class InProcessPool:
@@ -336,7 +338,7 @@ class TestRunTableExperiment:
         monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         cfg = _config(replications=replications)
         stats = run_table_experiment(cfg, workers=workers)
-        assert started == [processes]
+        assert started == ([] if processes == 1 else [processes])
         assert stats == run_table_experiment(cfg)
 
     def test_estimates_depend_on_master_seed(self):

@@ -3,7 +3,8 @@
 Covers:
   1. MartingaleDecomposition container validation.
   2. decompose: Brownian shortcut, mesh embedding, degenerate paths,
-     noise-free drift recovery, parameter gates, the per-grid plan cache.
+     noise-free drift recovery, parameter gates, the per-grid plan cache,
+     its read-only shared arrays and the memory it retains.
   3. decompose against a per-mesh-point reference loop that evaluates the
      kernel on every observation up to each mesh time.
   4. mle: exact agreement with the classical discretized OU likelihood
@@ -14,9 +15,11 @@ Covers:
 import dataclasses
 import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from msfou import (
     HurstParam,
@@ -174,6 +177,38 @@ class TestDecompose:
         for name in ("Z", "Q", "bracket_M"):
             assert getattr(warm, name).tobytes() == getattr(cold, name).tobytes(), name
 
+    def test_term_matrices_share_the_plan_arrays(self):
+        # each term's jump matrices read the operator's jumps and the term's
+        # cuts in place, and every jump matrix shares one row pointer: no
+        # per-term copy of an m x panels array
+        h = HurstParam(0.7)
+        plan = mle_module._grid_plan(h.h, 64, 0.0293, 8)
+        indptr = plan.z_sums.terms[0].jump_u.indptr
+        assert plan.z_sums.jump_u is plan.trap_sums.jump_u
+        for ops in (plan.z_sums, plan.trap_sums):
+            for term in ops.terms:
+                for mat, jumps in ((term.jump_u, ops.jump_u), (term.jump_us, ops.jump_us)):
+                    assert np.shares_memory(mat.data, jumps)
+                    assert np.shares_memory(mat.indices, term.cut)
+                    assert np.shares_memory(mat.indptr, indptr)
+                for mat in (term.jump_u, term.jump_us, term.right):
+                    assert mat.indices.dtype == mat.indptr.dtype == np.int32
+
+    def test_cold_plan_retains_at_most_12_mib(self):
+        # at README scale the cached plan holds the cuts, the jumps and the
+        # right layer's kernel values; no m x m solve array may stay behind
+        h = HurstParam(0.65)
+        x = euler_msfou(1.0, H=h, d=0.01, N=20000, seed=314)
+        mle_module._grid_plan.cache_clear()
+        tracemalloc.start()
+        try:
+            mle(x, h, 1024)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        print(f"  plan retains {retained / 2**20:.2f} MiB")
+        assert retained <= 12 * 2**20
+
     def test_plan_is_keyed_on_the_observation_grid(self):
         # (N, d) = (64, 0.02) and (128, 0.01) share the mesh t_k = 0.16 k
         # at m = 8 but not the observation grid, so not a plan
@@ -248,9 +283,11 @@ def _reference_decompose(x, h, m):
 
 
 def _arrays(obj):
-    """Every numpy array reachable through dataclass fields and tuples of obj."""
+    """Every numpy array reachable through dataclass fields, tuples and sparse matrices of obj."""
     if isinstance(obj, np.ndarray):
         yield obj
+    elif sparse.issparse(obj):
+        yield from (obj.data, obj.indices, obj.indptr)
     elif isinstance(obj, tuple):
         for item in obj:
             yield from _arrays(item)
@@ -274,6 +311,7 @@ class TestDecomposeMatchesReference:
             (0.55, 3001, 129, 7),
             (0.85, 5000, 8, 7),
             (0.6, 777, 777, 7),
+            (0.7, 64, 64, 3),  # m = N: most cuts capped at n, repeated columns
             (0.65, 20000, 4096, 7),
             (0.501, 5000, 250, 7),
             (0.9, 20000, 1024, 7),

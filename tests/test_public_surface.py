@@ -2,7 +2,7 @@
 
 The demos take minutes to run, so this suite only parses them (and the
 ```python blocks of the README) and resolves their msfou imports. It also
-pins which heavy scipy subpackages a fresh ``import msfou.cli`` loads.
+pins which scipy subpackages a fresh ``import msfou.cli`` loads.
 """
 
 import ast
@@ -56,11 +56,19 @@ def test_sources_found():
 def test_cli_import_skips_scipy_signal_and_stats():
     # scipy.signal, with the scipy.stats it imports, costs about as much start-up
     # as all the rest of msfou; every short CLI run and pool worker would pay it.
+    # The other subpackages are pinned too: scipy.sparse comes with
+    # scipy.optimize, so numerics' sparse grid sums add no import.
     env = dict(os.environ, PYTHONPATH=str(Path(msfou.__file__).resolve().parents[1]))
     code = (
         "import sys, msfou.cli; "
-        "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
+        "print(sorted({m.split('.')[1] for m in sys.modules "
+        "if m.startswith('scipy.') and not m.split('.')[1].startswith('_')}))"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    loaded = ast.literal_eval(out.stdout.strip())
+    assert not {"signal", "stats"} & set(loaded)
+    assert loaded == [
+        "constants", "fft", "integrate", "linalg", "optimize", "sparse", "spatial",
+        "special", "version",
+    ]
