@@ -2,7 +2,7 @@
 
 Layers, bottom up: ``noise`` (fractional Gaussian noise generators),
 ``paths`` (sub-fractional / mixed processes and the Euler scheme),
-``numerics`` (gamma, singular quadrature, moment-map inversion, the
+``numerics`` (gamma, the correction integral, moment-map inversion, the
 martingale kernel equation), ``estimators`` and ``mle`` (the four drift
 estimators), ``harness`` (reproducible Monte Carlo experiments) and
 ``cli`` (command-line front end).

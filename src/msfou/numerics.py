@@ -5,12 +5,11 @@ Four tools live here:
 * ``gamma_fn``: validated gamma function.
 * ``correction_integral``: the weakly singular double integral entering the
   Skorohod-corrected least-squares estimator, reduced by Fubini to three
-  one-dimensional integrals: two lower incomplete gamma functions in closed
-  form and one smooth integral for ``scipy.integrate.quad``, whose error
-  estimate must stay within 1e-7.
+  one-dimensional integrals, all in closed form: two lower incomplete
+  gamma functions and two Kummer functions.
 * ``stationary_second_moment`` / ``invert_p``: the monotone moment map
   ``p(theta) = 1/(2 theta) + H Gamma(2H) theta^(-2H)`` and its inverse
-  (a closed-form bracket, then ``scipy.optimize.brentq``).
+  (Newton's method from a closed-form lower bound).
 * ``solve_g_kernel``: Nystrom solution of the second-kind integral equation
   ``g(s,t) + int_0^t g(r,t) kappa(r,s) dr = 1`` with the kernel
   ``kappa(r,s) = H(2H-1)(|r-s|^(2H-2) - (r+s)^(2H-2))``, whose solution
@@ -63,8 +62,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as _integrate
-from scipy import optimize as _opt
 from scipy import sparse as _sparse
 from scipy import special as _sp
 
@@ -137,36 +134,41 @@ def stationary_second_moment(theta: float, h: HurstParam) -> float:
     return 0.5 / theta + h.h * gamma_fn(2.0 * h.h) * theta ** (-2.0 * h.h)
 
 
-def _invert_p_impl(y: float, h: HurstParam) -> tuple[float, int]:
-    """Invert p; returns (theta, root-finder iterations) for diagnostics.
+# Newton's method inverts p in at most 9 steps on [1e-300, 1e300]; a NaN
+# never meets its stopping test, so the cap turns one into an error.
+_NEWTON_RTOL = 4.0 * np.finfo(float).eps
+_NEWTON_CAP = 64
 
-    The root is bracketed in closed form. With a = max(1/(2y), (c/y)^(1/2H))
-    and b = max(1/y, (2c/y)^(1/2H)), c = H Gamma(2H), one term of p alone
-    reaches y at a and each term is at most y/2 at b. Halving a and doubling
-    b gives p(lo) >= 2y and p(hi) <= y/2, a sign change that survives
-    rounding. Brent's method finishes at relative tolerance 4 eps.
+
+def _invert_p_impl(y: float, h: HurstParam) -> tuple[float, int]:
+    """Invert p; returns (theta, Newton steps) for diagnostics.
+
+    With c = H Gamma(2H), lo = max(1/(2y), (c/y)^(1/2H)) / 2 has p(lo) >= 2y:
+    one term of p alone reaches y at twice lo. p is convex and decreasing,
+    so Newton's method from lo climbs monotonically to the root. Each step
+    is written theta (p - y) / (1/(2 theta) + 2H c theta^(-2H)), which is
+    -(p - y)/p' without the squares of theta that would overflow; the
+    iteration stops after a step of at most 4 eps theta, and raises
+    RuntimeError if it has not stopped after _NEWTON_CAP steps.
     """
     hh = h.h
     if hh == 0.5:
         # p(theta) = 1/theta exactly at H = 1/2
         return 1.0 / y, 0
     if not 1e-300 <= y <= 1e300:
-        # keeps the bracket and p(lo) <= 6y finite in floating point
+        # keeps lo and every Newton step finite in floating point
         raise ValueError(f"moment y={y} outside [1e-300, 1e300], where p is inverted")
 
     c = hh * gamma_fn(2.0 * hh)
-
-    def excess(th: float) -> float:
-        return 0.5 / th + c * th ** (-2.0 * hh) - y
-
-    lo = 0.5 * max(0.5 / y, (c / y) ** (0.5 / hh))
-    hi = 2.0 * max(1.0 / y, (2.0 * c / y) ** (0.5 / hh))
-    # brentq's default absolute xtol (2e-12) would cap the relative accuracy
-    # of a small theta; the smallest subnormal leaves only rtol
-    theta, info = _opt.brentq(
-        excess, lo, hi, xtol=5e-324, rtol=4.0 * np.finfo(float).eps, full_output=True
-    )
-    return theta, info.iterations
+    theta = 0.5 * max(0.5 / y, (c / y) ** (0.5 / hh))
+    for steps in range(1, _NEWTON_CAP + 1):
+        half = 0.5 / theta
+        power = c * theta ** (-2.0 * hh)
+        step = theta * (half + power - y) / (half + 2.0 * hh * power)
+        theta += step
+        if step <= _NEWTON_RTOL * theta:
+            return theta, steps
+    raise RuntimeError(f"Newton's method did not invert p at y={y}, H={hh}")
 
 
 def invert_p(y: float, h: HurstParam) -> float:
@@ -190,12 +192,9 @@ def invert_p(y: float, h: HurstParam) -> float:
 # ---------------------------------------------------------------------------
 
 
-_CORRECTION_TOL = 1e-7
-
-
 @functools.lru_cache(maxsize=64)
-def _correction_info(theta: float, hh: float, big_t: float) -> tuple[float, float, int]:
-    """Correction integral with (value, error estimate, quad subintervals).
+def _correction_info(theta: float, hh: float, big_t: float) -> float:
+    """Correction integral I(theta, H, T) in closed form.
 
     Fubini in the (t-s, t+s) variables collapses the double integral to
 
@@ -206,46 +205,38 @@ def _correction_info(theta: float, hh: float, big_t: float) -> tuple[float, floa
     With the lower incomplete gamma function
     gamma(s, x) = int_0^x v^(s-1) e^(-v) dv, the first part is
     T theta^(-rho) gamma(rho, theta T) - theta^(-rho-1) gamma(rho+1, theta T)
-    and the last theta^(-rho-1) gamma(rho+1, theta T). The smooth middle
-    part goes to adaptive Gauss-Kronrod quadrature, asked for an error
-    estimate within _CORRECTION_TOL on I. Its integrand decays on the scale
-    1/theta; on a long horizon (theta T = 1e5) quad without breakpoints
-    samples only the flat tail, misses that decay and reports a tiny error
-    estimate for a wrong value. Breakpoints at 1, 10 and 100 times the
-    scale prevent it.
+    and the last theta^(-rho-1) gamma(rho+1, theta T). The middle part is
+    e^(-2 theta T) int_T^2T v^rho e^(theta v) dv; since
+    int_0^a v^rho e^(theta v) dv = a^(rho+1) e^(theta a) M(1, rho+2, -theta a)
+    / (rho+1) (DLMF 8.5.1 with Kummer's transformation, DLMF 13.2.39), it is
+
+        ((2T)^(rho+1) M(1, rho+2, -2 theta T)
+         - e^(-theta T) T^(rho+1) M(1, rho+2, -theta T)) / (rho+1),
+
+    M the Kummer function ``hyp1f1``. The two terms are e^(-2 theta T)
+    times the integral of an increasing function over [0, 2T] and [0, T],
+    so the first is at least twice the second and their difference loses
+    at most one bit.
     """
     rho = 2.0 * hh - 1.0
     x = theta * big_t
     part_d = theta ** (-rho - 1.0) * (_sp.gammainc(rho + 1.0, x) * _sp.gamma(rho + 1.0))
     part_a = big_t * theta ** (-rho) * (_sp.gammainc(rho, x) * _sp.gamma(rho)) - part_d
-    points = [k / theta for k in (1.0, 10.0, 100.0) if k / theta < big_t]
-    part_c, err, info = _integrate.quad(
-        lambda u: (2.0 * big_t - u) ** rho * math.exp(-theta * u),
-        0.0,
-        big_t,
-        points=points or None,
-        epsabs=2.0 * rho * _CORRECTION_TOL,
-        epsrel=0.0,
-        full_output=1,
-    )[:3]
-    err /= 2.0 * rho
-    if err > _CORRECTION_TOL:
-        raise RuntimeError(
-            f"correction integral error estimate {err:.3e} exceeds "
-            f"tol={_CORRECTION_TOL} after {info['last']} subintervals"
-        )
-    return part_a + (part_c - part_d) / (2.0 * rho), err, info["last"]
+    part_c = (
+        (2.0 * big_t) ** (rho + 1.0) * _sp.hyp1f1(1.0, rho + 2.0, -2.0 * x)
+        - math.exp(-x) * big_t ** (rho + 1.0) * _sp.hyp1f1(1.0, rho + 2.0, -x)
+    ) / (rho + 1.0)
+    return part_a + (part_c - part_d) / (2.0 * rho)
 
 
 def correction_integral(theta: float, h: HurstParam, big_t: float) -> float:
     """int_0^T int_0^t e^(-theta(t-s)) ((t-s)^(2H-2) + (t+s)^(2H-2)) ds dt.
 
-    Fubini leaves three one-dimensional parts. Two are incomplete gamma
-    functions; the third goes to scipy's adaptive quadrature, whose error
-    estimate, 1e-7 at most, bounds the error of the result. The singular
-    exponent 2H-2 is taken from h. Requires theta > 0 and H > 1/2 so the
-    (t-s)^(2H-2) singularity is integrable; raises RuntimeError if the
-    quadrature's error estimate exceeds 1e-7.
+    Fubini leaves three one-dimensional parts, each in closed form: two
+    are incomplete gamma functions and the third a difference of two
+    Kummer functions. The singular exponent 2H-2 is taken from h.
+    Requires theta > 0 and H > 1/2 so the (t-s)^(2H-2) singularity is
+    integrable.
     """
     _require_hurst(h)
     theta = float(theta)
@@ -258,8 +249,7 @@ def correction_integral(theta: float, h: HurstParam, big_t: float) -> float:
         raise ValueError(f"correction_integral requires T >= 0, got {big_t}")
     if big_t == 0.0:
         return 0.0
-    value, _, _ = _correction_info(theta, h.h, big_t)
-    return float(value)
+    return float(_correction_info(theta, h.h, big_t))
 
 
 # ---------------------------------------------------------------------------

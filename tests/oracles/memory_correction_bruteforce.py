@@ -26,7 +26,19 @@ one mp.quad call. It runs at 30 digits and prints the relative change
 at 45 digits; its values are frozen into the numerics tests as well. Run:
 
     python tests/oracles/memory_correction_bruteforce.py
+
+With ``--sweep`` the script instead checks the library's closed form,
+``msfou.correction_integral``, against ``mpmath_reference`` at 30 digits
+over a grid of 203 cases (theta from 0.01 to 100, H from 0.5001 to 0.99,
+T from 1e-3 to 1e6, theta T <= 1e7) and prints the worst relative error.
+This mode imports msfou (from ``src`` of this checkout); the frozen
+values never come from it. It takes a few seconds:
+
+    python tests/oracles/memory_correction_bruteforce.py --sweep
 """
+
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -106,7 +118,35 @@ MPMATH_CASES = [
     (0.5, 0.501, 10.0),
     (2.0, 0.99, 50.0),
     (10.0, 0.65, 1e4),
+    (0.01, 0.99, 1e6),
+    (1.0, 0.5001, 100.0),
+    (10.0, 0.75, 1e6),
 ]
+
+SWEEP_THETAS = (0.01, 0.1, 1.0, 10.0, 100.0)
+SWEEP_HURSTS = (0.5001, 0.51, 0.6, 0.7, 0.75, 0.9, 0.99)
+SWEEP_HORIZONS = (1e-3, 1e-1, 1.0, 10.0, 1e3, 1e6)
+
+
+def sweep():
+    """Worst relative error of msfou.correction_integral over the sweep grid."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
+    from msfou import HurstParam, correction_integral
+
+    worst, worst_case, count = 0.0, None, 0
+    for theta in SWEEP_THETAS:
+        for h in SWEEP_HURSTS:
+            for big_t in SWEEP_HORIZONS:
+                if theta * big_t > 1e7:
+                    continue
+                count += 1
+                ref = mpmath_reference(theta, h, big_t, 30)
+                got = correction_integral(theta, HurstParam(h), big_t)
+                rel = float(abs(got - ref) / ref)
+                if rel >= worst:
+                    worst, worst_case = rel, (theta, h, big_t)
+    print(f"{count} cases, worst relative error {worst:.2e} at (theta, H, T) = {worst_case}")
+
 
 CASES = [
     (1.0, 0.75, 2.0),
@@ -114,7 +154,9 @@ CASES = [
     (1.0, 0.6, 200.0),
 ]
 
-if __name__ == "__main__":
+if __name__ == "__main__" and "--sweep" in sys.argv[1:]:
+    sweep()
+elif __name__ == "__main__":
     for theta, h, big_t in CASES:
         coarse = bruteforce(theta, h, big_t, 200, 16, 256, 32)
         fine = bruteforce(theta, h, big_t, 400, 24, 512, 64)

@@ -99,7 +99,7 @@ def test_02_sfbm_covariance_on_integer_grid():
 # ---------------------------------------------------------------------------
 
 def test_03_correction_integral_limit_and_oracle():
-    """alpha_H I(1, 0.6, T)/T approaches H Gamma(2H) and the quadrature
+    """alpha_H I(1, 0.6, T)/T approaches H Gamma(2H) and the closed form
     agrees with the frozen brute-force tensor-grid value at T = 2."""
     h = HurstParam(0.6)
     alpha = 0.6 * 0.2

@@ -31,10 +31,12 @@ from msfou import (
     solve_g_kernel,
     stationary_second_moment,
 )
+from msfou import numerics
 from msfou.numerics import (
     _batch_scaled_solve,
     _edge_moments,
     _graded_unit_system,
+    _invert_p_impl,
     _unit_interpolant,
     _unit_kernel_system,
 )
@@ -65,12 +67,18 @@ CORRECTION_TABLE = {
 }
 
 # mpmath_reference at 30 digits; tests/oracles/memory_correction_bruteforce.py.
-# The last row needs the quadrature's breakpoints.
+# Long horizons (theta T up to 1e7) take the Kummer functions far into their
+# asymptotic range; at H = 0.5001 the smooth part nearly cancels against an
+# incomplete gamma term. Rows run in this order, so earlier rows keep their
+# test ids as rows are added.
 MPMATH_CORRECTION_TABLE = {
-    (1.0, 0.65, 500.0): 1506.6260681396549,
     (0.5, 0.501, 10.0): 5001.953745105893,
+    (1.0, 0.65, 500.0): 1506.6260681396549,
     (2.0, 0.99, 50.0): 48.423762947346556,
     (10.0, 0.65, 1e4): 14996.493953669327,
+    (0.01, 0.99, 1e6): 168613501.48694128,
+    (1.0, 0.5001, 100.0): 499944.23488290346,
+    (10.0, 0.75, 1e6): 560640.4869425825,
 }
 
 
@@ -132,6 +140,29 @@ class TestInvertP:
         assert back == pytest.approx(theta, rel=1e-7)
         assert abs(stationary_second_moment(back, hp) - y) <= 1e-10 * max(1.0, y)
 
+    @pytest.mark.parametrize("h", [0.5001, 0.6, 0.75, 0.9, 0.99])
+    def test_newton_steps_on_round_trip_grid(self, h):
+        hp = HurstParam(h)
+        for log_theta in np.linspace(-12.0, 5.0, 69):
+            y = stationary_second_moment(math.exp(log_theta), hp)
+            _, steps = _invert_p_impl(y, hp)
+            assert 1 <= steps <= 12
+
+    @pytest.mark.parametrize("y", [1e-300, 1e300])
+    def test_newton_steps_at_moment_range_ends(self, y):
+        # at y = 1e-300 the Brownian term alone sets the root, 1/(2y) = 5e299
+        hp = HurstParam(0.99)
+        theta, steps = _invert_p_impl(y, hp)
+        print(f"  y = {y:.0e}: theta = {theta!r} after {steps} Newton steps")
+        assert steps <= 12
+        assert stationary_second_moment(theta, hp) == pytest.approx(y, rel=1e-14)
+
+    def test_newton_stops_at_step_cap(self, monkeypatch):
+        # a NaN step never meets the stopping test; the cap turns it into an error
+        monkeypatch.setattr(numerics, "gamma_fn", lambda x: math.nan)
+        with pytest.raises(RuntimeError, match="Newton"):
+            _invert_p_impl(1.0, HurstParam(0.6))
+
     def test_brownian_closed_form(self):
         # p(theta) = 1/theta at H = 1/2, so the inverse is exactly 1/y
         assert invert_p(4.0, HurstParam(0.5)) == pytest.approx(0.25, rel=1e-15)
@@ -164,7 +195,7 @@ class TestCorrectionIntegral:
         print(f"  I({theta}, {h}, {big_t}) = {got:.10f}, oracle = {expected}, rel = {rel:.2e}")
         assert rel < 1e-6
 
-    @pytest.mark.parametrize("key,expected", sorted(MPMATH_CORRECTION_TABLE.items()))
+    @pytest.mark.parametrize("key,expected", list(MPMATH_CORRECTION_TABLE.items()))
     def test_mpmath_reference(self, key, expected):
         theta, h, big_t = key
         got = correction_integral(theta, HurstParam(h), big_t)
