@@ -21,7 +21,9 @@ mc-rate the corrected LSE), a missing or invalid argument value (--hurst,
 value the library rejects, such as simulate --seed -1 or estimate
 --mesh 4) and an --out or --stats file that cannot be created are reported
 as one line ``msfou: error: ...`` on stderr with exit status 2, before any
-path is simulated. Outputs are opened before the work starts; a run that
+path is simulated. A valid config whose replications all fail (for
+mc-rate, leave fewer than two at a horizon) ends with the same line and
+exit status 1. Outputs are opened before the work starts; a run that
 fails afterwards removes them, so no truncated file passes for a result.
 """
 
@@ -34,7 +36,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 from .estimators import Method
 from .harness import (
@@ -42,6 +44,8 @@ from .harness import (
     ExperimentConfig,
     _check_clt_config,
     _check_rate_config,
+    _rate_configs,
+    _ReplicationsFailed,
     run_clt_experiment,
     run_rate_experiment,
     run_table_experiment,
@@ -213,8 +217,7 @@ def _cmd_mc_rate(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config, _check_rate_config)
     try:
         t_grid = [float(tok) for tok in args.t_grid.split(",") if tok.strip()]
-        for big_t in t_grid:
-            replace(cfg, T=big_t)  # the config checks of every horizon
+        _rate_configs(cfg, t_grid)
     except (ValueError, OverflowError) as exc:
         raise _UserError(f"--T-grid: {exc}") from None
     if not t_grid:
@@ -286,9 +289,9 @@ def main(argv=None) -> int:
         if getattr(args, "workers", 1) < 1:
             raise _UserError(f"--workers must be at least 1, got {args.workers}")
         return args.func(args)
-    except _UserError as exc:
+    except (_UserError, _ReplicationsFailed) as exc:
         print(f"msfou: error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, _UserError) else 1
 
 
 if __name__ == "__main__":

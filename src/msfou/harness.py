@@ -206,9 +206,9 @@ def summarize(sample, n_failed: int = 0) -> SummaryStats:
     )
 
 
-def _replication_seed(master_seed: int, rep: int) -> int:
-    """Disjoint per-replication seed via the spawn-key stream derivation."""
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(rep,))
+def _replication_seed(master_seed: int, *spawn_key: int) -> int:
+    """Disjoint seed per spawn key (a replication's is (rep,)) via the stream derivation."""
+    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=spawn_key)
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -245,6 +245,10 @@ def _guarded_estimate(cfg: ExperimentConfig, rep: int) -> float | None:
         return None
 
 
+class _ReplicationsFailed(RuntimeError):
+    """Too few replications of an experiment succeeded to summarize them."""
+
+
 # Replications per task a worker takes from the pool.
 _CHUNK = 8
 
@@ -275,7 +279,7 @@ def run_table_experiment(cfg: ExperimentConfig, workers: int = 1) -> SummaryStat
     """Monte Carlo summary of the configured estimator (table row)."""
     estimates, n_failed = _run_replications(cfg, workers)
     if estimates.size == 0:
-        raise RuntimeError(f"all {cfg.replications} replications failed")
+        raise _ReplicationsFailed(f"all {cfg.replications} replications failed")
     return summarize(estimates, n_failed)
 
 
@@ -310,7 +314,7 @@ def run_clt_experiment(
     _check_clt_config(cfg)
     estimates, n_failed = _run_replications(cfg, workers)
     if estimates.size == 0:
-        raise RuntimeError(f"all {cfg.replications} replications failed")
+        raise _ReplicationsFailed(f"all {cfg.replications} replications failed")
     hurst = cfg.hurst
     phi = np.array(
         [
@@ -330,6 +334,14 @@ def _rate_scale(big_t: float, h: HurstParam) -> float:
     return math.sqrt(big_t)
 
 
+def _rate_configs(cfg: ExperimentConfig, t_grid) -> list[ExperimentConfig]:
+    """cfg at each horizon of t_grid, each with a fresh seed stream; ValueError on a bad one."""
+    return [
+        replace(cfg, T=float(big_t), master_seed=_replication_seed(cfg.master_seed, t_idx, 1))
+        for t_idx, big_t in enumerate(t_grid)
+    ]
+
+
 def run_rate_experiment(
     cfg: ExperimentConfig, t_grid, workers: int = 1
 ) -> list[tuple[float, float, int]]:
@@ -338,21 +350,15 @@ def run_rate_experiment(
     For each T, runs the experiment with that horizon (fresh seed stream
     per grid entry) and reports (T, sdev of scale(T) * (theta_bar - theta),
     n_failed). The scaling matches the asymptotic regime of H, so the
-    column is approximately flat in T when the rate is right.
+    column is approximately flat in T when the rate is right. Every
+    horizon is checked before the first replication runs.
     """
     _check_rate_config(cfg)
     rows = []
-    for t_idx, big_t in enumerate(t_grid):
-        big_t = float(big_t)
-        seed_t = int(
-            np.random.SeedSequence(
-                entropy=cfg.master_seed, spawn_key=(t_idx, 1)
-            ).generate_state(1, np.uint64)[0]
-        )
-        cfg_t = replace(cfg, T=big_t, master_seed=seed_t)
+    for cfg_t in _rate_configs(cfg, t_grid):
         estimates, n_failed = _run_replications(cfg_t, workers)
         if estimates.size < 2:
-            raise RuntimeError(f"too few successful replications at T={big_t}")
-        scaled = _rate_scale(big_t, cfg.hurst) * (estimates - cfg.theta_true)
-        rows.append((big_t, float(np.std(scaled, ddof=1)), n_failed))
+            raise _ReplicationsFailed(f"too few successful replications at T={cfg_t.T}")
+        scaled = _rate_scale(cfg_t.T, cfg.hurst) * (estimates - cfg.theta_true)
+        rows.append((cfg_t.T, float(np.std(scaled, ddof=1)), n_failed))
     return rows

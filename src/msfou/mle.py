@@ -94,14 +94,14 @@ class _GridPlan:
     """The part of ``decompose`` that depends on the grid (H, N, d, m) only.
 
     z_sums takes g(., t_k) at the step midpoints up to t_k; trap_sums at
-    the observation times up to t_k and up to t_{k-1}. g_0, g_stop and
-    g_prev are g(s, t_k) at s = 0, t_k and t_{k-1}; d_vals the trapezoid
-    int_0^{t_{k-1}} g(s, t_k) ds; bracket is <M> on the mesh, dm its steps.
+    the observation times up to t_k and up to t_{k-1}. g_stop and g_prev
+    are g(s, t_k) at s = t_k and t_{k-1} (at s = 0 it is exactly 1);
+    d_vals the trapezoid int_0^{t_{k-1}} g(s, t_k) ds; bracket is <M> on
+    the mesh, dm its steps.
     """
 
     z_sums: _GridSums
     trap_sums: _GridSums
-    g_0: np.ndarray
     g_stop: np.ndarray
     g_prev: np.ndarray
     d_vals: np.ndarray
@@ -109,7 +109,7 @@ class _GridPlan:
     dm: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("g_0", "g_stop", "g_prev", "d_vals", "bracket", "dm"):
+        for name in ("g_stop", "g_prev", "d_vals", "bracket", "dm"):
             getattr(self, name).setflags(write=False)
 
 
@@ -136,7 +136,6 @@ def _grid_plan(hh: float, n: int, d: float, m: int) -> _GridPlan:
         t, [(times[:-1] + 0.5 * d, [stop]), (times, [stop + 1, prev + 1])]
     )
     rows = np.arange(m)
-    g_0 = kernel.at(rows, np.zeros(m))
     g_stop = kernel.at(rows, times[stop] / t)
     g_prev = kernel.at(rows, times[prev] / t)
     # the operators hold all they need of the interpolant: drop it before
@@ -146,10 +145,9 @@ def _grid_plan(hh: float, n: int, d: float, m: int) -> _GridPlan:
     return _GridPlan(
         z_sums=z_sums,
         trap_sums=trap_sums,
-        g_0=g_0,
         g_stop=g_stop,
         g_prev=g_prev,
-        d_vals=d * (d_sum - 0.5 * (g_0 + g_prev)),
+        d_vals=d * (d_sum - 0.5 * (1.0 + g_prev)),
         bracket=bracket,
         dm=dm,
     )
@@ -209,14 +207,14 @@ def decompose(x: SamplePath, h: HurstParam, m: int = 128) -> MartingaleDecomposi
     # observation times: plain sums up to the last point, minus half of
     # each end value
     f_sum, c_sum = plan.trap_sums(full)
-    f_vals = x.d * (f_sum - 0.5 * (plan.g_0 * full[0] + plan.g_stop * full[stop]))
+    f_vals = x.d * (f_sum - 0.5 * (full[0] + plan.g_stop * full[stop]))
     # Q(t_{k-1}) by a predictable forward difference: the kernel is
     # advanced to t_k but the path is frozen at t_{k-1}, so Q never
     # peeks at the innovation it multiplies in the likelihood sums
     # (a look-ahead Q turns the numerator into a symmetric integral
     # and attenuates theta_hat by O(1), independent of the mesh).
     # The frozen-state panel uses int_0^{t_k} g(s, t_k) ds = <M>_k.
-    c_vals = x.d * (c_sum - 0.5 * (plan.g_0 * full[0] + plan.g_prev * full[prev]))
+    c_vals = x.d * (c_sum - 0.5 * (full[0] + plan.g_prev * full[prev]))
     f_before = np.concatenate(([0.0], f_vals[:-1]))
     bracket, dm = plan.bracket, plan.dm
     q_vals = np.empty(m + 1)

@@ -50,9 +50,9 @@ mesh graded toward both ends. All kernel moments are exact: both systems
 take their linear-hat moments from one assembly of elementary power
 antiderivatives (``_hat_panel_moments``); both edge elements take theirs
 from one routine of incomplete-beta and Gauss hypergeometric closed forms
-(``_edge_moments``). Integrals over a mesh of nodal values (the bracket,
-``KernelSolution.integral_g``) share one power-pair quadrature
-(``_power_pair_integrals``).
+(``_edge_moments``). The bracket integrates the squared diagonal by
+quadratic fits in the layer coordinate, in closed form
+(``_layer_cumulative_square_integral``).
 """
 
 from __future__ import annotations
@@ -557,7 +557,7 @@ class _UnitInterpolant:
                 )
                 for cut, right in zip(cuts, rights)
             )
-            ops.append(_GridSums(factors, lead, t_e, t_e / t, jump_u, jump_us, terms))
+            ops.append(_GridSums(factors, lead, t_e, t_e / t, terms))
         return ops
 
     def _right_layer(
@@ -609,22 +609,20 @@ class _CutTerm:
 class _GridSums:
     """Sums of every interpolant row against data on one grid; see ``grid_sums``.
 
-    lead[p] = left[:, p] t^(-p e), t_e = t^(-e), t_e1 = t^(-e-1) and the
-    jumps of the interior coefficients across each panel boundary, which
-    every term's matrices share; factors are s^(p e) and s^(e+1). All
-    arrays, those of the matrices too, are read-only once built.
+    lead[p] = left[:, p] t^(-p e), t_e = t^(-e), t_e1 = t^(-e-1); factors
+    are s^(p e) and s^(e+1). The jump matrices of all terms of one
+    ``grid_sums`` call share their data, the jumps. All arrays, those of
+    the matrices too, are read-only once built.
     """
 
     factors: tuple[np.ndarray, ...]
     lead: tuple[np.ndarray, ...]
     t_e: np.ndarray
     t_e1: np.ndarray
-    jump_u: np.ndarray
-    jump_us: np.ndarray
     terms: tuple[_CutTerm, ...]
 
     def __post_init__(self) -> None:
-        arrays = [*self.factors, *self.lead, self.t_e, self.t_e1, self.jump_u, self.jump_us]
+        arrays = [*self.factors, *self.lead, self.t_e, self.t_e1]
         for term in self.terms:
             arrays.append(term.cut)
             for mat in (term.jump_u, term.jump_us, term.right):
@@ -687,20 +685,15 @@ def _fit_power_quadratics(x: np.ndarray, y: np.ndarray, exponent: float) -> np.n
     return np.linalg.solve(vand, ys[:, :, None])[:, :, 0]
 
 
-def _power_poly_integral(
-    coef: np.ndarray, s_lo, s_hi, exponent: float, squared: bool
-):
-    """Integrate (c0 + c1 u + c2 u^2) or its square over [s_lo, s_hi], u = s^exponent."""
-    if squared:
-        terms = (
-            coef[..., 0] ** 2,
-            2.0 * coef[..., 0] * coef[..., 1],
-            coef[..., 1] ** 2 + 2.0 * coef[..., 0] * coef[..., 2],
-            2.0 * coef[..., 1] * coef[..., 2],
-            coef[..., 2] ** 2,
-        )
-    else:
-        terms = (coef[..., 0], coef[..., 1], coef[..., 2])
+def _power_poly_square_integral(coef: np.ndarray, s_lo, s_hi, exponent: float):
+    """Integrate (c0 + c1 u + c2 u^2)^2 over [s_lo, s_hi], u = s^exponent."""
+    terms = (
+        coef[..., 0] ** 2,
+        2.0 * coef[..., 0] * coef[..., 1],
+        coef[..., 1] ** 2 + 2.0 * coef[..., 0] * coef[..., 2],
+        2.0 * coef[..., 1] * coef[..., 2],
+        coef[..., 2] ** 2,
+    )
     total = 0.0
     for k, ck in enumerate(terms):
         pw = k * exponent + 1.0
@@ -708,55 +701,35 @@ def _power_poly_integral(
     return total
 
 
-def _power_pair_integrals(
-    x: np.ndarray, y: np.ndarray, exponent: float, squared: bool
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Integrals of the panel fits to y at nodes x, in u = x^exponent.
+def _layer_cumulative_square_integral(
+    nodes: np.ndarray, values: np.ndarray, rho: float
+) -> np.ndarray:
+    """Cumulative int_0^{s_j} y(s)^2 ds for y given at nodes, y(0) = 1.
 
-    Consecutive panel pairs carry quadratic fits in u through their three
-    nodes; an odd trailing panel carries the two-point power pair
-    c0 + c1 u. Returns the integrals of each fit (or of its square) over
-    the first panel of every pair, over every whole pair, and over the
-    trailing panel (0.0 when the panel count is even).
+    Consecutive panel pairs from s = 0 carry quadratic fits in u = s^rho
+    (the boundary-layer coordinate near 0; plain quadratics when rho is
+    negligible) through their three nodes, and an odd trailing panel the
+    two-point fit c0 + c1 u. Each fit is squared and integrated in closed
+    form: over the first panel and the whole of each pair, and over the
+    trailing panel.
     """
-    n_pair = (x.size - 1) // 2
-    stop = 2 * n_pair + 1
-    first = whole = np.empty(0)
-    if n_pair:
-        coef = _fit_power_quadratics(x[:stop], y[:stop], exponent)
-        lo, mid, hi = x[0 : stop - 1 : 2], x[1 : stop - 1 : 2], x[2:stop:2]
-        first = _power_poly_integral(coef, lo, mid, exponent, squared)
-        whole = _power_poly_integral(coef, lo, hi, exponent, squared)
-    trailing = 0.0
+    x = np.concatenate(([0.0], nodes))
+    y = np.concatenate(([1.0], values))
+    exponent = rho if rho >= _MIN_LAYER_RHO else 1.0
+    stop = 2 * (nodes.size // 2) + 1
+    coef = _fit_power_quadratics(x[:stop], y[:stop], exponent)
+    lo, mid, hi = x[0 : stop - 1 : 2], x[1 : stop - 1 : 2], x[2:stop:2]
+    base = np.concatenate(([0.0], np.cumsum(_power_poly_square_integral(coef, lo, hi, exponent))))
+    out = np.empty(nodes.size)
+    out[0 : stop - 1 : 2] = base[:-1] + _power_poly_square_integral(coef, lo, mid, exponent)
+    out[1 : stop - 1 : 2] = base[1:]
     if x.size > stop:
         u0 = x[-2] ** exponent
         u1 = x[-1] ** exponent
         cb = (y[-1] - y[-2]) / (u1 - u0)
         ca = y[-2] - cb * u0
         coef = np.array([ca, cb, 0.0])
-        trailing = float(_power_poly_integral(coef, x[-2], x[-1], exponent, squared))
-    return first, whole, trailing
-
-
-def _layer_cumulative_square_integral(
-    nodes: np.ndarray, values: np.ndarray, rho: float
-) -> np.ndarray:
-    """Cumulative int_0^{s_j} y(u)^2 du for y given at nodes, y(0) = 1.
-
-    The power-pair fits of ``_power_pair_integrals`` in u = s^rho (the
-    boundary-layer coordinate near 0; plain quadratics when rho is
-    negligible), squared and integrated in closed form.
-    """
-    x = np.concatenate(([0.0], nodes))
-    y = np.concatenate(([1.0], values))
-    exponent = rho if rho >= _MIN_LAYER_RHO else 1.0
-    first, whole, trailing = _power_pair_integrals(x, y, exponent, squared=True)
-    base = np.concatenate(([0.0], np.cumsum(whole)))
-    out = np.empty(nodes.size)
-    out[0 : 2 * whole.size : 2] = base[:-1] + first
-    out[1 : 2 * whole.size : 2] = base[1:]
-    if nodes.size % 2 == 1:
-        out[-1] = base[-1] + trailing
+        out[-1] = base[-1] + float(_power_poly_square_integral(coef, x[-2], x[-1], exponent))
     return out
 
 
@@ -802,7 +775,8 @@ class KernelSolution:
 
     residual is the sup-norm residual of the dense Nystrom linear systems
     (solver tolerance); discretization error is probed separately through
-    mesh refinement and the integral identity below.
+    mesh refinement and the integral identity int_0^t g(s, t) ds = <M>_t
+    of the fundamental martingale.
     """
 
     t: float
@@ -833,31 +807,6 @@ class KernelSolution:
             raise ValueError("mesh must end at the right endpoint t")
         if self.bracket_M[0] < 0.0 or np.any(np.diff(self.bracket_M) < 0.0):
             raise ValueError("bracket_M must be nonnegative and nondecreasing")
-
-    def integral_g(self) -> float:
-        """int_0^t g(s, t) ds with the edge-layer panel fits.
-
-        Quadratic fits in s^rho over panel pairs (anchored at the exact
-        value g(0, t) = 1), a quadratic fit in (t - s)^rho over the final
-        panel pair; equals bracket_M[-1] in exact arithmetic (integral
-        identity of the fundamental martingale).
-        """
-        rho = 2.0 * self.h.h - 1.0
-        exponent = rho if rho >= _MIN_LAYER_RHO else 1.0
-        x = np.concatenate(([0.0], self.mesh))
-        y = np.concatenate(([1.0], self.g_values))
-        m = self.mesh.size
-
-        # panels 0 .. m-3 by the power-pair fits in s^rho
-        _, whole, trailing = _power_pair_integrals(x[: m - 1], y[: m - 1], exponent, squared=False)
-        total = float(np.sum(whole)) + trailing
-
-        # final two panels: the quadratic fit in (t - s)^rho through the last
-        # three nodes, taken on the reversed nodes t - s = [0, h_t, 2 h_t]
-        _, whole, _ = _power_pair_integrals(
-            self.t - x[m - 2 :][::-1], y[m - 2 :][::-1], exponent, squared=False
-        )
-        return total + float(whole[0])
 
 
 def solve_g_kernel(t: float, h: HurstParam, m: int = 256) -> KernelSolution:

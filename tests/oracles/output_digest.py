@@ -1,0 +1,101 @@
+"""One sha256 per layer over the deterministic outputs of a fixed grid.
+
+A change that must leave every output byte-identical runs this script on
+its tree and on a copy of the parent commit (``git archive``), and the
+two must print the same lines:
+
+    PYTHONPATH=src python tests/oracles/output_digest.py
+    PYTHONPATH=/path/to/parent/src python tests/oracles/output_digest.py
+
+The script reads only the public API, so it runs against older trees too.
+The grid covers H near 1/2 (where the layer exponent falls back to 1), odd
+and even estimation meshes, and the README scale N = 20000, m = 1024. It
+takes about 7 s on two cores; it is not part of the test suite.
+
+Layers:
+
+* ``paths``: ``euler_msfou`` values, every (H, theta, seed);
+* ``estimators``: theta_hat, denominator and diagnostics of the practical,
+  corrected LSE and nonergodic estimators on those paths;
+* ``mle``: ``decompose`` Z, Q and <M>, and ``mle`` theta_hat, on every
+  (H, N, m) and two seeds;
+* ``numerics``: ``solve_g_kernel`` g, diagonal, <M> and residual on odd and
+  even m.
+
+The README theta_hat is printed as well, to the last digit.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+
+import msfou
+from msfou import (
+    HurstParam,
+    decompose,
+    euler_msfou,
+    lse_skorohod,
+    mle,
+    nonergodic_estimator,
+    practical_estimator,
+    solve_g_kernel,
+)
+
+HURSTS = (0.5, 0.5002, 0.501, 0.55, 0.65, 0.9)
+SEEDS = (11, 12)
+# (N, d, m): README scale, even and odd meshes, and the smallest mesh
+MLE_GRIDS = ((20000, 0.01, 1024), (5000, 0.01, 250), (5001, 0.01, 251), (999, 0.01, 33),
+             (64, 0.05, 8))
+KERNEL_MESHES = (8, 9, 64, 65, 256, 257)
+
+
+class Digest:
+    def __init__(self):
+        self.sha = hashlib.sha256()
+        self.items = 0
+
+    def add(self, *values):
+        for value in values:
+            self.sha.update(np.ascontiguousarray(value, dtype=np.float64).tobytes())
+        self.items += 1
+
+    def add_result(self, result):
+        self.add(result.theta_hat, result.denominator)
+        self.sha.update(json.dumps(result.diagnostics, sort_keys=True).encode())
+
+
+def main() -> None:
+    paths, estimators, likelihood, kernel = Digest(), Digest(), Digest(), Digest()
+    for hh in HURSTS:
+        h = HurstParam(hh)
+        for theta in (1.0, -0.5):
+            for seed in SEEDS:
+                x = euler_msfou(theta=theta, H=h, d=0.05, N=400, seed=seed)
+                paths.add(x.values)
+                if theta > 0.0:
+                    estimators.add_result(practical_estimator(x, h))
+                    if hh > 0.5:
+                        estimators.add_result(lse_skorohod(x, h, theta))
+                else:
+                    estimators.add_result(nonergodic_estimator(x))
+        for n, d, m in MLE_GRIDS:
+            for seed in SEEDS:
+                x = euler_msfou(theta=1.0, H=h, d=d, N=n, seed=seed)
+                dec = decompose(x, h, m)
+                likelihood.add(dec.mesh, dec.Z, dec.Q, dec.bracket_M, mle(x, h, m).theta_hat)
+        for m in KERNEL_MESHES:
+            for t in (0.5, 20.0):
+                sol = solve_g_kernel(t, h, m)
+                kernel.add(sol.mesh, sol.g_values, sol.g_diag, sol.bracket_M, sol.residual)
+    h = HurstParam(0.65)
+    readme = mle(euler_msfou(theta=1.0, H=h, d=0.01, N=20000, seed=314), h, m=1024)
+    print(f"msfou from {msfou.__file__}")
+    for name, digest in (("paths", paths), ("estimators", estimators), ("mle", likelihood),
+                         ("numerics", kernel)):
+        print(f"{name:<10} {digest.sha.hexdigest()}  ({digest.items} items)")
+    print(f"README theta_hat {readme.theta_hat!r}")
+
+
+if __name__ == "__main__":
+    main()

@@ -43,6 +43,7 @@ from msfou import (
 )
 from msfou.cli import main
 from msfou.harness import _replication_seed
+from oracles.kernel_quadrature import integral_g
 
 
 def _report(number: int, ok: bool, detail: str) -> None:
@@ -388,7 +389,7 @@ def test_11_mle_reductions_and_stability():
     # independent quadratures agree to the target at this resolution)
     sol = solve_g_kernel(20.0, HurstParam(0.65), m=1024)
     residual_ok = sol.residual <= 1e-6
-    gap = abs(sol.integral_g() - sol.bracket_M[-1]) / sol.bracket_M[-1]
+    gap = abs(integral_g(sol) - sol.bracket_M[-1]) / sol.bracket_M[-1]
     identity_ok = gap <= 1e-5
 
     # Monte Carlo mean

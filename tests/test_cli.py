@@ -321,9 +321,9 @@ class TestArgumentErrors:
             main(["simulate", "--theta", "1.0"])
 
 
-def _one_error_line(capsys, argv) -> str:
-    """Run argv, expect exit 2 and a single ``msfou: error:`` line; return it."""
-    assert main(argv) == 2
+def _one_error_line(capsys, argv, status=2) -> str:
+    """Run argv, expect the exit status and a single ``msfou: error:`` line; return it."""
+    assert main(argv) == status
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
@@ -532,9 +532,9 @@ class TestUnwritableOutput:
         assert not (tmp_path / "phi.csv").exists()
 
     @pytest.mark.parametrize("command", ["mc-table", "mc-clt", "mc-rate"])
-    def test_failed_run_leaves_no_output(self, tmp_path, monkeypatch, command):
+    def test_failed_run_leaves_no_output(self, tmp_path, capsys, monkeypatch, command):
         # every replication simulates the zero path and fails, so the
-        # experiment raises after its outputs were opened
+        # experiment fails after its outputs were opened
         monkeypatch.setattr(
             harness, "euler_msfou", lambda **kw: SamplePath(d=kw["d"], values=np.zeros(kw["N"]))
         )
@@ -547,6 +547,31 @@ class TestUnwritableOutput:
             "mc-clt": ["mc-clt", "--stats", str(stats)],
             "mc-rate": ["mc-rate", "--T-grid", "4"],
         }[command] + ["--config", str(cfg_file), "--out", str(out)]
-        with pytest.raises(RuntimeError, match="failed|too few"):
-            main(argv)
+        line = _one_error_line(capsys, argv, status=1)
+        assert "all 3 replications failed" in line or "too few successful" in line
         assert not out.exists() and not stats.exists()
+
+
+class TestAllReplicationsFail:
+    @pytest.mark.parametrize(
+        "command,overrides,message",
+        [
+            # theta = -50: every path passes the float range long before T = 100
+            (["mc-table"], {"estimator": "nonergodic"}, "all 2 replications failed"),
+            (["mc-clt", "--stats", "s.json"], {"estimator": "practical"},
+             "all 2 replications failed"),
+            # one replication never leaves the two a sample deviation needs
+            (["mc-rate", "--T-grid", "5"], {"estimator": "lse", "theta_true": 1.0,
+                                            "replications": 1, "T": 5.0},
+             "too few successful replications at T=5.0"),
+        ],
+        ids=["mc-table", "mc-clt", "mc-rate"],
+    )
+    def test_one_line_and_exit_1(self, tmp_path, capsys, monkeypatch, command, overrides,
+                                 message):
+        monkeypatch.chdir(tmp_path)
+        raw = {"theta_true": -50.0, "d": 0.01, "T": 100.0, "replications": 2, "master_seed": 1}
+        _write_config(tmp_path / "cfg.json", **{**raw, **overrides})
+        argv = command + ["--config", "cfg.json", "--out", "o.csv"]
+        assert _one_error_line(capsys, argv, status=1) == f"msfou: error: {message}"
+        assert not (tmp_path / "o.csv").exists() and not (tmp_path / "s.json").exists()

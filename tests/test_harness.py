@@ -473,3 +473,17 @@ class TestRunRateExperiment:
         rows = run_rate_experiment(cfg, t_grid=[5.0, 5.0])
         # same horizon twice: different spawn keys, different samples
         assert rows[0][1] != rows[1][1]
+
+    def test_bad_horizon_rejected_before_any_replication(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "_run_replications", lambda *args: calls.append(args))
+        cfg = _config(estimator=Method.LSE_SKOROHOD, d=0.1, replications=6)
+        with pytest.raises(ValueError, match="T=-1.0"):
+            run_rate_experiment(cfg, t_grid=[5.0, -1.0])
+        assert calls == []
+
+    def test_too_few_successes_raise(self):
+        # one replication can never give the two a sample deviation needs
+        cfg = _config(estimator=Method.LSE_SKOROHOD, d=0.1, replications=1)
+        with pytest.raises(RuntimeError, match="too few successful replications at T=5.0"):
+            run_rate_experiment(cfg, t_grid=[5.0])

@@ -178,21 +178,22 @@ class TestDecompose:
             assert getattr(warm, name).tobytes() == getattr(cold, name).tobytes(), name
 
     def test_term_matrices_share_the_plan_arrays(self):
-        # each term's jump matrices read the operator's jumps and the term's
-        # cuts in place, and every jump matrix shares one row pointer: no
-        # per-term copy of an m x panels array
+        # the jump matrices of every term of both operators read one buffer
+        # of jumps and their term's cuts in place, and every jump matrix
+        # shares one row pointer: no per-term copy of an m x panels array
         h = HurstParam(0.7)
         plan = mle_module._grid_plan(h.h, 64, 0.0293, 8)
-        indptr = plan.z_sums.terms[0].jump_u.indptr
-        assert plan.z_sums.jump_u is plan.trap_sums.jump_u
-        for ops in (plan.z_sums, plan.trap_sums):
-            for term in ops.terms:
-                for mat, jumps in ((term.jump_u, ops.jump_u), (term.jump_us, ops.jump_us)):
-                    assert np.shares_memory(mat.data, jumps)
-                    assert np.shares_memory(mat.indices, term.cut)
-                    assert np.shares_memory(mat.indptr, indptr)
-                for mat in (term.jump_u, term.jump_us, term.right):
-                    assert mat.indices.dtype == mat.indptr.dtype == np.int32
+        first = plan.z_sums.terms[0]
+        terms = plan.z_sums.terms + plan.trap_sums.terms
+        assert len(terms) == 3
+        for term in terms:
+            for mat, data in ((term.jump_u, first.jump_u.data), (term.jump_us, first.jump_us.data)):
+                assert mat.data.base is data.base is not None
+                assert np.shares_memory(mat.indices, term.cut)
+                assert np.shares_memory(mat.indptr, first.jump_u.indptr)
+            for mat in (term.jump_u, term.jump_us, term.right):
+                assert mat.indices.dtype == mat.indptr.dtype == np.int32
+        assert not np.shares_memory(first.jump_u.data, first.jump_us.data)
 
     def test_cold_plan_retains_at_most_12_mib(self):
         # at README scale the cached plan holds the cuts, the jumps and the

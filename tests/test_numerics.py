@@ -9,7 +9,9 @@ Covers:
   5. The edge-element kernel moments against an mpmath reference.
 
 Frozen constants come from the scripts in tests/oracles/, which use only
-mpmath / direct quadrature and never import this package.
+mpmath / direct quadrature and never import this package. The identity
+check imports its side of the identity, int_0^t g(s, t) ds, from
+tests/oracles/kernel_quadrature.py.
 """
 
 import gc
@@ -40,6 +42,7 @@ from msfou.numerics import (
     _unit_interpolant,
     _unit_kernel_system,
 )
+from oracles.kernel_quadrature import integral_g
 
 # mpmath, 50 digits; tests/oracles/gamma_values.py
 GAMMA_TABLE = {
@@ -252,7 +255,7 @@ class TestSolveGKernel:
         gaps = []
         for m in (128, 256, 512, 1024):
             sol = solve_g_kernel(t, hurst, m=m)
-            gaps.append(abs(sol.integral_g() - sol.bracket_M[-1]) / sol.bracket_M[-1])
+            gaps.append(abs(integral_g(sol) - sol.bracket_M[-1]) / sol.bracket_M[-1])
         print("  rel gaps by mesh:", ", ".join(f"{g:.2e}" for g in gaps))
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] <= 1e-5
@@ -401,7 +404,10 @@ class TestInterpUnitSolution:
     # m = 64 puts the edge-region boundaries at 2/m and 1 - 2/m, both exact
     M = 64
 
-    @pytest.fixture(params=[0.501, 0.65, 0.9], ids=["H0.501", "H0.65", "H0.9"])
+    # at H = 0.5002 rho falls below _MIN_LAYER_RHO and the exponent is 1
+    @pytest.fixture(
+        params=[0.5002, 0.501, 0.65, 0.9], ids=["H0.5002", "H0.501", "H0.65", "H0.9"]
+    )
     def solution(self, request):
         hh = request.param
         weights, anchor = _unit_kernel_system(hh, self.M)
@@ -413,9 +419,11 @@ class TestInterpUnitSolution:
         return np.unique(np.concatenate([np.linspace(0.0, 1.0, 401), edges]))
 
     def test_one_at_zero(self, solution):
+        # exact: the left edge element's first shape function row is e_0,
+        # so mle's trapezoid ends take g(0, t) = 1 without evaluating it
         sols, rho = solution
         got = _unit_interpolant(sols, rho).at(0, np.array([0.0]))[0]
-        assert got == pytest.approx(1.0, abs=1e-12)
+        assert got == 1.0
 
     @pytest.mark.parametrize("m", [4, 64])
     def test_reproduces_nodes(self, m):
