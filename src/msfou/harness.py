@@ -294,11 +294,14 @@ def _check_clt_config(cfg: ExperimentConfig) -> None:
 
 
 def _check_rate_config(cfg: ExperimentConfig) -> None:
-    """ValueError unless the rate experiment applies: corrected LSE."""
+    """ValueError unless the rate experiment applies: corrected LSE, replications >= 2."""
     if cfg.estimator is not Method.LSE_SKOROHOD:
         raise ValueError(
             f"the rate experiment needs estimator lse, got {cfg.estimator.value}"
         )
+    # a sample deviation needs two estimates
+    if cfg.replications < 2:
+        raise ValueError(f"the rate experiment needs replications >= 2, got {cfg.replications}")
 
 
 def run_clt_experiment(
@@ -335,11 +338,21 @@ def _rate_scale(big_t: float, h: HurstParam) -> float:
 
 
 def _rate_configs(cfg: ExperimentConfig, t_grid) -> list[ExperimentConfig]:
-    """cfg at each horizon of t_grid, each with a fresh seed stream; ValueError on a bad one."""
-    return [
+    """cfg at each horizon of t_grid, each with a fresh seed stream.
+
+    ValueError on an empty grid, on a horizon the config rejects and, at
+    H = 3/4, where the scale sqrt(T/log T) needs T > 1, on T <= 1.
+    """
+    configs = [
         replace(cfg, T=float(big_t), master_seed=_replication_seed(cfg.master_seed, t_idx, 1))
         for t_idx, big_t in enumerate(t_grid)
     ]
+    if not configs:
+        raise ValueError("must list at least one horizon")
+    for cfg_t in configs:
+        if cfg.hurst.regime is HurstRegime.BOUNDARY and cfg_t.T <= 1.0:
+            raise ValueError(f"at H = 3/4 every horizon must exceed 1, got T={cfg_t.T}")
+    return configs
 
 
 def run_rate_experiment(
@@ -350,8 +363,10 @@ def run_rate_experiment(
     For each T, runs the experiment with that horizon (fresh seed stream
     per grid entry) and reports (T, sdev of scale(T) * (theta_bar - theta),
     n_failed). The scaling matches the asymptotic regime of H, so the
-    column is approximately flat in T when the rate is right. Every
-    horizon is checked before the first replication runs.
+    column is approximately flat in T when the rate is right. The config
+    and every horizon are checked before the first replication runs:
+    ValueError for fewer than two replications, an empty grid, a horizon
+    the config rejects or, at H = 3/4, a horizon T <= 1.
     """
     _check_rate_config(cfg)
     rows = []

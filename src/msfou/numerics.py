@@ -87,10 +87,6 @@ _EDGE_ORDER = 2
 
 _MAX_MESH = 4096
 
-# Mesh points per block as the grid-sum operators are built, so their
-# (block x panels) temporaries stay near 256 KiB whatever the row count.
-_ROW_BLOCK = 128
-
 
 def _require_hurst(h) -> HurstParam:
     if not isinstance(h, HurstParam):
@@ -519,32 +515,31 @@ class _UnitInterpolant:
         point, as a sparse matrix applied to a. Everything but the prefix
         sums of a depends on (t, s, n) alone and is built here, once: the
         cuts, the jumps, the powers of t and s and the right layer's kernel
-        values. The operators share the arrays that depend on t only.
+        values. The operators share the arrays that depend on t only. Each
+        array is built whole, over all rows; the cuts and right layers come
+        before the jumps, so that the two phases' temporaries never overlap.
         """
         e = self.exponent
         # the interior panels q, from sigma = order/m to 1 - order/m
         inner = slice(_EDGE_ORDER - 1, self.nodes.size - _EDGE_ORDER - 1)
         bounds = self.nodes[inner.start : inner.stop + 1]
-        blocks = _row_blocks(t.size)
         grid_parts = []
         for s, ns in grids:
             u = s**e
             factors = tuple(u**p for p in range(self.left.shape[1])) + (u * s,)
-            cuts = [np.empty((t.size, bounds.size), dtype=np.int32) for _ in ns]
-            for block in blocks:
-                # samples below each boundary; a sample within rounding of a
-                # boundary may fall on either side, where the interpolant is continuous
-                below = np.ceil((np.outer(t[block], bounds) - s[0]) / (s[1] - s[0]))
-                below = np.clip(below, 0, s.size)
-                for cut, n in zip(cuts, ns):
-                    cut[block] = np.minimum(below, n[block, None])
+            # samples below each boundary; a sample within rounding of a
+            # boundary may fall on either side, where the interpolant is continuous
+            below = np.ceil((np.outer(t, bounds) - s[0]) / (s[1] - s[0]))
+            below = np.clip(below, 0, s.size)
+            cuts = [np.minimum(below, n[:, None]).astype(np.int32) for n in ns]
+            del below  # so that it does not sit under the later temporaries
             rights = [self._right_layer(t, s, n, cut) for cut, n in zip(cuts, ns)]
             # the prefix sums of a, which start at 0, have one column more than s
             grid_parts.append((factors, (t.size, s.size + 1), cuts, rights))
-        jump_u, jump_us = (np.empty((t.size, bounds.size)) for _ in range(2))
-        for block in blocks:
-            jump_u[block] = -np.diff(self.offset[block, inner], axis=1, prepend=0.0, append=0.0)
-            jump_us[block] = -np.diff(self.slope[block, inner], axis=1, prepend=0.0, append=0.0)
+        jump_u, jump_us = (
+            -np.diff(coef[:, inner], axis=1, prepend=0.0, append=0.0)
+            for coef in (self.offset, self.slope)
+        )
         # each row of a jump matrix holds one entry per boundary
         rows_at = np.arange(0, jump_u.size + 1, bounds.size, dtype=np.int32)
         t_e = t**-e
@@ -563,16 +558,13 @@ class _UnitInterpolant:
     def _right_layer(
         self, t: np.ndarray, s: np.ndarray, n: np.ndarray, cut: np.ndarray
     ) -> _sparse.csr_array:
-        """Row k sums samples cut[k, -1] .. n[k] - 1 of a against g_k there."""
+        """Row k sums samples cut[k, -1] .. n[k] - 1 of a against g_k, read by one ``at`` call."""
         length = np.maximum(n - cut[:, -1], 0)
         local = np.repeat(np.arange(t.size, dtype=np.int32), length)
         end = np.cumsum(length)  # where row k's samples end in pos
         shift = np.repeat(cut[:, -1] - (end - length), length)
         pos = (np.arange(local.size) + shift).astype(np.int32)
-        g = np.empty(local.size)
-        for block in _row_blocks(t.size):
-            seg = slice(end[block][0] - length[block][0], end[block][-1])
-            g[seg] = self.at(local[seg], s[pos[seg]] / t[local[seg]])
+        g = self.at(local, s[pos] / t[local])
         rows_at = np.concatenate(([0], end)).astype(np.int32)
         return _csr(g, pos, rows_at, (t.size, s.size))
 
@@ -642,11 +634,6 @@ class _GridSums:
             val -= self.t_e1 * (term.jump_us @ tail)
             sums.append(val + term.right @ a)
         return sums
-
-
-def _row_blocks(rows: int) -> list[slice]:
-    """Consecutive slices of at most ``_ROW_BLOCK`` rows covering range(rows)."""
-    return [slice(start, start + _ROW_BLOCK) for start in range(0, rows, _ROW_BLOCK)]
 
 
 def _power_series(coef: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -1,0 +1,84 @@
+"""Memory and time of the cached MLE grid plan on the README path.
+
+For each estimation mesh m the script prints
+
+* ``retained``: what a cold ``mle`` call leaves allocated (the cached plan);
+* ``peak``: the cold call's peak allocation;
+* ``build``: the peak of the plan's build alone, ``_mesh_kernel`` then
+  ``grid_sums`` with the arguments ``mle._grid_plan`` passes;
+* ``cold``: the median time of three cold calls, after a warm-up call.
+
+Memory is traced with ``tracemalloc``, so it counts numpy's buffers and not
+the interpreter's own. Run it on a tree and on a copy of its parent commit
+to compare a change to the plan's build:
+
+    PYTHONPATH=src python tests/oracles/plan_memory.py [m ...]
+
+The default meshes are 128, 1024 (the README scale) and 4096; any m up to
+N = 20000 may be given. The defaults take about 5 s on two cores; the
+script is not part of the test suite.
+"""
+
+import importlib
+import statistics
+import sys
+import time
+import tracemalloc
+
+import numpy as np
+
+from msfou import HurstParam, euler_msfou, mle
+from msfou.mle import _UNIT_MESH, _mesh_indices, _mesh_kernel
+
+mle_module = importlib.import_module("msfou.mle")  # msfou.mle is also the function
+
+MIB = 2**20
+
+
+def _traced(fn) -> tuple[float, float]:
+    """(retained, peak) MiB allocated while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return retained / MIB, peak / MIB
+
+
+def _build(h: float, n: int, d: float, m: int) -> None:
+    """The plan's kernel solves and operators, as ``mle._grid_plan`` builds them."""
+    idx = _mesh_indices(n, m)
+    times = d * np.arange(n + 1)
+    t = idx[1:] * d
+    kernel, _ = _mesh_kernel(h, _UNIT_MESH, t)
+    stop, prev = idx[1:], idx[:-1]
+    kernel.grid_sums(t, [(times[:-1] + 0.5 * d, [stop]), (times, [stop + 1, prev + 1])])
+
+
+def main(meshes: list[int]) -> None:
+    h = HurstParam(0.65)
+    x = euler_msfou(1.0, H=h, d=0.01, N=20000, seed=314)
+    cold = mle_module._grid_plan.cache_clear
+    print(f"{'m':>6} {'retained':>9} {'peak':>8} {'build':>8} {'cold':>7}")
+    for m in meshes:
+        cold()
+        retained, peak = _traced(lambda: mle(x, h, m))
+        cold()
+        _, build = _traced(lambda: _build(h.h, x.n, x.d, m))
+        mle(x, h, m)  # warm-up
+        times = []
+        for _ in range(3):
+            cold()
+            start = time.perf_counter()
+            mle(x, h, m)
+            times.append(time.perf_counter() - start)
+        print(
+            f"{m:>6} {retained:>7.2f}Mi {peak:>6.2f}Mi {build:>6.2f}Mi "
+            f"{statistics.median(times):>6.3f}s"
+        )
+    cold()
+
+
+if __name__ == "__main__":
+    main([int(arg) for arg in sys.argv[1:]] or [128, 1024, 4096])

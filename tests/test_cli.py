@@ -308,7 +308,10 @@ class TestMcRate:
         _write_config(cfg_file, estimator="lse")
         argv = ["mc-rate", "--config", str(cfg_file), "--T-grid", ",",
                 "--out", str(tmp_path / "x.csv")]
-        assert "--T-grid must list" in _one_error_line(capsys, argv)
+        assert _one_error_line(capsys, argv) == (
+            "msfou: error: --T-grid: must list at least one horizon"
+        )
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestArgumentErrors:
@@ -454,13 +457,21 @@ class TestUserErrors:
         assert "--hurst" in _one_error_line(capsys, estimate)
 
     @pytest.mark.parametrize(
-        "grid,message",
-        [("5,x", "could not convert"), ("5,-1", "T=-1"), ("5,0", "T=0"), ("5,inf", "--T-grid")],
-        ids=["not-a-number", "negative", "zero", "infinite"],
+        "grid,message,hurst",
+        [
+            ("5,x", "could not convert", 0.6),
+            ("5,-1", "T=-1", 0.6),
+            ("5,0", "T=0", 0.6),
+            ("5,inf", "--T-grid", 0.6),
+            # at H = 3/4 the rate scale sqrt(T/log T) needs T > 1
+            ("5,1", "--T-grid: at H = 3/4 every horizon must exceed 1, got T=1.0", 0.75),
+            ("0.5", "--T-grid: at H = 3/4 every horizon must exceed 1, got T=0.5", 0.75),
+        ],
+        ids=["not-a-number", "negative", "zero", "infinite", "boundary-T-1", "boundary-T-below-1"],
     )
-    def test_bad_rate_horizon(self, tmp_path, capsys, grid, message):
+    def test_bad_rate_horizon(self, tmp_path, capsys, grid, message, hurst):
         cfg_file = tmp_path / "cfg.json"
-        _write_config(cfg_file, estimator="lse")
+        _write_config(cfg_file, estimator="lse", H=hurst)
         argv = ["mc-rate", "--config", str(cfg_file), "--T-grid", grid,
                 "--out", str(tmp_path / "o.csv")]
         assert message in _one_error_line(capsys, argv)
@@ -471,11 +482,14 @@ class TestUserErrors:
         [
             (["mc-rate", "--T-grid", "5"], {"estimator": "practical"}, "estimator lse"),
             (["mc-rate", "--T-grid", "5"], {"estimator": "nonergodic"}, "estimator lse"),
+            (["mc-rate", "--T-grid", "5"], {"estimator": "lse", "replications": 1},
+             "replications >= 2"),
             (["mc-clt", "--stats", "s.json"], {"estimator": "lse"}, "estimator practical"),
             (["mc-clt", "--stats", "s.json"], {"H": 0.8}, "1/2 < H < 3/4"),
             (["mc-clt", "--stats", "s.json"], {"H": 0.5}, "1/2 < H < 3/4"),
         ],
-        ids=["rate-practical", "rate-nonergodic", "clt-lse", "clt-h-above", "clt-h-half"],
+        ids=["rate-practical", "rate-nonergodic", "rate-one-replication", "clt-lse",
+             "clt-h-above", "clt-h-half"],
     )
     def test_experiment_precondition(self, tmp_path, capsys, monkeypatch, command,
                                      overrides, message):
@@ -560,10 +574,9 @@ class TestAllReplicationsFail:
             (["mc-table"], {"estimator": "nonergodic"}, "all 2 replications failed"),
             (["mc-clt", "--stats", "s.json"], {"estimator": "practical"},
              "all 2 replications failed"),
-            # one replication never leaves the two a sample deviation needs
-            (["mc-rate", "--T-grid", "5"], {"estimator": "lse", "theta_true": 1.0,
-                                            "replications": 1, "T": 5.0},
-             "too few successful replications at T=5.0"),
+            # |1 - theta d| = 4: every path overflows long before T = 100
+            (["mc-rate", "--T-grid", "100"], {"estimator": "lse", "theta_true": 50.0, "d": 0.1},
+             "too few successful replications at T=100.0"),
         ],
         ids=["mc-table", "mc-clt", "mc-rate"],
     )

@@ -482,8 +482,30 @@ class TestRunRateExperiment:
             run_rate_experiment(cfg, t_grid=[5.0, -1.0])
         assert calls == []
 
+    @pytest.mark.parametrize(
+        "overrides,t_grid,message",
+        [
+            # one replication can never give the two a sample deviation needs
+            ({"replications": 1}, [5.0], "replications >= 2"),
+            ({}, [], "at least one horizon"),
+            # sqrt(T/log T) divides by zero at T = 1 and is complex below it
+            ({"H": 0.75}, [5.0, 1.0], "T=1.0"),
+            ({"H": 0.75}, [0.5], "T=0.5"),
+        ],
+        ids=["one-replication", "empty-grid", "boundary-T-1", "boundary-T-below-1"],
+    )
+    def test_bad_rate_config_rejected_before_any_replication(
+        self, monkeypatch, overrides, t_grid, message
+    ):
+        calls = []
+        monkeypatch.setattr(harness, "_run_replications", lambda *args: calls.append(args))
+        cfg = _config(estimator=Method.LSE_SKOROHOD, d=0.1, **overrides)
+        with pytest.raises(ValueError, match=message):
+            run_rate_experiment(cfg, t_grid=t_grid)
+        assert calls == []
+
     def test_too_few_successes_raise(self):
-        # one replication can never give the two a sample deviation needs
-        cfg = _config(estimator=Method.LSE_SKOROHOD, d=0.1, replications=1)
-        with pytest.raises(RuntimeError, match="too few successful replications at T=5.0"):
-            run_rate_experiment(cfg, t_grid=[5.0])
+        # |1 - theta d| = 4: every path leaves the float range long before T = 100
+        cfg = _config(estimator=Method.LSE_SKOROHOD, theta_true=50.0, d=0.1, replications=2)
+        with pytest.raises(RuntimeError, match="too few successful replications at T=100.0"):
+            run_rate_experiment(cfg, t_grid=[100.0])

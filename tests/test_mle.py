@@ -197,18 +197,22 @@ class TestDecompose:
 
     def test_cold_plan_retains_at_most_12_mib(self):
         # at README scale the cached plan holds the cuts, the jumps and the
-        # right layer's kernel values; no m x m solve array may stay behind
+        # right layer's kernel values; no m x m solve array may stay behind.
+        # The build's temporaries must not pile up either: building the
+        # jumps before the cuts, so that they sit under every later
+        # temporary, peaks above 20 MiB
         h = HurstParam(0.65)
         x = euler_msfou(1.0, H=h, d=0.01, N=20000, seed=314)
         mle_module._grid_plan.cache_clear()
         tracemalloc.start()
         try:
             mle(x, h, 1024)
-            retained, _ = tracemalloc.get_traced_memory()
+            retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        print(f"  plan retains {retained / 2**20:.2f} MiB")
+        print(f"  plan retains {retained / 2**20:.2f} MiB, peaks at {peak / 2**20:.2f} MiB")
         assert retained <= 12 * 2**20
+        assert peak <= 20 * 2**20
 
     def test_plan_is_keyed_on_the_observation_grid(self):
         # (N, d) = (64, 0.02) and (128, 0.01) share the mesh t_k = 0.16 k
