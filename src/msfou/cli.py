@@ -15,15 +15,15 @@ worker counts never change any byte of output.
 A missing, unreadable or malformed --config/--in file (a config that is
 not a JSON object or gives a field a non-number, a path row without
 exactly the two fields t,value), an invalid config or one the experiment
-cannot run (mc-clt needs the practical estimator and 1/2 < H < 3/4,
-mc-rate the corrected LSE and at least two replications), a missing or
-invalid argument value (--hurst, --theta-ref, --d, --T, each --T-grid
-horizon, an empty --T-grid, a horizon T <= 1 at H = 3/4 where the rate
-scale sqrt(T/log T) needs T > 1, --workers below 1, and any value the
-library rejects, such as simulate --seed -1 or estimate --mesh 4) and an
---out or --stats file that cannot be created are reported as one line
-``msfou: error: ...`` on stderr with exit status 2, before any path is
-simulated. A valid config whose replications all fail (for
+cannot run (mc-clt needs the practical estimator, 1/2 < H < 3/4 and
+theta_true > 0, mc-rate the corrected LSE and at least two replications),
+a missing or invalid argument value (--hurst, --theta-ref, --d, --T, each
+--T-grid horizon, an empty --T-grid, a horizon T <= 1 at H = 3/4 where
+the rate scale sqrt(T/log T) needs T > 1, --workers below 1, and any
+value the library rejects, such as simulate --seed -1 or estimate --mesh
+4) and an --out or --stats file that cannot be created are reported as
+one line ``msfou: error: ...`` on stderr with exit status 2, before any
+path is simulated. A valid config whose replications all fail (for
 mc-rate, leave fewer than two at a horizon) ends with the same line and
 exit status 1. Outputs are opened before the work starts; a run that
 fails afterwards removes them, so no truncated file passes for a result.

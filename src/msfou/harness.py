@@ -284,13 +284,16 @@ def run_table_experiment(cfg: ExperimentConfig, workers: int = 1) -> SummaryStat
 
 
 def _check_clt_config(cfg: ExperimentConfig) -> None:
-    """ValueError unless the CLT experiment applies: practical, 1/2 < H < 3/4."""
+    """ValueError unless the CLT experiment applies: practical, 1/2 < H < 3/4, theta_true > 0."""
     if cfg.estimator is not Method.PRACTICAL:
         raise ValueError(
             f"the CLT experiment needs estimator practical, got {cfg.estimator.value}"
         )
     if not 0.5 < cfg.H < 0.75:
         raise ValueError(f"the CLT experiment needs 1/2 < H < 3/4, got H={cfg.H}")
+    # Phi standardizes by p(theta_true), which is defined for theta > 0 only
+    if not cfg.theta_true > 0.0:
+        raise ValueError(f"the CLT experiment needs theta_true > 0, got {cfg.theta_true}")
 
 
 def _check_rate_config(cfg: ExperimentConfig) -> None:
@@ -310,9 +313,10 @@ def run_clt_experiment(
     """Standardized-error sample for the moment estimator plus its summary.
 
     Per replication, Phi = phi_statistic(theta_tilde, theta_true, ...) with
-    theta_tilde from the practical estimator; requires 1/2 < H < 3/4 and
-    estimator = PRACTICAL. Replications run and fail exactly as in
-    ``run_table_experiment``.
+    theta_tilde from the practical estimator; requires 1/2 < H < 3/4,
+    theta_true > 0 and estimator = PRACTICAL, and raises ValueError before
+    the first replication otherwise. Replications run and fail exactly as
+    in ``run_table_experiment``.
     """
     _check_clt_config(cfg)
     estimates, n_failed = _run_replications(cfg, workers)

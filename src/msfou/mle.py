@@ -28,9 +28,11 @@ Everything in ``decompose`` but a few prefix sums of the path depends on
 the grid (H, N, d, m) alone, so it is built once per grid and cached
 (``_grid_plan``): the kernel solves and <M> from ``numerics._mesh_kernel``,
 and from its interpolant of g(., t_k) the ``numerics`` operators that sum
-g against a path on the observation grid, plus the integral of g alone.
-The interpolant itself is not kept. A path on a cached grid then costs
-O(N + m * 256) instead of O(m * N).
+g against a path on the observation grid up to t_k, the trapezoid weights
+of g over the last panel [t_{k-1}, t_k], and the integral of g alone.
+Q's frozen-state sums up to t_{k-1} are the sums up to t_k minus the last
+panel's. The interpolant itself is not kept. A path on a cached grid then
+costs O(N + m * 256) instead of O(m * N).
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .estimators import EstimateResult, Method
 from .noise import HurstParam
@@ -93,24 +96,25 @@ def _mesh_indices(n: int, m: int) -> np.ndarray:
 class _GridPlan:
     """The part of ``decompose`` that depends on the grid (H, N, d, m) only.
 
-    z_sums takes g(., t_k) at the step midpoints up to t_k; trap_sums at
-    the observation times up to t_k and up to t_{k-1}. g_stop and g_prev
-    are g(s, t_k) at s = t_k and t_{k-1} (at s = 0 it is exactly 1);
-    d_vals the trapezoid int_0^{t_{k-1}} g(s, t_k) ds; bracket is <M> on
-    the mesh, dm its steps.
+    z_sums sums g(., t_k) at the step midpoints up to t_k, f_sums at the
+    observation times up to t_k; panel holds d^-1 times the trapezoid
+    weights of g(., t_k) on [t_{k-1}, t_k], one CSR row per k. g_stop is
+    g(t_k, t_k) (at s = 0, g is exactly 1); d_vals the trapezoid
+    int_0^{t_{k-1}} g(s, t_k) ds; bracket is <M> on the mesh, dm its steps.
     """
 
     z_sums: _GridSums
-    trap_sums: _GridSums
+    f_sums: _GridSums
+    panel: sparse.csr_array
     g_stop: np.ndarray
-    g_prev: np.ndarray
     d_vals: np.ndarray
     bracket: np.ndarray
     dm: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("g_stop", "g_prev", "d_vals", "bracket", "dm"):
-            getattr(self, name).setflags(write=False)
+        panel = (self.panel.data, self.panel.indices, self.panel.indptr)
+        for arr in (*panel, self.g_stop, self.d_vals, self.bracket, self.dm):
+            arr.setflags(write=False)
 
 
 @functools.lru_cache(maxsize=16)
@@ -130,24 +134,22 @@ def _grid_plan(hh: float, n: int, d: float, m: int) -> _GridPlan:
     if np.any(dm <= 0.0):
         raise RuntimeError("degenerate bracket increment in <M>")
     stop, prev = idx[1:], idx[:-1]
-    # Z on the step midpoints up to t_k; F (up to t_k) and the frozen-state
-    # panel sums c, d (up to t_{k-1}) on the observation times
-    z_sums, trap_sums = kernel.grid_sums(
-        t, [(times[:-1] + 0.5 * d, [stop]), (times, [stop + 1, prev + 1])]
-    )
-    rows = np.arange(m)
-    g_stop = kernel.at(rows, times[stop] / t)
-    g_prev = kernel.at(rows, times[prev] / t)
+    # Z on the step midpoints, F on the observation times, both up to t_k
+    z_sums, f_sums = kernel.grid_sums(t, [(times[:-1] + 0.5 * d, stop), (times, stop + 1)])
+    # g(., t_k) at the observation times of [t_{k-1}, t_k], halved at both ends
+    panel = kernel.window(t, times, prev, stop + 1)
+    panel.data[panel.indptr[:-1]] *= 0.5
+    panel.data[panel.indptr[1:] - 1] *= 0.5
+    g_stop = kernel.at(np.arange(m), times[stop] / t)
     # the operators hold all they need of the interpolant: drop it before
     # the first sum runs, so the sum's temporaries do not come on top of it
     del kernel
-    _, d_sum = trap_sums(np.ones(n + 1))
     return _GridPlan(
         z_sums=z_sums,
-        trap_sums=trap_sums,
+        f_sums=f_sums,
+        panel=panel,
         g_stop=g_stop,
-        g_prev=g_prev,
-        d_vals=d * (d_sum - 0.5 * (1.0 + g_prev)),
+        d_vals=d * (f_sums(np.ones(n + 1)) - 0.5 * (1.0 + g_stop) - panel.sum(axis=1)),
         bracket=bracket,
         dm=dm,
     )
@@ -160,13 +162,13 @@ def decompose(x: SamplePath, h: HurstParam, m: int = 128) -> MartingaleDecomposi
     the grid exactly and ends at T. Z(t_k) integrates g(., t_k) against the
     raw path increments (midpoint evaluation of g on each observation
     step); the Q numerator F(t_k) integrates g * X by the trapezoid rule on
-    the full grid, and the frozen-state panel of Q integrates g * X and g
-    by the trapezoid rule up to t_{k-1}. Each of these four integrals is a
-    plain sum of g(s_i, t_k) a_i over the grid, with the trapezoid's half
-    weights at s = 0, t_{k-1} and t_k subtracted afterwards. The kernel
-    solves, <M>, the integral of g alone and everything else of these sums
-    but a few prefix sums of the path are built once per grid (H, N, d, m)
-    and cached, so a further path on the grid costs O(N + m * 256). m must
+    the full grid. Both are plain sums of g(s_i, t_k) a_i up to t_k. The
+    frozen-state panel of Q takes the trapezoids of g * X and g up to
+    t_{k-1} as those up to t_k minus the ones over the last panel
+    [t_{k-1}, t_k]. The kernel solves, <M>, the integral of g alone and
+    everything else of these sums but a few prefix sums and one sparse
+    product of the path are built once per grid (H, N, d, m) and cached,
+    so a further path on the grid costs O(N + m * 256). m must
     be an integer with N >= m >= 8, and H >= 1/2. Raises RuntimeError when
     a kernel solve's linear-system residual exceeds 1e-6, as
     ``solve_g_kernel`` does.
@@ -201,20 +203,18 @@ def decompose(x: SamplePath, h: HurstParam, m: int = 128) -> MartingaleDecomposi
     plan = _grid_plan(h.h, n, x.d, m)
     stop, prev = idx[1:], idx[:-1]
     # Z(t_k): g(., t_k) at the step midpoints against the raw increments
-    (z_vals,) = plan.z_sums(np.diff(full))
-    # F(t_k) = int_0^{t_k} g(s, t_k) X_s ds and the frozen-state panel
-    # sums c_k below and d_k (the plan's d_vals) are trapezoid rules on the
-    # observation times: plain sums up to the last point, minus half of
-    # each end value
-    f_sum, c_sum = plan.trap_sums(full)
-    f_vals = x.d * (f_sum - 0.5 * (full[0] + plan.g_stop * full[stop]))
+    z_vals = plan.z_sums(np.diff(full))
+    # F(t_k) = int_0^{t_k} g(s, t_k) X_s ds is a trapezoid rule on the
+    # observation times: a plain sum up to t_k, minus half of each end value
+    f_vals = x.d * (plan.f_sums(full) - 0.5 * (full[0] + plan.g_stop * full[stop]))
     # Q(t_{k-1}) by a predictable forward difference: the kernel is
     # advanced to t_k but the path is frozen at t_{k-1}, so Q never
     # peeks at the innovation it multiplies in the likelihood sums
     # (a look-ahead Q turns the numerator into a symmetric integral
     # and attenuates theta_hat by O(1), independent of the mesh).
-    # The frozen-state panel uses int_0^{t_k} g(s, t_k) ds = <M>_k.
-    c_vals = x.d * (c_sum - 0.5 * (full[0] + plan.g_prev * full[prev]))
+    # The frozen-state panel uses int_0^{t_k} g(s, t_k) ds = <M>_k; c_k =
+    # int_0^{t_{k-1}} g(s, t_k) X_s ds is F(t_k) minus the last panel's trapezoid.
+    c_vals = f_vals - x.d * (plan.panel @ full)
     f_before = np.concatenate(([0.0], f_vals[:-1]))
     bracket, dm = plan.bracket, plan.dm
     q_vals = np.empty(m + 1)

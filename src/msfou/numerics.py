@@ -19,14 +19,15 @@ Four tools live here:
 This module is the only one that knows how g is discretized. ``mle``
 takes from it ``_mesh_kernel``, which gives for an estimation mesh the
 interpolant of g(., t_k) at every mesh time and the bracket <M> on the
-mesh. The interpolant evaluates g(., t) at any sigma (``at``) and builds
-operators that sum it against data on a uniform grid (``grid_sums``):
-everything in those sums that depends on the grid alone is built with
-the operator, so applying it to data costs a few prefix sums and
-sparse matrix-vector products. Both ``_mesh_kernel`` and
-``solve_g_kernel`` take their solves from ``_solve_kernel``, which caches
-nothing: each call assembles and factors its systems anew, and ``mle``
-caches what a grid's paths repeat.
+mesh. The interpolant evaluates g(., t) at any sigma (``at``), as a
+sparse matrix over a window of samples of a grid (``window``), and as
+operators that sum it against data on a uniform grid, one upper limit
+per row (``grid_sums``): everything in those sums that depends on the
+grid alone is built with the operator, so applying it to data costs a
+few prefix sums and sparse matrix-vector products. Both ``_mesh_kernel``
+and ``solve_g_kernel`` take their solves from ``_solve_kernel``, which
+caches nothing: each call assembles and factors its systems anew, and
+``mle`` caches what a grid's paths repeat.
 
 The kernel ``kappa`` is homogeneous of degree ``2H-2``, so ``g(t*sigma, t)``
 as a function of ``sigma`` solves ``(I + t^(2H-1) K) G = 1`` on a fixed unit
@@ -498,44 +499,44 @@ class _UnitInterpolant:
         return out
 
     def grid_sums(
-        self, t: np.ndarray, grids: list[tuple[np.ndarray, list[np.ndarray]]]
+        self, t: np.ndarray, grids: list[tuple[np.ndarray, np.ndarray]]
     ) -> list[_GridSums]:
-        """Operators a -> [sums over i < n[k] of g_k(s_i / t_k) a_i, for n in ns].
+        """Operators a -> [sum over i < n[k] of g_k(s_i / t_k) a_i, for each row k].
 
-        One operator per (s, ns) in grids; g_k is row k, s a uniform grid
-        from s_0 >= 0 with s_i <= t_k for i < n[k]. With sigma = s/t_k and
-        e the exponent, the left layer (sum_p c_p sigma^(p e)) and each
-        interior panel (1 - sigma^e (A_q + B_q sigma)) are separable, so
-        their sums are t_k^(-p e) and t_k^(-e-1) times the prefix sums
-        cumsum(a s^(p e)) and cumsum(a s^(e+1)), read where the panel
-        boundaries cut s. Summed by parts, each boundary carries the jump
-        of A_q or B_q across it: a sparse matrix with one row per t_k and
-        one entry per boundary, applied to a prefix sum. Only the right
-        layer, where (1 - sigma)^e does not separate, is evaluated point by
-        point, as a sparse matrix applied to a. Everything but the prefix
-        sums of a depends on (t, s, n) alone and is built here, once: the
-        cuts, the jumps, the powers of t and s and the right layer's kernel
-        values. The operators share the arrays that depend on t only. Each
-        array is built whole, over all rows; the cuts and right layers come
-        before the jumps, so that the two phases' temporaries never overlap.
+        One operator per (s, n) in grids, n its upper limit; g_k is row k,
+        s a uniform grid from s_0 >= 0 with s_i <= t_k for i < n[k]. With
+        sigma = s/t_k and e the exponent, the left layer (sum_p c_p
+        sigma^(p e)) and each interior panel (1 - sigma^e (A_q + B_q sigma))
+        are separable, so their sums are t_k^(-p e) and t_k^(-e-1) times
+        the prefix sums cumsum(a s^(p e)) and cumsum(a s^(e+1)), read where
+        the panel boundaries cut s. Summed by parts, each boundary carries
+        the jump of A_q or B_q across it: a sparse matrix with one row per
+        t_k and one entry per boundary, applied to a prefix sum. Only the
+        right layer, where (1 - sigma)^e does not separate, is evaluated
+        point by point, as a ``window`` applied to a. Everything but the
+        prefix sums of a depends on (t, s, n) alone and is built here,
+        once: the cuts, the jumps, the powers of t and s and the right
+        layer's kernel values. The operators share the arrays that depend
+        on t only. Each array is built whole, over all rows; the cuts and
+        right layers come before the jumps, so that the two phases'
+        temporaries never overlap.
         """
         e = self.exponent
         # the interior panels q, from sigma = order/m to 1 - order/m
         inner = slice(_EDGE_ORDER - 1, self.nodes.size - _EDGE_ORDER - 1)
         bounds = self.nodes[inner.start : inner.stop + 1]
         grid_parts = []
-        for s, ns in grids:
+        for s, n in grids:
             u = s**e
             factors = tuple(u**p for p in range(self.left.shape[1])) + (u * s,)
             # samples below each boundary; a sample within rounding of a
             # boundary may fall on either side, where the interpolant is continuous
             below = np.ceil((np.outer(t, bounds) - s[0]) / (s[1] - s[0]))
-            below = np.clip(below, 0, s.size)
-            cuts = [np.minimum(below, n[:, None]).astype(np.int32) for n in ns]
+            cut = np.clip(below, 0, n[:, None]).astype(np.int32)
             del below  # so that it does not sit under the later temporaries
-            rights = [self._right_layer(t, s, n, cut) for cut, n in zip(cuts, ns)]
+            right = self.window(t, s, cut[:, -1], n)
             # the prefix sums of a, which start at 0, have one column more than s
-            grid_parts.append((factors, (t.size, s.size + 1), cuts, rights))
+            grid_parts.append((factors, (t.size, s.size + 1), cut, right))
         jump_u, jump_us = (
             -np.diff(coef[:, inner], axis=1, prepend=0.0, append=0.0)
             for coef in (self.offset, self.slope)
@@ -545,24 +546,23 @@ class _UnitInterpolant:
         t_e = t**-e
         lead = tuple(self.left[:, p] * t_e**p for p in range(self.left.shape[1]))
         ops = []
-        for factors, shape, cuts, rights in grid_parts:
-            terms = tuple(
-                _CutTerm(
-                    cut, _csr(jump_u, cut, rows_at, shape), _csr(jump_us, cut, rows_at, shape), right
-                )
-                for cut, right in zip(cuts, rights)
-            )
-            ops.append(_GridSums(factors, lead, t_e, t_e / t, terms))
+        for factors, shape, cut, right in grid_parts:
+            jumps = (_csr(jump, cut, rows_at, shape) for jump in (jump_u, jump_us))
+            ops.append(_GridSums(factors, lead, t_e, t_e / t, cut, *jumps, right))
         return ops
 
-    def _right_layer(
-        self, t: np.ndarray, s: np.ndarray, n: np.ndarray, cut: np.ndarray
+    def window(
+        self, t: np.ndarray, s: np.ndarray, lo: np.ndarray, hi: np.ndarray
     ) -> _sparse.csr_array:
-        """Row k sums samples cut[k, -1] .. n[k] - 1 of a against g_k, read by one ``at`` call."""
-        length = np.maximum(n - cut[:, -1], 0)
+        """CSR matrix whose row k sums a_lo[k] .. a_hi[k]-1 against g_k(s_i / t_k).
+
+        The kernel values come from one ``at`` call; a row with hi[k] <=
+        lo[k] is empty, and the index arrays are int32.
+        """
+        length = np.maximum(hi - lo, 0)
         local = np.repeat(np.arange(t.size, dtype=np.int32), length)
         end = np.cumsum(length)  # where row k's samples end in pos
-        shift = np.repeat(cut[:, -1] - (end - length), length)
+        shift = np.repeat(lo - (end - length), length)
         pos = (np.arange(local.size) + shift).astype(np.int32)
         g = self.at(local, s[pos] / t[local])
         rows_at = np.concatenate(([0], end)).astype(np.int32)
@@ -580,60 +580,43 @@ def _csr(
 
 
 @dataclass(frozen=True, eq=False)
-class _CutTerm:
-    """The grid-only part of one upper limit n of a ``_GridSums``.
-
-    cut[k, r]: samples of s below boundary r of row k, capped at n[k].
-    jump_u and jump_us read the prefix sums at the cuts against the
-    operator's jumps: CSR matrices with the cuts as indices and the jumps
-    as data, both shared, not copied. right sums the right layer's samples
-    of row k, cut[k, -1] .. n[k] - 1, against g_k there. The index arrays
-    are int32, half the memory of numpy's default.
-    """
-
-    cut: np.ndarray
-    jump_u: _sparse.csr_array
-    jump_us: _sparse.csr_array
-    right: _sparse.csr_array
-
-
-@dataclass(frozen=True, eq=False)
 class _GridSums:
     """Sums of every interpolant row against data on one grid; see ``grid_sums``.
 
     lead[p] = left[:, p] t^(-p e), t_e = t^(-e), t_e1 = t^(-e-1); factors
-    are s^(p e) and s^(e+1). The jump matrices of all terms of one
-    ``grid_sums`` call share their data, the jumps. All arrays, those of
-    the matrices too, are read-only once built.
+    are s^(p e) and s^(e+1). cut[k, r]: samples of s below boundary r of
+    row k, capped at n[k]. jump_u and jump_us are CSR matrices over the
+    cuts and the jumps, shared, not copied; the operators of one
+    ``grid_sums`` call share the jumps. right is the ``window`` of row k's
+    right layer, samples cut[k, -1] .. n[k] - 1. Index arrays are int32;
+    all arrays, those of the matrices too, are read-only once built.
     """
 
     factors: tuple[np.ndarray, ...]
     lead: tuple[np.ndarray, ...]
     t_e: np.ndarray
     t_e1: np.ndarray
-    terms: tuple[_CutTerm, ...]
+    cut: np.ndarray
+    jump_u: _sparse.csr_array
+    jump_us: _sparse.csr_array
+    right: _sparse.csr_array
 
     def __post_init__(self) -> None:
-        arrays = [*self.factors, *self.lead, self.t_e, self.t_e1]
-        for term in self.terms:
-            arrays.append(term.cut)
-            for mat in (term.jump_u, term.jump_us, term.right):
-                arrays += (mat.data, mat.indices, mat.indptr)
+        arrays = [*self.factors, *self.lead, self.t_e, self.t_e1, self.cut]
+        for mat in (self.jump_u, self.jump_us, self.right):
+            arrays += (mat.data, mat.indices, mat.indptr)
         for arr in arrays:
             arr.setflags(write=False)
 
-    def __call__(self, a: np.ndarray) -> list[np.ndarray]:
-        """[sum over i < n[k] of g_k(s_i / t_k) a_i, for each n]: O(N + rows * panels)."""
+    def __call__(self, a: np.ndarray) -> np.ndarray:
+        """Sum over i < n[k] of g_k(s_i / t_k) a_i, for each row k: O(N + rows * panels)."""
         *powers, tail = (np.concatenate(([0.0], np.cumsum(a * f))) for f in self.factors)
-        sums = []
-        for term in self.terms:
-            first, last = term.cut[:, 0], term.cut[:, -1]
-            val = sum(c * pw[first] for c, pw in zip(self.lead, powers))
-            val += powers[0][last] - powers[0][first]
-            val -= self.t_e * (term.jump_u @ powers[1])
-            val -= self.t_e1 * (term.jump_us @ tail)
-            sums.append(val + term.right @ a)
-        return sums
+        first, last = self.cut[:, 0], self.cut[:, -1]
+        val = sum(c * pw[first] for c, pw in zip(self.lead, powers))
+        val += powers[0][last] - powers[0][first]
+        val -= self.t_e * (self.jump_u @ powers[1])
+        val -= self.t_e1 * (self.jump_us @ tail)
+        return val + self.right @ a
 
 
 def _power_series(coef: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -804,15 +787,16 @@ def solve_g_kernel(t: float, h: HurstParam, m: int = 256) -> KernelSolution:
     bracket <M> accumulated from the squared diagonal. H = 1/2 short-
     circuits to the exact g = 1, <M>_t = t. The m diagonal solves share one
     eigendecomposition of the graded m x m system, O(m^3), after which each
-    costs O(m^2); m is capped at 4096. Raises RuntimeError when a linear-
-    system residual exceeds 1e-6.
+    costs O(m^2); m must be an integer in [8, 4096]. Raises RuntimeError
+    when a linear-system residual exceeds 1e-6.
     """
     _require_hurst(h)
     t = float(t)
     if not t > 0.0:
         raise ValueError(f"solve_g_kernel requires t > 0, got {t}")
-    if not 8 <= m <= _MAX_MESH:
-        raise ValueError(f"mesh size must lie in [8, {_MAX_MESH}], got {m}")
+    if not (8 <= m <= _MAX_MESH and float(m).is_integer()):
+        raise ValueError(f"mesh size m must be an integer in [8, {_MAX_MESH}], got {m}")
+    m = int(m)
     mesh = np.arange(1, m + 1) * (t / m)
     mesh[-1] = t
     if h.h == 0.5:

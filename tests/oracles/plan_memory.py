@@ -5,7 +5,8 @@ For each estimation mesh m the script prints
 * ``retained``: what a cold ``mle`` call leaves allocated (the cached plan);
 * ``peak``: the cold call's peak allocation;
 * ``build``: the peak of the plan's build alone, ``_mesh_kernel`` then
-  ``grid_sums`` with the arguments ``mle._grid_plan`` passes;
+  ``grid_sums`` and the last panels' ``window`` with the arguments
+  ``mle._grid_plan`` passes;
 * ``cold``: the median time of three cold calls, after a warm-up call.
 
 Memory is traced with ``tracemalloc``, so it counts numpy's buffers and not
@@ -53,7 +54,8 @@ def _build(h: float, n: int, d: float, m: int) -> None:
     t = idx[1:] * d
     kernel, _ = _mesh_kernel(h, _UNIT_MESH, t)
     stop, prev = idx[1:], idx[:-1]
-    kernel.grid_sums(t, [(times[:-1] + 0.5 * d, [stop]), (times, [stop + 1, prev + 1])])
+    kernel.grid_sums(t, [(times[:-1] + 0.5 * d, stop), (times, stop + 1)])
+    kernel.window(t, times, prev, stop + 1)
 
 
 def main(meshes: list[int]) -> None:

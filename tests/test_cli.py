@@ -487,9 +487,11 @@ class TestUserErrors:
             (["mc-clt", "--stats", "s.json"], {"estimator": "lse"}, "estimator practical"),
             (["mc-clt", "--stats", "s.json"], {"H": 0.8}, "1/2 < H < 3/4"),
             (["mc-clt", "--stats", "s.json"], {"H": 0.5}, "1/2 < H < 3/4"),
+            (["mc-clt", "--stats", "s.json"], {"theta_true": -0.5}, "theta_true > 0"),
+            (["mc-clt", "--stats", "s.json"], {"theta_true": 0}, "theta_true > 0"),
         ],
         ids=["rate-practical", "rate-nonergodic", "rate-one-replication", "clt-lse",
-             "clt-h-above", "clt-h-half"],
+             "clt-h-above", "clt-h-half", "clt-theta-negative", "clt-theta-zero"],
     )
     def test_experiment_precondition(self, tmp_path, capsys, monkeypatch, command,
                                      overrides, message):
@@ -572,9 +574,10 @@ class TestAllReplicationsFail:
         [
             # theta = -50: every path passes the float range long before T = 100
             (["mc-table"], {"estimator": "nonergodic"}, "all 2 replications failed"),
-            (["mc-clt", "--stats", "s.json"], {"estimator": "practical"},
-             "all 2 replications failed"),
-            # |1 - theta d| = 4: every path overflows long before T = 100
+            # |1 - theta d| = 4: every path overflows long before T = 100 (the
+            # CLT rejects theta <= 0 as a config error)
+            (["mc-clt", "--stats", "s.json"], {"estimator": "practical", "theta_true": 50.0,
+                                              "d": 0.1}, "all 2 replications failed"),
             (["mc-rate", "--T-grid", "100"], {"estimator": "lse", "theta_true": 50.0, "d": 0.1},
              "too few successful replications at T=100.0"),
         ],

@@ -402,6 +402,17 @@ class TestRunCltExperiment:
         with pytest.raises(ValueError):
             run_clt_experiment(_config(H=0.8))
 
+    @pytest.mark.parametrize("theta", [-0.5, 0.0])
+    def test_requires_positive_theta_before_any_replication(self, monkeypatch, theta):
+        # Phi is undefined at theta_true <= 0: the run must stop before it
+        # simulates a path, not after every replication
+        def simulated(*args, **kwargs):
+            raise AssertionError("a path was simulated")
+
+        monkeypatch.setattr(harness, "euler_msfou", simulated)
+        with pytest.raises(ValueError, match=f"needs theta_true > 0, got {theta}"):
+            run_clt_experiment(_config(theta_true=theta))
+
     def test_standardization_pipeline(self, monkeypatch):
         # deterministic estimates in place of the practical estimator: phi
         # must match the direct statistic and the summary summarize(phi)

@@ -178,26 +178,26 @@ class TestDecompose:
             assert getattr(warm, name).tobytes() == getattr(cold, name).tobytes(), name
 
     def test_term_matrices_share_the_plan_arrays(self):
-        # the jump matrices of every term of both operators read one buffer
-        # of jumps and their term's cuts in place, and every jump matrix
-        # shares one row pointer: no per-term copy of an m x panels array
+        # the jump matrices of both operators read one buffer of jumps and
+        # their operator's one cut in place, and every jump matrix shares
+        # one row pointer: no per-operator copy of an m x panels array
         h = HurstParam(0.7)
         plan = mle_module._grid_plan(h.h, 64, 0.0293, 8)
-        first = plan.z_sums.terms[0]
-        terms = plan.z_sums.terms + plan.trap_sums.terms
-        assert len(terms) == 3
-        for term in terms:
-            for mat, data in ((term.jump_u, first.jump_u.data), (term.jump_us, first.jump_us.data)):
+        first = plan.z_sums
+        for op in (plan.z_sums, plan.f_sums):
+            for mat, data in ((op.jump_u, first.jump_u.data), (op.jump_us, first.jump_us.data)):
                 assert mat.data.base is data.base is not None
-                assert np.shares_memory(mat.indices, term.cut)
+                assert np.shares_memory(mat.indices, op.cut)
                 assert np.shares_memory(mat.indptr, first.jump_u.indptr)
-            for mat in (term.jump_u, term.jump_us, term.right):
+            for mat in (op.jump_u, op.jump_us, op.right):
                 assert mat.indices.dtype == mat.indptr.dtype == np.int32
         assert not np.shares_memory(first.jump_u.data, first.jump_us.data)
+        assert plan.panel.indices.dtype == plan.panel.indptr.dtype == np.int32
 
     def test_cold_plan_retains_at_most_12_mib(self):
         # at README scale the cached plan holds the cuts, the jumps and the
-        # right layer's kernel values; no m x m solve array may stay behind.
+        # kernel values of the right layers and the last panels; no m x m
+        # solve array may stay behind.
         # The build's temporaries must not pile up either: building the
         # jumps before the cuts, so that they sit under every later
         # temporary, peaks above 20 MiB

@@ -7,6 +7,7 @@ Covers:
      mpmath reference.
   4. The kernel equation solver: residual, identity, stability, reductions.
   5. The edge-element kernel moments against an mpmath reference.
+  6. The interpolant: nodes, region boundaries, and its window matrices.
 
 Frozen constants come from the scripts in tests/oracles/, which use only
 mpmath / direct quadrature and never import this package. The identity
@@ -303,6 +304,18 @@ class TestSolveGKernel:
         with pytest.raises(ValueError):
             solve_g_kernel(1.0, HurstParam(0.6), m=m)
 
+    @pytest.mark.parametrize("hh", [0.5, 0.65])
+    def test_mesh_size_must_be_integral(self, hh):
+        # a whole float is read as the integer; a fractional one is refused
+        # by name, not by a numpy TypeError
+        h = HurstParam(hh)
+        want = solve_g_kernel(1.0, h, m=256)
+        got = solve_g_kernel(1.0, h, m=256.0)
+        for name in ("mesh", "g_values", "g_diag", "bracket_M"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        with pytest.raises(ValueError, match="mesh size m must be an integer .* got 8.5"):
+            solve_g_kernel(1.0, h, m=8.5)
+
     def test_bracket_scaling_in_time(self):
         # kernel is scale-free on the unit mesh; <M> grows with the horizon
         h = HurstParam(0.65)
@@ -461,6 +474,35 @@ class TestInterpUnitSolution:
         ):
             np.testing.assert_array_equal(kernel.at(0, sig[part]), whole[part])
         assert kernel.at(0, np.empty(0)).shape == (0,)
+
+
+class TestWindow:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_a_loop_over_at(self, seed):
+        # row k holds g_k(s_i / t_k) at i = lo[k] .. hi[k] - 1, in order and
+        # int32-indexed; a row with lo[k] = hi[k] stays empty
+        hh, rows = 0.65, 7
+        weights, anchor = _unit_kernel_system(hh, 64)
+        t = np.linspace(1.0, 3.0, rows)
+        sols, _ = _batch_scaled_solve(weights, anchor, t ** (2.0 * hh - 1.0))
+        kernel = _unit_interpolant(sols, 2.0 * hh - 1.0)
+        s = 0.01 * np.arange(101)
+        rng = np.random.default_rng(seed)
+        lo = rng.integers(0, s.size + 1, rows)
+        hi = np.minimum(lo + rng.integers(0, 40, rows), s.size)
+        hi[seed] = lo[seed]
+        win = kernel.window(t, s, lo, hi)
+        assert win.shape == (rows, s.size)
+        assert win.indices.dtype == win.indptr.dtype == np.int32
+        a = rng.standard_normal(s.size)
+        sums = win @ a
+        for k in range(rows):
+            cols = np.arange(lo[k], hi[k])
+            row = slice(win.indptr[k], win.indptr[k + 1])
+            np.testing.assert_array_equal(win.indices[row], cols)
+            np.testing.assert_array_equal(win.data[row], kernel.at(k, s[cols] / t[k]))
+            assert sums[k] == pytest.approx(win.data[row] @ a[cols], rel=1e-14, abs=0)
+        assert win.nnz == (hi - lo).sum()
 
 
 class TestKernelSolution:
