@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .noise import HurstParam
+from .noise import HurstParam, _whole_number
 from .numerics import (
     _correction_info,
     _invert_p_impl,
@@ -255,13 +255,13 @@ def phi_statistic(
     using theta^2 |p'(theta)| = 1/2 + 2 H^2 Gamma(2H) theta^(1-2H) and
     sqrt(V) = sigma_H p / theta. Asymptotically standard normal for
     1/2 < H < 3/4 once theta N d >> 1. Affine in theta_tilde and zero
-    exactly at theta_tilde = theta.
+    exactly at theta_tilde = theta. N must be a whole number (100.0 reads as 100).
     """
     _require_hurst(h)
     theta = float(theta)
     if not theta > 0.0:
         raise ValueError(f"phi_statistic requires theta > 0, got {theta}")
-    n = int(n)
+    n = _whole_number("n", n)
     if n < 1:
         raise ValueError(f"phi_statistic requires N >= 1, got {n}")
     d = float(d)

@@ -30,7 +30,7 @@ from .estimators import (
 )
 from .mle import mle
 from .noise import HurstParam, HurstRegime
-from .paths import SamplePath, euler_msfou
+from .paths import euler_msfou
 
 __all__ = [
     "ExperimentConfig",
@@ -212,17 +212,6 @@ def _replication_seed(master_seed: int, *spawn_key: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _simulate_one(cfg: ExperimentConfig, rep: int) -> SamplePath:
-    return euler_msfou(
-        theta=cfg.theta_true,
-        H=cfg.hurst,
-        d=cfg.d,
-        N=cfg.n_steps,
-        seed=_replication_seed(cfg.master_seed, rep),
-        x0=cfg.x0,
-    )
-
-
 # The one Method -> estimator mapping, shared with the CLI. Every entry takes
 # (path, hurst, theta_ref, mle_mesh) and uses what its estimator needs. The
 # lambdas look the estimators up as module globals at call time, so a
@@ -238,7 +227,15 @@ _ESTIMATORS = {
 def _guarded_estimate(cfg: ExperimentConfig, rep: int) -> float | None:
     """One replication: simulate, estimate, theta_hat; None on a numerical failure."""
     try:
-        path = _simulate_one(cfg, rep)
+        # by keyword: fakes patched over euler_msfou may take keywords only
+        path = euler_msfou(
+            theta=cfg.theta_true,
+            H=cfg.hurst,
+            d=cfg.d,
+            N=cfg.n_steps,
+            seed=_replication_seed(cfg.master_seed, rep),
+            x0=cfg.x0,
+        )
         estimate = _ESTIMATORS[cfg.estimator]
         return estimate(path, cfg.hurst, cfg.theta_true, cfg.mle_mesh).theta_hat
     except (ValueError, RuntimeError, FloatingPointError, np.linalg.LinAlgError):

@@ -45,7 +45,7 @@ from scipy import sparse
 
 from .estimators import EstimateResult, Method
 from .noise import HurstParam
-from .numerics import _GridSums, _mesh_kernel, _require_hurst
+from .numerics import _GridSums, _frozen_vectors, _mesh_kernel, _require_hurst
 from .paths import SamplePath
 
 __all__ = ["MartingaleDecomposition", "decompose", "mle"]
@@ -66,17 +66,7 @@ class MartingaleDecomposition:
     bracket_M: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("mesh", "Z", "Q", "bracket_M"):
-            arr = np.array(getattr(self, name), dtype=float)
-            if arr.ndim != 1:
-                raise ValueError(f"{name} must be one-dimensional")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite entries")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        n = self.mesh.size
-        if any(getattr(self, name).size != n for name in ("Z", "Q", "bracket_M")):
-            raise ValueError("mesh, Z, Q, bracket_M must share a length")
+        n = _frozen_vectors(self, ("mesh", "Z", "Q", "bracket_M"))
         if n < 2 or self.mesh[0] != 0.0 or np.any(np.diff(self.mesh) <= 0.0):
             raise ValueError("mesh must be strictly increasing from t_0 = 0")
         if self.bracket_M[0] != 0.0 or np.any(np.diff(self.bracket_M) <= 0.0):
@@ -127,7 +117,7 @@ def _grid_plan(hh: float, n: int, d: float, m: int) -> _GridPlan:
     RuntimeError as the kernel solves do.
     """
     idx = _mesh_indices(n, m)
-    times = d * np.arange(n + 1)  # SamplePath.full_times()
+    times = d * np.arange(n + 1)  # t_0..t_N of the path
     t = idx[1:] * d
     kernel, bracket = _mesh_kernel(hh, _UNIT_MESH, t)
     dm = np.diff(bracket)

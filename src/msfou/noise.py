@@ -65,11 +65,19 @@ class HurstParam:
         return HurstRegime.ROSENBLATT
 
 
+def _whole_number(name: str, value) -> int:
+    """int(value), exact at any size; ValueError naming ``name`` unless value is whole."""
+    if not isinstance(value, (int, np.integer)) and not float(value).is_integer():
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Deterministic description of one noise vector.
 
     Identical specs (plus the Hurst index) yield bit-identical output.
+    ``n``, ``seed`` and ``stream`` must be whole numbers; 300.0 reads as 300.
     ``stream`` selects a statistically independent substream of ``seed``;
     callers that need several independent vectors per seed (e.g. the sfBm
     and Brownian components of a mixed path) use distinct stream indices.
@@ -80,11 +88,11 @@ class NoiseSpec:
     stream: int = 0
 
     def __post_init__(self) -> None:
-        if int(self.n) < 1:
+        if _whole_number("n", self.n) < 1:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= _whole_number("seed", self.seed) < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
-        if int(self.stream) < 0:
+        if _whole_number("stream", self.stream) < 0:
             raise ValueError("stream index must be nonnegative")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "seed", int(self.seed))
@@ -131,16 +139,6 @@ def _circulant_sqrt_eig(n: int, H: HurstParam) -> np.ndarray:
     return root
 
 
-def _circulant_fgn(n: int, H: HurstParam, rng: np.random.Generator) -> np.ndarray:
-    root = _circulant_sqrt_eig(n, H)
-    m = root.size  # 2n
-    z = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    # Re(ifft(sqrt(eig) z)) * sqrt(m) has exactly the circulant covariance:
-    # E[z_k^2] = 0, so the real part carries half of E|.|^2 = 2 eig / m.
-    # Scaling is elementwise, so scaling only the n kept entries is exact.
-    return math.sqrt(m) * np.fft.ifft(root * z).real[:n]
-
-
 def sample_fgn(spec: NoiseSpec, H: HurstParam) -> np.ndarray:
     """Sample a zero-mean stationary Gaussian vector with fGn covariance.
 
@@ -162,5 +160,12 @@ def sample_fgn(spec: NoiseSpec, H: HurstParam) -> np.ndarray:
     """
     if spec.n < 2:
         raise ValueError(f"need n >= 2 to define fGn, got n={spec.n}")
-    return _circulant_fgn(spec.n, H, spec.rng())
+    root = _circulant_sqrt_eig(spec.n, H)
+    m = root.size  # 2n
+    rng = spec.rng()
+    z = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    # Re(ifft(sqrt(eig) z)) * sqrt(m) has exactly the circulant covariance:
+    # E[z_k^2] = 0, so the real part carries half of E|.|^2 = 2 eig / m.
+    # Scaling is elementwise, so scaling only the n kept entries is exact.
+    return math.sqrt(m) * np.fft.ifft(root * z).real[: spec.n]
 

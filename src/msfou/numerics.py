@@ -739,6 +739,22 @@ def _mesh_kernel(hh: float, unit: int, t: np.ndarray) -> tuple[_UnitInterpolant,
     return _unit_interpolant(rows, 2.0 * hh - 1.0), np.concatenate(([0.0], bracket))
 
 
+def _frozen_vectors(obj, names: tuple[str, ...]) -> int:
+    """Freeze fields ``names`` of ``obj`` as read-only finite 1-d float copies; their length."""
+    for name in names:
+        arr = np.array(getattr(obj, name), dtype=float)
+        if arr.ndim != 1:
+            raise ValueError(f"{name} must be one-dimensional")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name} contains non-finite entries")
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
+    n = getattr(obj, names[0]).size
+    if any(getattr(obj, name).size != n for name in names[1:]):
+        raise ValueError(f"{', '.join(names)} must share a length")
+    return n
+
+
 @dataclass(frozen=True, eq=False)
 class KernelSolution:
     """Discretized g(., t) plus derived quantities on the mesh s_j = j t/m.
@@ -758,19 +774,8 @@ class KernelSolution:
     residual: float
 
     def __post_init__(self) -> None:
-        for name in ("mesh", "g_values", "g_diag", "bracket_M"):
-            arr = np.array(getattr(self, name), dtype=float)
-            if arr.ndim != 1:
-                raise ValueError(f"{name} must be one-dimensional")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite entries")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        m = self.mesh.size
-        if m < 1:
+        if _frozen_vectors(self, ("mesh", "g_values", "g_diag", "bracket_M")) < 1:
             raise ValueError("mesh must be nonempty")
-        if any(getattr(self, n).size != m for n in ("g_values", "g_diag", "bracket_M")):
-            raise ValueError("mesh, g_values, g_diag, bracket_M must share a length")
         if self.mesh[0] <= 0.0 or np.any(np.diff(self.mesh) <= 0.0):
             raise ValueError("mesh must be strictly increasing within (0, t]")
         if abs(self.mesh[-1] - self.t) > 1e-12 * max(1.0, abs(self.t)):
@@ -799,26 +804,14 @@ def solve_g_kernel(t: float, h: HurstParam, m: int = 256) -> KernelSolution:
     m = int(m)
     mesh = np.arange(1, m + 1) * (t / m)
     mesh[-1] = t
-    if h.h == 0.5:
-        ones = np.ones(m)
-        return KernelSolution(
-            t=t,
-            h=h,
-            mesh=mesh,
-            g_values=ones,
-            g_diag=ones.copy(),
-            bracket_M=mesh.copy(),
-            residual=0.0,
-        )
     if h.h < 0.5:
         raise ValueError("solve_g_kernel requires H >= 1/2")
-    rows, g_diag, bracket, residual = _solve_kernel(h.h, m, mesh[-1:], mesh)
+    if h.h == 0.5:
+        g_values = g_diag = np.ones(m)
+        bracket, residual = mesh, 0.0
+    else:
+        rows, g_diag, bracket, residual = _solve_kernel(h.h, m, mesh[-1:], mesh)
+        g_values = rows[-1]
     return KernelSolution(
-        t=t,
-        h=h,
-        mesh=mesh,
-        g_values=rows[-1],
-        g_diag=g_diag,
-        bracket_M=bracket,
-        residual=residual,
+        t=t, h=h, mesh=mesh, g_values=g_values, g_diag=g_diag, bracket_M=bracket, residual=residual
     )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import blas
 
-from .noise import HurstParam, NoiseSpec, sample_fgn
+from .noise import HurstParam, NoiseSpec, _whole_number, sample_fgn
 
 __all__ = [
     "SamplePath",
@@ -73,9 +73,6 @@ class SamplePath:
     def full_values(self) -> np.ndarray:
         """Values at t_0..t_N including the initial value."""
         return np.concatenate([[self.initial_value], self.values])
-
-    def full_times(self) -> np.ndarray:
-        return self.d * np.arange(self.n + 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,17 +172,18 @@ def euler_msfou(
     Parameters
     ----------
     theta : drift parameter (ergodic for theta > 0, non-ergodic for < 0).
-    H, d, N : Hurst index, grid spacing, number of steps (path has N points
-        after t=0).
-    seed : master seed; the sfBm component (exact circulant-embedding fGn)
-        and the Brownian component draw from disjoint substreams of it.
+    H, d, N : Hurst index, grid spacing, whole number of steps (path has N
+        points after t=0; 300.0 reads as 300).
+    seed : master seed, a whole number; the sfBm component (exact
+        circulant-embedding fGn) and the Brownian component draw from
+        disjoint substreams of it.
     x0 : initial value (0 in the usual setup).
     """
     if not d > 0.0:
         raise ValueError(f"grid spacing d must be positive, got {d!r}")
     if not (math.isfinite(theta) and math.isfinite(x0)):
         raise ValueError(f"theta and x0 must be finite, got theta={theta!r}, x0={x0!r}")
-    if int(N) < 1:
+    if _whole_number("N", N) < 1:
         raise ValueError(f"need at least one step, got N={N!r}")
     N = int(N)
 

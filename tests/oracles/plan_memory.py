@@ -4,9 +4,9 @@ For each estimation mesh m the script prints
 
 * ``retained``: what a cold ``mle`` call leaves allocated (the cached plan);
 * ``peak``: the cold call's peak allocation;
-* ``build``: the peak of the plan's build alone, ``_mesh_kernel`` then
-  ``grid_sums`` and the last panels' ``window`` with the arguments
-  ``mle._grid_plan`` passes;
+* ``build``: the peak of the plan's build alone, through the uncached
+  function that ``functools.lru_cache`` keeps as
+  ``mle._grid_plan.__wrapped__``;
 * ``cold``: the median time of three cold calls, after a warm-up call.
 
 Memory is traced with ``tracemalloc``, so it counts numpy's buffers and not
@@ -26,10 +26,7 @@ import sys
 import time
 import tracemalloc
 
-import numpy as np
-
 from msfou import HurstParam, euler_msfou, mle
-from msfou.mle import _UNIT_MESH, _mesh_indices, _mesh_kernel
 
 mle_module = importlib.import_module("msfou.mle")  # msfou.mle is also the function
 
@@ -47,17 +44,6 @@ def _traced(fn) -> tuple[float, float]:
     return retained / MIB, peak / MIB
 
 
-def _build(h: float, n: int, d: float, m: int) -> None:
-    """The plan's kernel solves and operators, as ``mle._grid_plan`` builds them."""
-    idx = _mesh_indices(n, m)
-    times = d * np.arange(n + 1)
-    t = idx[1:] * d
-    kernel, _ = _mesh_kernel(h, _UNIT_MESH, t)
-    stop, prev = idx[1:], idx[:-1]
-    kernel.grid_sums(t, [(times[:-1] + 0.5 * d, stop), (times, stop + 1)])
-    kernel.window(t, times, prev, stop + 1)
-
-
 def main(meshes: list[int]) -> None:
     h = HurstParam(0.65)
     x = euler_msfou(1.0, H=h, d=0.01, N=20000, seed=314)
@@ -67,7 +53,7 @@ def main(meshes: list[int]) -> None:
         cold()
         retained, peak = _traced(lambda: mle(x, h, m))
         cold()
-        _, build = _traced(lambda: _build(h.h, x.n, x.d, m))
+        _, build = _traced(lambda: mle_module._grid_plan.__wrapped__(h.h, x.n, x.d, m))
         mle(x, h, m)  # warm-up
         times = []
         for _ in range(3):

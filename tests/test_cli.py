@@ -432,8 +432,13 @@ class TestUserErrors:
             ("t,value\n0,0\n1,x\n", "line 3: could not convert string to float: 'x'"),
             ("t,value\n0\n1\n", "line 2: expected 2 fields t,value, got 1"),
             ("t,value\n0,0,7\n1,1,7\n", "line 2: expected 2 fields t,value, got 3"),
+            ("t,value\n0,0\n\n", "path CSV needs at least the t=0 row and one more"),
+            ("t,value\n0.1,0\n0.2,1\n", "first row must be at t=0"),
+            ("t,value\n0,0\n0,1\n", "time column must be increasing"),
+            ("t,value\n0,0\n0.1,1\n0.3,2\n", "time column must be uniformly spaced"),
         ],
-        ids=["missing", "bad-header", "bad-number", "one-column", "three-column"],
+        ids=["missing", "bad-header", "bad-number", "one-column", "three-column",
+             "one-row", "not-from-zero", "not-increasing", "not-uniform"],
     )
     def test_bad_path_csv(self, tmp_path, capsys, content, message):
         path_file = tmp_path / "path.csv"

@@ -294,6 +294,13 @@ class TestPhiStatistic:
         with pytest.raises(ValueError):
             phi_statistic(1.0, 1.0, HurstParam(0.8), 100, 0.01)
 
+    def test_refuses_non_whole_sample_size(self):
+        h = HurstParam(0.6)
+        for n in (100.9, math.inf, math.nan):
+            with pytest.raises(ValueError, match="^n must be a whole number"):
+                phi_statistic(1.1, 1.0, h, n, 0.1)
+        assert phi_statistic(1.1, 1.0, h, 100.0, 0.1) == phi_statistic(1.1, 1.0, h, 100, 0.1)
+
 
 # ---------------------------------------------------------------------------
 # Result container

@@ -65,6 +65,16 @@ class TestMartingaleDecomposition:
                 mesh=[0.0, 1.0], Z=[0.0, 1.0, 2.0], Q=[0.0, 1.0], bracket_M=[0.0, 1.0]
             )
 
+    @pytest.mark.parametrize("fields,message", [
+        ({"Q": [[0.0, 1.0]]}, "Q must be one-dimensional"),
+        ({"Z": [0.0, math.inf]}, "Z contains non-finite entries"),
+        ({"bracket_M": [0.0, 1.0, 2.0]}, "mesh, Z, Q, bracket_M must share a length"),
+    ])
+    def test_sampled_vector_checks(self, fields, message):
+        good = {"mesh": [0.0, 1.0], "Z": [0.0, 1.0], "Q": [0.0, 1.0], "bracket_M": [0.0, 1.0]}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            MartingaleDecomposition(**{**good, **fields})
+
     def test_rejects_mesh_not_from_zero(self):
         with pytest.raises(ValueError):
             MartingaleDecomposition(
@@ -268,7 +278,7 @@ def _reference_decompose(x, h, m):
     bracket = np.concatenate(([0.0], bracket))
     dm = np.diff(bracket)
     dx = np.diff(full)
-    grid = np.repeat(x.full_times(), 2)[:-1]
+    grid = np.repeat(x.d * np.arange(x.n + 1), 2)[:-1]
     grid[1::2] += 0.5 * x.d
 
     z_vals = np.zeros(m + 1)

@@ -143,6 +143,27 @@ class TestSamplerDeterminism:
         with pytest.raises(ValueError):
             NoiseSpec(**bad_kwargs)
 
+    @pytest.mark.parametrize("field,value", [
+        ("n", 3.9), ("n", float("inf")), ("n", float("nan")),
+        ("seed", 1.5), ("seed", float("inf")), ("stream", 0.5), ("stream", float("-inf")),
+    ])
+    def test_spec_refuses_non_whole_numbers(self, field, value):
+        kwargs = {"n": 8, "seed": 1, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be a whole number"):
+            NoiseSpec(**kwargs)
+
+    def test_spec_reads_integral_floats_and_keeps_large_seeds_exact(self):
+        spec = NoiseSpec(n=64.0, seed=2**53 + 1, stream=1.0)
+        assert (spec.n, spec.seed, spec.stream) == (64, 2**53 + 1, 1)
+        assert all(type(v) is int for v in (spec.n, spec.seed, spec.stream))
+        assert NoiseSpec(n=np.int64(8), seed=2**64 - 1).seed == 2**64 - 1
+        h = HurstParam(0.6)
+        assert np.array_equal(sample_fgn(spec, h), sample_fgn(NoiseSpec(64, 2**53 + 1, 1), h))
+
+    def test_sampler_needs_two_points(self):
+        with pytest.raises(ValueError, match="need n >= 2 to define fGn"):
+            sample_fgn(NoiseSpec(n=1, seed=1), HurstParam(0.6))
+
 
 # ---------------------------------------------------------------------------
 # Statistical sanity

@@ -517,3 +517,25 @@ class TestKernelSolution:
                 bracket_M=np.array([0.5, 0.25]),
                 residual=0.0,
             )
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"g_diag": [[0.9, 0.8]]}, "g_diag must be one-dimensional"),
+        ({"g_values": [1.0, math.nan]}, "g_values contains non-finite entries"),
+        ({"bracket_M": [0.5, 0.75, 1.0]}, "mesh, g_values, g_diag, bracket_M must share a length"),
+        ({"mesh": [], "g_values": [], "g_diag": [], "bracket_M": []}, "mesh must be nonempty"),
+        ({"mesh": [0.5, 0.9]}, "mesh must end at the right endpoint t"),
+    ])
+    def test_sampled_vector_checks(self, fields, message):
+        good = {"mesh": [0.5, 1.0], "g_values": [1.0, 0.9], "g_diag": [0.9, 0.8],
+                "bracket_M": [0.5, 0.75]}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            KernelSolution(t=1.0, h=HurstParam(0.6), residual=0.0, **{**good, **fields})
+
+    def test_vectors_are_read_only_float_copies(self):
+        g = np.array([1, 1])
+        sol = KernelSolution(t=1.0, h=HurstParam(0.6), mesh=[0.5, 1.0], g_values=g,
+                             g_diag=g, bracket_M=[0.5, 1.0], residual=0.0)
+        assert sol.g_values.dtype == float and sol.g_values is not g
+        assert sol.g_values is not sol.g_diag
+        with pytest.raises(ValueError):
+            sol.g_diag[0] = 2.0

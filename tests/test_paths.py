@@ -40,7 +40,6 @@ class TestSamplePath:
         assert p.n == 3
         assert p.span == pytest.approx(1.5)
         assert np.allclose(p.full_values(), [0.25, 1.0, 2.0, 3.0])
-        assert np.allclose(p.full_times(), [0.0, 0.5, 1.0, 1.5])
         assert np.allclose(p.times, [0.5, 1.0, 1.5])
 
     @pytest.mark.parametrize("d", [0.0, -1.0, float("nan")])
@@ -122,6 +121,21 @@ class TestSfbmCovariance:
     def test_symmetry(self, s, t, h):
         hp = HurstParam(h)
         assert sfbm_covariance(s, t, hp) == pytest.approx(sfbm_covariance(t, s, hp), rel=1e-12)
+
+    @pytest.mark.parametrize("s,t", [(-0.1, 1.0), (1.0, -1e-300), ([0.5, -1.0], 1.0)])
+    def test_rejects_negative_times(self, s, t):
+        with pytest.raises(ValueError, match="requires nonnegative times"):
+            sfbm_covariance(s, t, HurstParam(0.6))
+
+    def test_array_matches_scalar(self):
+        h = HurstParam(0.7)
+        s = np.array([0.0, 0.3, 1.0, 2.5])
+        t = np.array([[1.0], [2.0]])
+        got = sfbm_covariance(s, t, h)
+        assert isinstance(got, np.ndarray) and got.shape == (2, 4)
+        expected = [[sfbm_covariance(float(a), float(b), h) for a in s] for b in t[:, 0]]
+        assert np.array_equal(got, expected)
+        assert isinstance(sfbm_covariance(1.0, 2.0, h), float)
 
     def test_sampled_covariance_matches(self):
         # 3000 short paths at H=0.7: sample covariance within 3 SE at (2, 3)
@@ -243,6 +257,19 @@ class TestEulerMsfou:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             euler_msfou(theta=1.0, H=HurstParam(0.6), seed=1, **kwargs)
+
+    @pytest.mark.parametrize("name,n_steps,seed", [
+        ("N", 10.9, 3), ("N", math.inf, 3), ("N", math.nan, 3), ("seed", 10, 3.7),
+    ])
+    def test_refuses_non_whole_step_count_and_seed(self, name, n_steps, seed):
+        with pytest.raises(ValueError, match=f"^{name} must be a whole number"):
+            euler_msfou(1.0, HurstParam(0.6), 0.01, n_steps, seed)
+
+    def test_reads_integral_float_step_count(self):
+        h = HurstParam(0.6)
+        a = euler_msfou(1.0, h, 0.01, 10.0, 3.0)
+        assert a.n == 10
+        assert np.array_equal(a.values, euler_msfou(1.0, h, 0.01, 10, 3).values)
 
     @pytest.mark.parametrize("theta,x0", [(math.nan, 0.0), (-math.inf, 0.0), (1.0, math.nan)])
     def test_rejects_non_finite_drift_and_start(self, theta, x0):
