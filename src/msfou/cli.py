@@ -217,11 +217,9 @@ def _cmd_mc_clt(args: argparse.Namespace) -> int:
 
 def _cmd_mc_rate(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config, _check_rate_config)
-    try:
+    with _rejecting("--T-grid: "):
         t_grid = [float(tok) for tok in args.t_grid.split(",") if tok.strip()]
         _rate_configs(cfg, t_grid)
-    except (ValueError, OverflowError) as exc:
-        raise _UserError(f"--T-grid: {exc}") from None
     with _writing(args.out) as write:
         rows = run_rate_experiment(cfg, t_grid, workers=args.workers)
         write(

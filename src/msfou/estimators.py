@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .noise import HurstParam, _whole_number
+from .noise import HurstParam, _finite, _positive, _whole_number
 from .numerics import (
     _correction_info,
     _invert_p_impl,
@@ -91,12 +91,8 @@ class EstimateResult:
     def __post_init__(self) -> None:
         if not isinstance(self.method, Method):
             raise TypeError(f"method must be a Method, got {self.method!r}")
-        if not np.isfinite(self.theta_hat):
-            raise ValueError(f"theta_hat must be finite, got {self.theta_hat!r}")
-        if not self.denominator > 0.0:
-            raise ValueError(f"denominator must be positive, got {self.denominator!r}")
-        object.__setattr__(self, "theta_hat", float(self.theta_hat))
-        object.__setattr__(self, "denominator", float(self.denominator))
+        object.__setattr__(self, "theta_hat", _finite("theta_hat", self.theta_hat))
+        object.__setattr__(self, "denominator", _positive("denominator", self.denominator))
         object.__setattr__(
             self, "diagnostics", {str(k): float(v) for k, v in self.diagnostics.items()}
         )
@@ -118,6 +114,7 @@ def lse_skorohod(x: SamplePath, h: HurstParam, theta_ref: float) -> EstimateResu
     alpha_H = H(2H-1), I the correction integral. theta_ref must be the
     (known) drift used to generate the path: the correction term depends on
     it, which is exactly why this estimator is usable only in simulation.
+    It must be finite and positive ("theta_ref must be finite, got inf").
 
     diagnostics holds the correction integral I (``correction``), and
     ``correction_error`` and ``correction_panels``, which read 0: I is
@@ -126,9 +123,7 @@ def lse_skorohod(x: SamplePath, h: HurstParam, theta_ref: float) -> EstimateResu
     _require_hurst(h)
     if h.h <= 0.5:
         raise ValueError("lse_skorohod requires H > 1/2")
-    theta_ref = float(theta_ref)
-    if not theta_ref > 0.0:
-        raise ValueError(f"theta_ref must be positive, got {theta_ref}")
+    theta_ref = _positive("theta_ref", theta_ref)
     den = integral_X2(x)
     if den <= 0.0:
         raise ValueError("degenerate path: int X^2 dt is zero")
@@ -158,9 +153,7 @@ def practical_estimator(x: SamplePath, h: HurstParam) -> EstimateResult:
     _require_hurst(h)
     if h.h < 0.5:
         raise ValueError("practical_estimator requires H >= 1/2")
-    moment = float(np.mean(x.values * x.values))
-    if not moment > 0.0:
-        raise ValueError(f"empirical second moment must be positive, got {moment}")
+    moment = _positive("empirical second moment", np.mean(x.values * x.values))
     theta, iters = _invert_p_impl(moment, h)
     return EstimateResult(
         theta_hat=theta,
@@ -204,9 +197,7 @@ def sigma_H(theta: float, h: HurstParam) -> float:
     boundary_variance.
     """
     _require_hurst(h)
-    theta = float(theta)
-    if not theta > 0.0:
-        raise ValueError(f"sigma_H requires theta > 0, got {theta}")
+    theta = _positive("theta", theta)
     hh = h.h
     if not 0.5 < hh < 0.75:
         raise ValueError(f"sigma_H requires 1/2 < H < 3/4, got {hh}")
@@ -236,9 +227,7 @@ def boundary_variance(theta: float) -> float:
     which is also the residue lim_{H -> 3/4} (3 - 4H) sigma_H(theta, H)^2
     of sigma_H's Gamma(3-4H) pole.
     """
-    theta = float(theta)
-    if not theta > 0.0:
-        raise ValueError(f"boundary_variance requires theta > 0, got {theta}")
+    theta = _positive("theta", theta)
     p = stationary_second_moment(theta, HurstParam(0.75))
     return 9.0 / (16.0 * theta * theta * p * p)
 
@@ -258,15 +247,11 @@ def phi_statistic(
     exactly at theta_tilde = theta. N must be a whole number (100.0 reads as 100).
     """
     _require_hurst(h)
-    theta = float(theta)
-    if not theta > 0.0:
-        raise ValueError(f"phi_statistic requires theta > 0, got {theta}")
+    theta = _positive("theta", theta)
     n = _whole_number("n", n)
     if n < 1:
         raise ValueError(f"phi_statistic requires N >= 1, got {n}")
-    d = float(d)
-    if not d > 0.0:
-        raise ValueError(f"phi_statistic requires d > 0, got {d}")
+    d = _positive("d", d)
     hh = h.h
     if not 0.5 < hh < 0.75:
         raise ValueError(f"phi_statistic requires 1/2 < H < 3/4, got {hh}")

@@ -29,7 +29,7 @@ from .estimators import (
     practical_estimator,
 )
 from .mle import mle
-from .noise import HurstParam, HurstRegime
+from .noise import HurstParam, HurstRegime, _finite, _whole_number
 from .paths import euler_msfou
 
 __all__ = [
@@ -52,10 +52,13 @@ class ExperimentConfig:
 
     A config its estimator cannot apply to is rejected here, before any
     path is simulated, with a ValueError naming the field: every numeric
-    field but H, and N = round(T/d), must be finite and within the float
-    range (H must lie in (0, 1)), and replications, master_seed and
-    mle_mesh integers (300.0 is accepted); LSE needs
-    theta_true > 0 and H > 1/2; practical and MLE H >= 1/2; MLE 8 <= mle_mesh <= N.
+    field but H must be finite ("x0 must be finite, got nan") and within
+    the float range ("x0 is out of range, got an integer of 1329 bits"),
+    d and T positive, N = round(T/d) finite, H in (0, 1), and
+    replications, master_seed and mle_mesh whole numbers ("replications
+    must be a whole number, got 2.5"; 300.0 reads as 300); LSE needs
+    theta_true > 0 and H > 1/2; practical and MLE H >= 1/2; MLE
+    8 <= mle_mesh <= N.
     """
 
     theta_true: float
@@ -72,23 +75,14 @@ class ExperimentConfig:
         if not isinstance(self.estimator, Method):
             raise TypeError(f"estimator must be a Method, got {self.estimator!r}")
         for name in ("theta_true", "x0", "d", "T", "replications", "master_seed", "mle_mesh"):
-            value = getattr(self, name)
-            try:
-                finite = math.isfinite(value)
-            except OverflowError:  # an integer beyond the float range
-                raise ValueError(
-                    f"{name} is out of range, got an integer of {value.bit_length()} bits"
-                ) from None
-            if not finite:
-                raise ValueError(f"{name} must be finite, got {value}")
+            _finite(name, getattr(self, name))
         for name in ("replications", "master_seed", "mle_mesh"):
-            if not float(getattr(self, name)).is_integer():
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)}")
+            object.__setattr__(self, name, _whole_number(name, getattr(self, name)))
         if not 0.0 < self.H < 1.0:
             raise ValueError(f"H must lie in (0, 1), got {self.H}")
-        if int(self.replications) < 1:
+        if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
-        if not 0 <= int(self.master_seed) < 2**64:
+        if not 0 <= self.master_seed < 2**64:
             raise ValueError(f"master_seed must fit in 64 unsigned bits, got {self.master_seed}")
         if not self.d > 0.0 or not self.T > 0.0:
             raise ValueError(f"d and T must be positive, got d={self.d}, T={self.T}")
@@ -103,13 +97,10 @@ class ExperimentConfig:
                 raise ValueError(f"estimator lse needs H > 1/2, got {self.H}")
         if self.estimator in (Method.PRACTICAL, Method.MLE) and not self.H >= 0.5:
             raise ValueError(f"estimator {self.estimator.value} needs H >= 1/2, got {self.H}")
-        if self.estimator is Method.MLE and not 8 <= int(self.mle_mesh) <= self.n_steps:
+        if self.estimator is Method.MLE and not 8 <= self.mle_mesh <= self.n_steps:
             raise ValueError(
                 f"estimator mle needs mle_mesh in [8, N={self.n_steps}], got {self.mle_mesh}"
             )
-        object.__setattr__(self, "replications", int(self.replications))
-        object.__setattr__(self, "master_seed", int(self.master_seed))
-        object.__setattr__(self, "mle_mesh", int(self.mle_mesh))
 
     @property
     def n_steps(self) -> int:
@@ -167,9 +158,9 @@ class SummaryStats:
     def __post_init__(self) -> None:
         if self.sdev < 0.0:
             raise ValueError(f"sdev must be nonnegative, got {self.sdev}")
-        if int(self.n_failed) < 0:
+        object.__setattr__(self, "n_failed", _whole_number("n_failed", self.n_failed))
+        if self.n_failed < 0:
             raise ValueError(f"n_failed must be nonnegative, got {self.n_failed}")
-        object.__setattr__(self, "n_failed", int(self.n_failed))
 
 
 def summarize(sample, n_failed: int = 0) -> SummaryStats:
@@ -258,6 +249,7 @@ def _run_replications(cfg: ExperimentConfig, workers: int) -> tuple[np.ndarray, 
     a worker without a chunk would only idle. A run of one process, which
     is one worker or one chunk, maps in this process and starts no pool.
     """
+    workers = _whole_number("workers", workers)
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     cfgs, reps = [cfg] * cfg.replications, range(cfg.replications)
@@ -345,7 +337,9 @@ def _rate_configs(cfg: ExperimentConfig, t_grid) -> list[ExperimentConfig]:
     H = 3/4, where the scale sqrt(T/log T) needs T > 1, on T <= 1.
     """
     configs = [
-        replace(cfg, T=float(big_t), master_seed=_replication_seed(cfg.master_seed, t_idx, 1))
+        replace(
+            cfg, T=_finite("T", big_t), master_seed=_replication_seed(cfg.master_seed, t_idx, 1)
+        )
         for t_idx, big_t in enumerate(t_grid)
     ]
     if not configs:

@@ -44,7 +44,7 @@ import numpy as np
 from scipy import sparse
 
 from .estimators import EstimateResult, Method
-from .noise import HurstParam
+from .noise import HurstParam, _whole_number
 from .numerics import _GridSums, _frozen_vectors, _mesh_kernel, _require_hurst
 from .paths import SamplePath
 
@@ -159,23 +159,15 @@ def decompose(x: SamplePath, h: HurstParam, m: int = 128) -> MartingaleDecomposi
     everything else of these sums but a few prefix sums and one sparse
     product of the path are built once per grid (H, N, d, m) and cached,
     so a further path on the grid costs O(N + m * 256). m must
-    be an integer with N >= m >= 8, and H >= 1/2. Raises RuntimeError when
-    a kernel solve's linear-system residual exceeds 1e-6, as
-    ``solve_g_kernel`` does.
+    be a whole number with N >= m >= 8 ("m must be a whole number, got
+    8.5"; 8.0 reads as 8), and H >= 1/2. Raises RuntimeError when a kernel
+    solve's linear-system residual exceeds 1e-6, as ``solve_g_kernel`` does.
     """
     _require_hurst(h)
     if h.h < 0.5:
         raise ValueError("decompose requires H >= 1/2")
     n = x.n
-    try:
-        integral = float(m).is_integer()
-    except OverflowError:  # an integer beyond the float range
-        raise ValueError(
-            f"path has {n} points, fewer than mesh size m (an integer of {m.bit_length()} bits)"
-        ) from None
-    if not integral:
-        raise ValueError(f"mesh size m must be an integer, got {m}")
-    m = int(m)
+    m = _whole_number("m", m)
     if m < 8:
         raise ValueError(f"mesh size must be >= 8, got {m}")
     if n < m:

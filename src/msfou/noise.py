@@ -30,6 +30,43 @@ __all__ = [
 ]
 
 
+# Scalar argument checks, written once for the whole library: each returns
+# the converted value or raises a ValueError that names the argument.
+
+
+def _as_float(name: str, value) -> float:
+    """float(value); ValueError naming ``name`` for an integer past the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(
+            f"{name} is out of range, got an integer of {int(value).bit_length()} bits"
+        ) from None
+
+
+def _finite(name: str, value) -> float:
+    """float(value); ValueError naming ``name`` unless it is finite."""
+    x = _as_float(name, value)
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {x}")
+    return x
+
+
+def _positive(name: str, value) -> float:
+    """float(value); ValueError naming ``name`` unless it is finite and > 0."""
+    x = _finite(name, value)
+    if not x > 0.0:
+        raise ValueError(f"{name} must be positive, got {x}")
+    return x
+
+
+def _whole_number(name: str, value) -> int:
+    """int(value), exact for an integer; ValueError naming ``name`` unless value is whole."""
+    if not _as_float(name, value).is_integer():
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 class HurstRegime(enum.Enum):
     """Qualitative regime of the Hurst index, as used by the asymptotics."""
 
@@ -47,8 +84,8 @@ class HurstParam:
     h: float
 
     def __post_init__(self) -> None:
-        h = float(self.h)
-        if not np.isfinite(h) or not 0.0 < h < 1.0:
+        h = _as_float("Hurst index", self.h)
+        if not 0.0 < h < 1.0:
             raise ValueError(f"Hurst index must lie in (0, 1), got {self.h!r}")
         object.__setattr__(self, "h", h)
 
@@ -63,13 +100,6 @@ class HurstParam:
         if self.h == 0.75:
             return HurstRegime.BOUNDARY
         return HurstRegime.ROSENBLATT
-
-
-def _whole_number(name: str, value) -> int:
-    """int(value), exact at any size; ValueError naming ``name`` unless value is whole."""
-    if not isinstance(value, (int, np.integer)) and not float(value).is_integer():
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -88,15 +118,14 @@ class NoiseSpec:
     stream: int = 0
 
     def __post_init__(self) -> None:
-        if _whole_number("n", self.n) < 1:
+        for name in ("n", "seed", "stream"):
+            object.__setattr__(self, name, _whole_number(name, getattr(self, name)))
+        if self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        if not 0 <= _whole_number("seed", self.seed) < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
-        if _whole_number("stream", self.stream) < 0:
+        if self.stream < 0:
             raise ValueError("stream index must be nonnegative")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "stream", int(self.stream))
 
     def rng(self) -> np.random.Generator:
         """Counter-based generator for this (seed, stream) pair."""

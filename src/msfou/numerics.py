@@ -66,7 +66,7 @@ import numpy as np
 from scipy import sparse as _sparse
 from scipy import special as _sp
 
-from .noise import HurstParam
+from .noise import HurstParam, _finite, _positive, _whole_number
 
 __all__ = [
     "KernelSolution",
@@ -106,10 +106,7 @@ def gamma_fn(x: float) -> float:
     Thin validated wrapper over the scipy implementation (relative error
     at machine-precision level, well inside the 1e-12 contract).
     """
-    x = float(x)
-    if not x > 0.0:
-        raise ValueError(f"gamma_fn requires x > 0, got {x}")
-    return float(_sp.gamma(x))
+    return float(_sp.gamma(_positive("x", x)))
 
 
 # ---------------------------------------------------------------------------
@@ -125,9 +122,7 @@ def stationary_second_moment(theta: float, h: HurstParam) -> float:
     makes the moment estimator well defined.
     """
     _require_hurst(h)
-    theta = float(theta)
-    if not theta > 0.0:
-        raise ValueError(f"stationary_second_moment requires theta > 0, got {theta}")
+    theta = _positive("theta", theta)
     return 0.5 / theta + h.h * gamma_fn(2.0 * h.h) * theta ** (-2.0 * h.h)
 
 
@@ -171,13 +166,12 @@ def _invert_p_impl(y: float, h: HurstParam) -> tuple[float, int]:
 def invert_p(y: float, h: HurstParam) -> float:
     """Unique theta > 0 with p(theta) = y, to |p(theta) - y| <= 1e-10 max(1, y).
 
-    Requires H >= 1/2 (p is strictly decreasing there) and y > 0; for
+    Requires H >= 1/2 (p is strictly decreasing there) and a finite y > 0
+    ("y must be finite, got inf", "y must be positive, got 0.0"); for
     H > 1/2, y must lie in [1e-300, 1e300].
     """
     _require_hurst(h)
-    y = float(y)
-    if not (np.isfinite(y) and y > 0.0):
-        raise ValueError(f"invert_p requires finite y > 0, got {y}")
+    y = _positive("y", y)
     if h.h < 0.5:
         raise ValueError("invert_p requires H >= 1/2 (monotone regime)")
     theta, _ = _invert_p_impl(y, h)
@@ -232,16 +226,15 @@ def correction_integral(theta: float, h: HurstParam, big_t: float) -> float:
     Fubini leaves three one-dimensional parts, each in closed form: two
     are incomplete gamma functions and the third a difference of two
     Kummer functions. The singular exponent 2H-2 is taken from h.
-    Requires theta > 0 and H > 1/2 so the (t-s)^(2H-2) singularity is
-    integrable.
+    Requires H > 1/2 so the (t-s)^(2H-2) singularity is integrable, a
+    finite theta > 0 ("theta must be positive, got 0.0") and a finite
+    T >= 0 ("T must be finite, got inf"); T = 0 gives 0.
     """
     _require_hurst(h)
-    theta = float(theta)
-    if not theta > 0.0:
-        raise ValueError(f"correction_integral requires theta > 0, got {theta}")
+    theta = _positive("theta", theta)
     if h.h <= 0.5:
         raise ValueError("correction_integral requires H > 1/2")
-    big_t = float(big_t)
+    big_t = _finite("T", big_t)
     if big_t < 0.0:
         raise ValueError(f"correction_integral requires T >= 0, got {big_t}")
     if big_t == 0.0:
@@ -792,16 +785,16 @@ def solve_g_kernel(t: float, h: HurstParam, m: int = 256) -> KernelSolution:
     bracket <M> accumulated from the squared diagonal. H = 1/2 short-
     circuits to the exact g = 1, <M>_t = t. The m diagonal solves share one
     eigendecomposition of the graded m x m system, O(m^3), after which each
-    costs O(m^2); m must be an integer in [8, 4096]. Raises RuntimeError
-    when a linear-system residual exceeds 1e-6.
+    costs O(m^2). t must be finite and positive ("t must be positive, got
+    0.0"), and m a whole number ("m must be a whole number, got 8.5"; 256.0
+    reads as 256) in [8, 4096]. Raises RuntimeError when a linear-system
+    residual exceeds 1e-6.
     """
     _require_hurst(h)
-    t = float(t)
-    if not t > 0.0:
-        raise ValueError(f"solve_g_kernel requires t > 0, got {t}")
-    if not (8 <= m <= _MAX_MESH and float(m).is_integer()):
-        raise ValueError(f"mesh size m must be an integer in [8, {_MAX_MESH}], got {m}")
-    m = int(m)
+    t = _positive("t", t)
+    m = _whole_number("m", m)
+    if not 8 <= m <= _MAX_MESH:
+        raise ValueError(f"mesh size m must lie in [8, {_MAX_MESH}], got {m}")
     mesh = np.arange(1, m + 1) * (t / m)
     mesh[-1] = t
     if h.h < 0.5:

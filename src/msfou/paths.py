@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import blas
 
-from .noise import HurstParam, NoiseSpec, _whole_number, sample_fgn
+from .noise import HurstParam, NoiseSpec, _finite, _positive, _whole_number, sample_fgn
 
 __all__ = [
     "SamplePath",
@@ -46,14 +46,12 @@ class SamplePath:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 1 or vals.size < 1:
             raise ValueError("values must be a 1-d vector with at least one point")
-        if not self.d > 0.0 or not np.isfinite(self.d):
-            raise ValueError(f"grid spacing d must be positive, got {self.d!r}")
+        object.__setattr__(self, "d", _positive("d", self.d))
         if not np.all(np.isfinite(vals)) or not np.isfinite(self.initial_value):
             raise ValueError("path values must be finite")
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "d", float(self.d))
         object.__setattr__(self, "initial_value", float(self.initial_value))
 
     @property
@@ -88,14 +86,14 @@ class TwoSidedFbm:
         neg = np.asarray(self.neg, dtype=float)
         if pos.shape != neg.shape or pos.ndim != 1 or pos.size < 1:
             raise ValueError("pos and neg must be 1-d vectors of equal length")
-        if not self.d > 0.0:
-            raise ValueError("grid spacing d must be positive")
+        object.__setattr__(self, "d", _positive("d", self.d))
+        if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(neg))):
+            raise ValueError("pos and neg must be finite")
         pos, neg = pos.copy(), neg.copy()
         pos.setflags(write=False)
         neg.setflags(write=False)
         object.__setattr__(self, "pos", pos)
         object.__setattr__(self, "neg", neg)
-        object.__setattr__(self, "d", float(self.d))
 
 
 def two_sided_fbm(fgn2n, d: float, H: HurstParam) -> TwoSidedFbm:
@@ -113,11 +111,12 @@ def two_sided_fbm(fgn2n, d: float, H: HurstParam) -> TwoSidedFbm:
     y = np.asarray(fgn2n, dtype=float)
     if y.ndim != 1 or y.size < 2 or y.size % 2 != 0:
         raise ValueError("fgn2n must be a 1-d vector of even length >= 2")
+    d = _positive("d", d)
     n = y.size // 2
-    scale = float(d) ** H.h
+    scale = d**H.h
     pos = scale * np.cumsum(y[n:])
     neg = -scale * np.cumsum(y[n - 1 :: -1])
-    return TwoSidedFbm(pos=pos, neg=neg, d=float(d))
+    return TwoSidedFbm(pos=pos, neg=neg, d=d)
 
 
 def sfbm_path(tw: TwoSidedFbm) -> SamplePath:
@@ -130,15 +129,17 @@ def sfbm_path(tw: TwoSidedFbm) -> SamplePath:
 
 
 def sfbm_covariance(s, t, H: HurstParam):
-    """Covariance of sfBm: E[S_s S_t] for s, t >= 0.
+    """Covariance of sfBm: E[S_s S_t] for finite s, t >= 0.
 
     R(s, t) = t^(2H) + s^(2H) - (|t-s|^(2H) + (t+s)^(2H)) / 2.
     Symmetric in (s, t); zero whenever either argument is zero.
     """
     s_arr = np.asarray(s, dtype=float)
     t_arr = np.asarray(t, dtype=float)
-    if np.any(s_arr < 0.0) or np.any(t_arr < 0.0):
-        raise ValueError("sfbm_covariance requires nonnegative times")
+    for arr in (s_arr, t_arr):
+        # each time must lie in [0, inf); a NaN fails both comparisons
+        if not np.all((0.0 <= arr) & (arr < np.inf)):
+            raise ValueError("sfbm_covariance requires nonnegative times, all finite")
     two_h = 2.0 * H.h
     r = (
         t_arr**two_h
@@ -171,21 +172,20 @@ def euler_msfou(
 
     Parameters
     ----------
-    theta : drift parameter (ergodic for theta > 0, non-ergodic for < 0).
-    H, d, N : Hurst index, grid spacing, whole number of steps (path has N
-        points after t=0; 300.0 reads as 300).
+    theta : finite drift parameter (ergodic for theta > 0, non-ergodic for < 0).
+    H, d, N : Hurst index, finite positive grid spacing, whole number of
+        steps (path has N points after t=0; 300.0 reads as 300).
     seed : master seed, a whole number; the sfBm component (exact
         circulant-embedding fGn) and the Brownian component draw from
         disjoint substreams of it.
-    x0 : initial value (0 in the usual setup).
+    x0 : finite initial value (0 in the usual setup).
     """
-    if not d > 0.0:
-        raise ValueError(f"grid spacing d must be positive, got {d!r}")
-    if not (math.isfinite(theta) and math.isfinite(x0)):
-        raise ValueError(f"theta and x0 must be finite, got theta={theta!r}, x0={x0!r}")
-    if _whole_number("N", N) < 1:
+    _positive("d", d)
+    _finite("theta", theta)
+    _finite("x0", x0)
+    N = _whole_number("N", N)
+    if N < 1:
         raise ValueError(f"need at least one step, got N={N!r}")
-    N = int(N)
 
     fgn = sample_fgn(NoiseSpec(n=2 * N, seed=seed, stream=_STREAM_SFBM), H)
     s_path = sfbm_path(two_sided_fbm(fgn, d, H))

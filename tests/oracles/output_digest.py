@@ -20,7 +20,10 @@ Layers:
 * ``mle``: ``decompose`` Z, Q and <M>, and ``mle`` theta_hat, on every
   (H, N, m) and two seeds;
 * ``numerics``: ``solve_g_kernel`` g, diagonal, <M> and residual on odd and
-  even m.
+  even m;
+* ``constants``: ``gamma_fn``, p and its inverse, the correction integral,
+  ``sigma_H``, ``boundary_variance`` and ``phi_statistic`` on a small
+  (theta, H, T) grid.
 
 The README theta_hat is printed as well, to the last digit.
 """
@@ -33,13 +36,20 @@ import numpy as np
 import msfou
 from msfou import (
     HurstParam,
+    boundary_variance,
+    correction_integral,
     decompose,
     euler_msfou,
+    gamma_fn,
+    invert_p,
     lse_skorohod,
     mle,
     nonergodic_estimator,
+    phi_statistic,
     practical_estimator,
+    sigma_H,
     solve_g_kernel,
+    stationary_second_moment,
 )
 
 HURSTS = (0.5, 0.5002, 0.501, 0.55, 0.65, 0.9)
@@ -48,6 +58,8 @@ SEEDS = (11, 12)
 MLE_GRIDS = ((20000, 0.01, 1024), (5000, 0.01, 250), (5001, 0.01, 251), (999, 0.01, 33),
              (64, 0.05, 8))
 KERNEL_MESHES = (8, 9, 64, 65, 256, 257)
+THETAS = (0.05, 1.0, 7.5)
+HORIZONS = (0.0, 0.5, 20.0, 400.0)
 
 
 class Digest:
@@ -67,8 +79,17 @@ class Digest:
 
 def main() -> None:
     paths, estimators, likelihood, kernel = Digest(), Digest(), Digest(), Digest()
+    constants = Digest()
     for hh in HURSTS:
         h = HurstParam(hh)
+        for theta in THETAS:
+            p = stationary_second_moment(theta, h)
+            constants.add(gamma_fn(theta), gamma_fn(2.0 * hh), p, boundary_variance(theta))
+            constants.add(invert_p(p, h), invert_p(theta, h))
+            if hh > 0.5:
+                constants.add([correction_integral(theta, h, big_t) for big_t in HORIZONS])
+            if 0.5 < hh < 0.75:
+                constants.add(sigma_H(theta, h), phi_statistic(1.1 * theta, theta, h, 400, 0.05))
         for theta in (1.0, -0.5):
             for seed in SEEDS:
                 x = euler_msfou(theta=theta, H=h, d=0.05, N=400, seed=seed)
@@ -92,7 +113,7 @@ def main() -> None:
     readme = mle(euler_msfou(theta=1.0, H=h, d=0.01, N=20000, seed=314), h, m=1024)
     print(f"msfou from {msfou.__file__}")
     for name, digest in (("paths", paths), ("estimators", estimators), ("mle", likelihood),
-                         ("numerics", kernel)):
+                         ("numerics", kernel), ("constants", constants)):
         print(f"{name:<10} {digest.sha.hexdigest()}  ({digest.items} items)")
     print(f"README theta_hat {readme.theta_hat!r}")
 

@@ -108,7 +108,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "theta,seed,message",
-        [("1", "-1", "seed must fit"), ("nan", "1", "theta and x0 must be finite")],
+        [("1", "-1", "seed must fit"), ("nan", "1", "theta must be finite, got nan")],
         ids=["negative-seed", "nan-theta"],
     )
     def test_library_rejection_is_one_line(self, tmp_path, capsys, monkeypatch, theta, seed,
@@ -221,10 +221,12 @@ class TestEstimate:
         [
             (["--method", "mle", "--hurst", "0.6", "--mesh", "4"], "mesh size must be >= 8"),
             (["--method", "mle", "--hurst", "0.6", "--mesh", str(10**400)],
-             "fewer than mesh size m (an integer of 1329 bits)"),
+             "m is out of range, got an integer of 1329 bits"),
             (["--method", "lse", "--hurst", "0.4", "--theta-ref", "1"], "requires H > 1/2"),
+            (["--method", "lse", "--hurst", "0.6", "--theta-ref", "inf"],
+             "msfou: error: theta_ref must be finite, got inf"),
         ],
-        ids=["mle-mesh-4", "mle-mesh-huge", "lse-hurst-0.4"],
+        ids=["mle-mesh-4", "mle-mesh-huge", "lse-hurst-0.4", "lse-theta-ref-inf"],
     )
     def test_estimator_rejection_is_one_line(self, path_csv, tmp_path, capsys, args, message):
         out = tmp_path / "x.json"
@@ -371,9 +373,10 @@ class TestUserErrors:
             ({"estimator": "practical", "H": "0.65"}, "H must be a number"),
             ({"estimator": "practical", "T": True}, "T must be a number"),
             ({"estimator": 3}, "estimator must be one of mle, lse, practical, nonergodic, got 3"),
-            ({"estimator": "practical", "replications": 2.5}, "replications must be an integer"),
-            ({"estimator": "practical", "master_seed": 1.5}, "master_seed must be an integer"),
-            ({"estimator": "mle", "mle_mesh": 8.9}, "mle_mesh must be an integer"),
+            ({"estimator": "practical", "replications": 2.5},
+             "replications must be a whole number"),
+            ({"estimator": "practical", "master_seed": 1.5}, "master_seed must be a whole number"),
+            ({"estimator": "mle", "mle_mesh": 8.9}, "mle_mesh must be a whole number"),
             ({"estimator": "practical", "master_seed": 10**400}, "master_seed is out of range"),
             ({"estimator": "practical", "x0": 10**400}, "x0 is out of range"),
             ({"estimator": "mle", "mle_mesh": 10**400}, "mle_mesh is out of range"),

@@ -94,10 +94,10 @@ class TestExperimentConfig:
             (dict(T=math.inf), "T must be finite"),
             (dict(replications=math.inf), "replications must be finite"),
             (dict(master_seed=math.inf), "master_seed must be finite"),
-            (dict(replications=2.5), "replications must be an integer, got 2.5"),
-            (dict(master_seed=1.5), "master_seed must be an integer, got 1.5"),
-            (dict(estimator=Method.MLE, mle_mesh=8.9), "mle_mesh must be an integer, got 8.9"),
-            (dict(mle_mesh=8.9), "mle_mesh must be an integer, got 8.9"),
+            (dict(replications=2.5), "replications must be a whole number, got 2.5"),
+            (dict(master_seed=1.5), "master_seed must be a whole number, got 1.5"),
+            (dict(estimator=Method.MLE, mle_mesh=8.9), "mle_mesh must be a whole number, got 8.9"),
+            (dict(mle_mesh=8.9), "mle_mesh must be a whole number, got 8.9"),
             (dict(master_seed=10**400), "master_seed is out of range, got an integer of 1329 bits"),
             (dict(x0=10**400), "x0 is out of range"),
             (dict(estimator=Method.MLE, mle_mesh=10**400), "mle_mesh is out of range"),

@@ -20,6 +20,7 @@ from msfou import (
     HurstParam,
     NoiseSpec,
     SamplePath,
+    TwoSidedFbm,
     euler_msfou,
     read_path_csv,
     sample_fgn,
@@ -84,6 +85,11 @@ class TestTwoSidedFbm:
         with pytest.raises(ValueError):
             two_sided_fbm(np.ones(5), 0.1, HurstParam(0.6))
 
+    @pytest.mark.parametrize("pos,neg", [([math.nan], [1.0]), ([1.0], [-math.inf])])
+    def test_rejects_non_finite_sides(self, pos, neg):
+        with pytest.raises(ValueError, match="^pos and neg must be finite$"):
+            TwoSidedFbm(pos=np.array(pos), neg=np.array(neg), d=1.0)
+
     def test_sfbm_fold(self):
         y = np.array([1.0, 2.0, 3.0, 4.0])
         tw = two_sided_fbm(y, 1.0, HurstParam(0.5))
@@ -125,6 +131,14 @@ class TestSfbmCovariance:
     @pytest.mark.parametrize("s,t", [(-0.1, 1.0), (1.0, -1e-300), ([0.5, -1.0], 1.0)])
     def test_rejects_negative_times(self, s, t):
         with pytest.raises(ValueError, match="requires nonnegative times"):
+            sfbm_covariance(s, t, HurstParam(0.6))
+
+    @pytest.mark.parametrize("s,t", [
+        (math.nan, 1.0), (math.inf, 1.0), (1.0, -math.inf), ([0.5, math.nan], 1.0),
+        (1.0, [math.inf]),
+    ])
+    def test_rejects_non_finite_times(self, s, t):
+        with pytest.raises(ValueError, match="requires nonnegative times, all finite"):
             sfbm_covariance(s, t, HurstParam(0.6))
 
     def test_array_matches_scalar(self):
@@ -273,7 +287,8 @@ class TestEulerMsfou:
 
     @pytest.mark.parametrize("theta,x0", [(math.nan, 0.0), (-math.inf, 0.0), (1.0, math.nan)])
     def test_rejects_non_finite_drift_and_start(self, theta, x0):
-        with pytest.raises(ValueError, match="theta and x0 must be finite"):
+        name, value = ("x0", x0) if math.isfinite(theta) else ("theta", theta)
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
             euler_msfou(theta=theta, H=HurstParam(0.6), d=0.1, N=10, seed=1, x0=x0)
 
 
