@@ -247,6 +247,7 @@ def phi_statistic(
     exactly at theta_tilde = theta. N must be a whole number (100.0 reads as 100).
     """
     _require_hurst(h)
+    theta_tilde = _finite("theta_tilde", theta_tilde)
     theta = _positive("theta", theta)
     n = _whole_number("n", n)
     if n < 1:
@@ -258,4 +259,4 @@ def phi_statistic(
     g2h_theta = gamma_fn(2.0 * hh) * theta ** (1.0 - 2.0 * hh)
     slope = 0.5 + 2.0 * hh * hh * g2h_theta
     scale = sigma_H(theta, h) * (hh * g2h_theta + 0.5)
-    return slope * math.sqrt(n * d) * (float(theta_tilde) - theta) / scale
+    return slope * math.sqrt(n * d) * (theta_tilde - theta) / scale

@@ -8,7 +8,7 @@ Newsam 1997; Wood & Chan 1994). The embedding of size ``2n`` has
 nonnegative eigenvalues for fGn, so the synthesized vector has exactly the
 requested covariance. The spectrum depends only on (n, H), so it is
 computed once per (n, H) and cached; each sample then costs its ``4n``
-normals and one inverse FFT.
+normals and one half-length real inverse FFT.
 """
 
 from __future__ import annotations
@@ -149,11 +149,13 @@ def fgn_autocovariance(k, H: HurstParam):
 
 @functools.lru_cache(maxsize=8)
 def _circulant_sqrt_eig(n: int, H: HurstParam) -> np.ndarray:
-    """Read-only square roots of the 2n circulant embedding's eigenvalues."""
-    # First row of the 2n circulant: [rho(0..n), rho(n-1), ..., rho(1)].
+    """Read-only weights sqrt(2n eig_k) / 2, k = 0..n, of the 2n circulant embedding."""
+    # First row of the 2n circulant: [rho(0..n), rho(n-1), ..., rho(1)]. It is
+    # symmetric, so its eigenvalues are real with eig_k = eig_{2n-k}, and the
+    # half k = 0..n that rfft returns holds all of them.
     rho = fgn_autocovariance(np.arange(n + 1), H)
     row = np.concatenate([rho, rho[-2:0:-1]])
-    eig = np.fft.fft(row).real
+    eig = np.fft.rfft(row).real
 
     # Eigenvalues are provably >= 0 for fGn; anything beyond roundoff means
     # the covariance (or this embedding) is wrong, so fail loudly. The cache
@@ -163,9 +165,9 @@ def _circulant_sqrt_eig(n: int, H: HurstParam) -> np.ndarray:
         raise RuntimeError(
             f"circulant embedding produced negative eigenvalue {eig.min():.3e}"
         )
-    root = np.sqrt(np.maximum(eig, 0.0))
-    root.setflags(write=False)
-    return root
+    weight = 0.5 * math.sqrt(2 * n) * np.sqrt(np.maximum(eig, 0.0))
+    weight.setflags(write=False)
+    return weight
 
 
 def sample_fgn(spec: NoiseSpec, H: HurstParam) -> np.ndarray:
@@ -174,7 +176,8 @@ def sample_fgn(spec: NoiseSpec, H: HurstParam) -> np.ndarray:
     The vector is synthesized by circulant embedding, so its covariance is
     exactly ``fgn_autocovariance(., H)``, not an approximation of it. The
     embedding's spectrum is computed once per (n, H) and reused, so a call
-    with a seen (n, H) costs only its normals and one inverse FFT.
+    with a seen (n, H) costs only its ``4n`` normals and one half-length
+    real inverse FFT.
 
     Parameters
     ----------
@@ -189,12 +192,19 @@ def sample_fgn(spec: NoiseSpec, H: HurstParam) -> np.ndarray:
     """
     if spec.n < 2:
         raise ValueError(f"need n >= 2 to define fGn, got n={spec.n}")
-    root = _circulant_sqrt_eig(spec.n, H)
-    m = root.size  # 2n
-    rng = spec.rng()
-    z = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    # Re(ifft(sqrt(eig) z)) * sqrt(m) has exactly the circulant covariance:
-    # E[z_k^2] = 0, so the real part carries half of E|.|^2 = 2 eig / m.
-    # Scaling is elementwise, so scaling only the n kept entries is exact.
-    return math.sqrt(m) * np.fft.ifft(root * z).real[: spec.n]
-
+    weight = _circulant_sqrt_eig(spec.n, H)
+    n, m = spec.n, 2 * spec.n
+    z = spec.rng().standard_normal(2 * m)
+    a, b = z[:m], z[m:]
+    # x = sqrt(m) Re(ifft(sqrt(eig) (a + ib))) has exactly the circulant
+    # covariance: E[(a + ib)_k^2] = 0, so the real part carries half of
+    # E|.|^2 = 2 eig / m. That real part is the inverse FFT of the Hermitian
+    # part of sqrt(eig) (a + ib); as eig_k = eig_{m-k}, its entry k is
+    # sqrt(eig_k) (a_k + a_{m-k} + i (b_k - b_{m-k})) / 2, indices mod m, and
+    # irfft reads it at k = 0..n only.
+    half = np.empty(n + 1, dtype=complex)
+    half.real[0], half.imag[0] = 2.0 * a[0], 0.0
+    np.add(a[1 : n + 1], a[: n - 1 : -1], out=half.real[1:])
+    np.subtract(b[1 : n + 1], b[: n - 1 : -1], out=half.imag[1:])
+    half *= weight
+    return np.fft.irfft(half, m)[:n]

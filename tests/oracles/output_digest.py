@@ -14,6 +14,8 @@ takes about 7 s on two cores; it is not part of the test suite.
 
 Layers:
 
+* ``noise``: ``sample_fgn`` values, every H on a few (n, seed, stream), so
+  a change of the fGn synthesis shows apart from the paths built on it;
 * ``paths``: ``euler_msfou`` values, every (H, theta, seed);
 * ``estimators``: theta_hat, denominator and diagnostics of the practical,
   corrected LSE and nonergodic estimators on those paths;
@@ -36,6 +38,7 @@ import numpy as np
 import msfou
 from msfou import (
     HurstParam,
+    NoiseSpec,
     boundary_variance,
     correction_integral,
     decompose,
@@ -47,6 +50,7 @@ from msfou import (
     nonergodic_estimator,
     phi_statistic,
     practical_estimator,
+    sample_fgn,
     sigma_H,
     solve_g_kernel,
     stationary_second_moment,
@@ -54,6 +58,9 @@ from msfou import (
 
 HURSTS = (0.5, 0.5002, 0.501, 0.55, 0.65, 0.9)
 SEEDS = (11, 12)
+# (n, seed, stream): the smallest lengths, where the spectrum is a few
+# frequencies, and an even and an odd long one
+NOISE_SPECS = ((2, 11, 0), (3, 12, 1), (1000, 11, 0), (10001, 12, 1))
 # (N, d, m): README scale, even and odd meshes, and the smallest mesh
 MLE_GRIDS = ((20000, 0.01, 1024), (5000, 0.01, 250), (5001, 0.01, 251), (999, 0.01, 33),
              (64, 0.05, 8))
@@ -78,10 +85,12 @@ class Digest:
 
 
 def main() -> None:
-    paths, estimators, likelihood, kernel = Digest(), Digest(), Digest(), Digest()
+    fgn, paths, estimators, likelihood, kernel = Digest(), Digest(), Digest(), Digest(), Digest()
     constants = Digest()
     for hh in HURSTS:
         h = HurstParam(hh)
+        for n, seed, stream in NOISE_SPECS:
+            fgn.add(sample_fgn(NoiseSpec(n=n, seed=seed, stream=stream), h))
         for theta in THETAS:
             p = stationary_second_moment(theta, h)
             constants.add(gamma_fn(theta), gamma_fn(2.0 * hh), p, boundary_variance(theta))
@@ -112,8 +121,8 @@ def main() -> None:
     h = HurstParam(0.65)
     readme = mle(euler_msfou(theta=1.0, H=h, d=0.01, N=20000, seed=314), h, m=1024)
     print(f"msfou from {msfou.__file__}")
-    for name, digest in (("paths", paths), ("estimators", estimators), ("mle", likelihood),
-                         ("numerics", kernel), ("constants", constants)):
+    for name, digest in (("noise", fgn), ("paths", paths), ("estimators", estimators),
+                         ("mle", likelihood), ("numerics", kernel), ("constants", constants)):
         print(f"{name:<10} {digest.sha.hexdigest()}  ({digest.items} items)")
     print(f"README theta_hat {readme.theta_hat!r}")
 

@@ -6,8 +6,13 @@ Covers:
   3. Sampler determinism and stream separation.
   4. Statistical sanity of the circulant generator.
   5. The per-(n, H) spectrum cache: same bytes cold and warm, one miss per
-     experiment, read-only entries, no cached failure.
+     experiment, n + 1 read-only entries, no cached failure.
+  6. The half-length real synthesis: equal to the full-length complex form
+     on the same normals, and exactly 4n normals per sample.
 """
+
+import json
+import math
 
 import numpy as np
 import pytest
@@ -220,10 +225,11 @@ class TestSpectrumCache:
         assert (info.misses, info.hits) == (1, 19)
 
     def test_cached_spectrum_is_read_only(self):
-        root = noise._circulant_sqrt_eig(64, HurstParam(0.7))
-        assert not root.flags.writeable
+        weight = noise._circulant_sqrt_eig(64, HurstParam(0.7))
+        assert weight.shape == (65,)  # k = 0..n of the 2n circulant's spectrum
+        assert not weight.flags.writeable
         with pytest.raises(ValueError):
-            root[0] = 0.0
+            weight[0] = 0.0
 
     def test_non_psd_embedding_raises_every_call(self, monkeypatch):
         # an autocovariance with rho(1) > rho(0) is no covariance: its
@@ -241,3 +247,57 @@ class TestSpectrumCache:
             with pytest.raises(RuntimeError, match="negative eigenvalue"):
                 sample_fgn(spec, hurst)
         assert noise._circulant_sqrt_eig.cache_info().currsize == 0
+
+
+# ---------------------------------------------------------------------------
+# Half-length real synthesis
+# ---------------------------------------------------------------------------
+
+def _full_length_complex_fgn(spec, h):
+    """sqrt(2n) Re(ifft(sqrt(eig) (a + ib)))[:n] on the 2n circulant, a then b drawn."""
+    n, m = spec.n, 2 * spec.n
+    rho = fgn_autocovariance(np.arange(n + 1), h)
+    eig = np.fft.fft(np.concatenate([rho, rho[-2:0:-1]])).real
+    rng = spec.rng()
+    a = rng.standard_normal(m)
+    b = rng.standard_normal(m)
+    return math.sqrt(m) * np.fft.ifft(np.sqrt(np.maximum(eig, 0.0)) * (a + 1j * b)).real[:n]
+
+
+def _state(gen):
+    return json.dumps(gen.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
+
+
+class TestHalfLengthSynthesis:
+    # n = 2 and 3 fold one and two frequencies between zero and Nyquist;
+    # 1000 and 10000 fold many odd and even k
+    @pytest.mark.parametrize("n", [2, 3, 1000, 10000])
+    @pytest.mark.parametrize("h", [0.3, 0.5, 0.65, 0.9])
+    def test_matches_full_length_complex_form(self, n, h):
+        hurst = HurstParam(h)
+        for seed, stream in ((1, 0), (2**63 + 5, 3)):
+            spec = NoiseSpec(n=n, seed=seed, stream=stream)
+            reference = _full_length_complex_fgn(spec, hurst)
+            x = sample_fgn(spec, hurst)
+            assert x.shape == (n,)
+            assert np.max(np.abs(x - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize("n", [2, 3, 1000])
+    def test_draws_exactly_four_n_normals(self, monkeypatch, n):
+        used = []
+        rng = NoiseSpec.rng
+
+        def recording(spec):
+            used.append(rng(spec))
+            return used[-1]
+
+        spec = NoiseSpec(n=n, seed=17, stream=2)
+        monkeypatch.setattr(NoiseSpec, "rng", recording)
+        sample_fgn(spec, HurstParam(0.65))
+        monkeypatch.undo()
+        fresh = spec.rng()
+        fresh.standard_normal(4 * n)
+        assert len(used) == 1
+        assert _state(used[0]) == _state(fresh)
+        fresh.standard_normal()
+        assert _state(used[0]) != _state(fresh)

@@ -79,6 +79,7 @@ FINITE = {
     "euler_msfou-theta": (lambda v: euler_msfou(v, H, 0.1, 10, 1), "theta"),
     "euler_msfou-x0": (lambda v: euler_msfou(1.0, H, 0.1, 10, 1, x0=v), "x0"),
     "EstimateResult-theta_hat": (lambda v: EstimateResult(v, Method.PRACTICAL, 1.0), "theta_hat"),
+    "phi_statistic-theta_tilde": (lambda v: phi_statistic(v, 1.0, H, 100, 0.01), "theta_tilde"),
     "run_rate_experiment-T": (lambda v: run_rate_experiment(LSE_CONFIG, [5.0, v]), "T"),
 }
 NOT_FINITE = {key: NOT_POSITIVE[key] for key in ("inf", "nan", "huge")}
