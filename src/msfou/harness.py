@@ -29,7 +29,7 @@ from .estimators import (
     practical_estimator,
 )
 from .mle import mle
-from .noise import HurstParam, HurstRegime, _finite, _whole_number
+from .noise import HurstParam, HurstRegime, _finite, _finite_vector, _positive, _whole_number
 from .paths import euler_msfou
 
 __all__ = [
@@ -74,8 +74,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.estimator, Method):
             raise TypeError(f"estimator must be a Method, got {self.estimator!r}")
-        for name in ("theta_true", "x0", "d", "T", "replications", "master_seed", "mle_mesh"):
+        for name in ("theta_true", "x0", "replications", "master_seed", "mle_mesh"):
             _finite(name, getattr(self, name))
+        for name in ("d", "T"):
+            _positive(name, getattr(self, name))
         for name in ("replications", "master_seed", "mle_mesh"):
             object.__setattr__(self, name, _whole_number(name, getattr(self, name)))
         if not 0.0 < self.H < 1.0:
@@ -84,8 +86,6 @@ class ExperimentConfig:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
         if not 0 <= self.master_seed < 2**64:
             raise ValueError(f"master_seed must fit in 64 unsigned bits, got {self.master_seed}")
-        if not self.d > 0.0 or not self.T > 0.0:
-            raise ValueError(f"d and T must be positive, got d={self.d}, T={self.T}")
         if math.isinf(self.T / self.d):
             raise ValueError(f"N = round(T/d) must be finite, got d={self.d}, T={self.T}")
         if self.n_steps < 2:
@@ -170,12 +170,10 @@ def summarize(sample, n_failed: int = 0) -> SummaryStats:
     central moments m_k; a constant sample reports both as 0. The standard
     deviation uses the n-1 normalization (0 for a single point).
     """
-    arr = np.sort(np.asarray(sample, dtype=float))
+    arr = np.sort(_finite_vector("sample", sample))
     n = arr.size
     if n < 1:
         raise ValueError("cannot summarize an empty sample")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("sample contains non-finite entries")
     mean = float(np.mean(arr))
     median = float(arr[(n - 1) // 2])
     sdev = float(np.std(arr, ddof=1)) if n > 1 else 0.0

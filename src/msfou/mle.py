@@ -44,8 +44,8 @@ import numpy as np
 from scipy import sparse
 
 from .estimators import EstimateResult, Method
-from .noise import HurstParam, _whole_number
-from .numerics import _GridSums, _frozen_vectors, _mesh_kernel, _require_hurst
+from .noise import HurstParam, _frozen_vectors, _whole_number
+from .numerics import _GridSums, _mesh_kernel, _require_hurst
 from .paths import SamplePath
 
 __all__ = ["MartingaleDecomposition", "decompose", "mle"]
@@ -128,9 +128,9 @@ def _grid_plan(hh: float, n: int, d: float, m: int) -> _GridPlan:
     z_sums, f_sums = kernel.grid_sums(t, [(times[:-1] + 0.5 * d, stop), (times, stop + 1)])
     # g(., t_k) at the observation times of [t_{k-1}, t_k], halved at both ends
     panel = kernel.window(t, times, prev, stop + 1)
+    g_stop = panel.data[panel.indptr[1:] - 1]  # g(t_k, t_k), copied before the halving
     panel.data[panel.indptr[:-1]] *= 0.5
     panel.data[panel.indptr[1:] - 1] *= 0.5
-    g_stop = kernel.at(np.arange(m), times[stop] / t)
     # the operators hold all they need of the interpolant: drop it before
     # the first sum runs, so the sum's temporaries do not come on top of it
     del kernel

@@ -30,8 +30,9 @@ __all__ = [
 ]
 
 
-# Scalar argument checks, written once for the whole library: each returns
-# the converted value or raises a ValueError that names the argument.
+# Argument checks, scalar and vector, written once for the whole library:
+# each returns the converted value or raises a ValueError that names the
+# argument.
 
 
 def _as_float(name: str, value) -> float:
@@ -65,6 +66,30 @@ def _whole_number(name: str, value) -> int:
     if not _as_float(name, value).is_integer():
         raise ValueError(f"{name} must be a whole number, got {value!r}")
     return int(value)
+
+
+def _finite_vector(name: str, value) -> np.ndarray:
+    """Read-only 1-d float copy of value; ValueError naming ``name`` unless a finite vector."""
+    try:
+        arr = np.array(value, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{name} contains an integer past the float range") from None
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} contains non-finite entries")
+    arr.setflags(write=False)
+    return arr
+
+
+def _frozen_vectors(obj, names: tuple[str, ...]) -> int:
+    """Freeze fields ``names`` of ``obj`` through ``_finite_vector``; their common length."""
+    for name in names:
+        object.__setattr__(obj, name, _finite_vector(name, getattr(obj, name)))
+    n = getattr(obj, names[0]).size
+    if any(getattr(obj, name).size != n for name in names[1:]):
+        raise ValueError(f"{', '.join(names)} must share a length")
+    return n
 
 
 class HurstRegime(enum.Enum):

@@ -66,7 +66,7 @@ import numpy as np
 from scipy import sparse as _sparse
 from scipy import special as _sp
 
-from .noise import HurstParam, _finite, _positive, _whole_number
+from .noise import HurstParam, _finite, _frozen_vectors, _positive, _whole_number
 
 __all__ = [
     "KernelSolution",
@@ -730,22 +730,6 @@ def _mesh_kernel(hh: float, unit: int, t: np.ndarray) -> tuple[_UnitInterpolant,
     """
     rows, _, bracket, _ = _solve_kernel(hh, unit, t, t)
     return _unit_interpolant(rows, 2.0 * hh - 1.0), np.concatenate(([0.0], bracket))
-
-
-def _frozen_vectors(obj, names: tuple[str, ...]) -> int:
-    """Freeze fields ``names`` of ``obj`` as read-only finite 1-d float copies; their length."""
-    for name in names:
-        arr = np.array(getattr(obj, name), dtype=float)
-        if arr.ndim != 1:
-            raise ValueError(f"{name} must be one-dimensional")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{name} contains non-finite entries")
-        arr.setflags(write=False)
-        object.__setattr__(obj, name, arr)
-    n = getattr(obj, names[0]).size
-    if any(getattr(obj, name).size != n for name in names[1:]):
-        raise ValueError(f"{', '.join(names)} must share a length")
-    return n
 
 
 @dataclass(frozen=True, eq=False)

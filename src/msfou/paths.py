@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import blas
 
-from .noise import HurstParam, NoiseSpec, _finite, _positive, _whole_number, sample_fgn
+from .noise import HurstParam, NoiseSpec, sample_fgn
+from .noise import _finite, _frozen_vectors, _positive, _whole_number
 
 __all__ = [
     "SamplePath",
@@ -43,16 +44,10 @@ class SamplePath:
     initial_value: float = 0.0
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1 or vals.size < 1:
-            raise ValueError("values must be a 1-d vector with at least one point")
+        if _frozen_vectors(self, ("values",)) < 1:
+            raise ValueError("values must hold at least one point")
         object.__setattr__(self, "d", _positive("d", self.d))
-        if not np.all(np.isfinite(vals)) or not np.isfinite(self.initial_value):
-            raise ValueError("path values must be finite")
-        vals = vals.copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "initial_value", float(self.initial_value))
+        object.__setattr__(self, "initial_value", _finite("initial_value", self.initial_value))
 
     @property
     def n(self) -> int:
@@ -82,18 +77,9 @@ class TwoSidedFbm:
     d: float
 
     def __post_init__(self) -> None:
-        pos = np.asarray(self.pos, dtype=float)
-        neg = np.asarray(self.neg, dtype=float)
-        if pos.shape != neg.shape or pos.ndim != 1 or pos.size < 1:
-            raise ValueError("pos and neg must be 1-d vectors of equal length")
+        if _frozen_vectors(self, ("pos", "neg")) < 1:
+            raise ValueError("pos and neg must hold at least one point")
         object.__setattr__(self, "d", _positive("d", self.d))
-        if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(neg))):
-            raise ValueError("pos and neg must be finite")
-        pos, neg = pos.copy(), neg.copy()
-        pos.setflags(write=False)
-        neg.setflags(write=False)
-        object.__setattr__(self, "pos", pos)
-        object.__setattr__(self, "neg", neg)
 
 
 def two_sided_fbm(fgn2n, d: float, H: HurstParam) -> TwoSidedFbm:

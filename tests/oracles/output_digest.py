@@ -4,8 +4,12 @@ A change that must leave every output byte-identical runs this script on
 its tree and on a copy of the parent commit (``git archive``), and the
 two must print the same lines:
 
-    PYTHONPATH=src python tests/oracles/output_digest.py
-    PYTHONPATH=/path/to/parent/src python tests/oracles/output_digest.py
+    PYTHONPATH=src python tests/oracles/output_digest.py > new.txt
+    PYTHONPATH=/path/to/parent/src python tests/oracles/output_digest.py > old.txt
+    diff old.txt new.txt
+
+The path of the ``msfou`` that was imported goes to stderr, so ``diff``
+prints nothing exactly when the outputs are byte-identical.
 
 The script reads only the public API, so it runs against older trees too.
 The grid covers H near 1/2 (where the layer exponent falls back to 1), odd
@@ -32,6 +36,7 @@ The README theta_hat is printed as well, to the last digit.
 
 import hashlib
 import json
+import sys
 
 import numpy as np
 
@@ -120,7 +125,7 @@ def main() -> None:
                 kernel.add(sol.mesh, sol.g_values, sol.g_diag, sol.bracket_M, sol.residual)
     h = HurstParam(0.65)
     readme = mle(euler_msfou(theta=1.0, H=h, d=0.01, N=20000, seed=314), h, m=1024)
-    print(f"msfou from {msfou.__file__}")
+    print(f"msfou from {msfou.__file__}", file=sys.stderr)
     for name, digest in (("noise", fgn), ("paths", paths), ("estimators", estimators),
                          ("mle", likelihood), ("numerics", kernel), ("constants", constants)):
         print(f"{name:<10} {digest.sha.hexdigest()}  ({digest.items} items)")

@@ -468,8 +468,8 @@ class TestUserErrors:
         "grid,message,hurst",
         [
             ("5,x", "could not convert", 0.6),
-            ("5,-1", "T=-1", 0.6),
-            ("5,0", "T=0", 0.6),
+            ("5,-1", "T must be positive, got -1.0", 0.6),
+            ("5,0", "T must be positive, got 0.0", 0.6),
             ("5,inf", "--T-grid", 0.6),
             # at H = 3/4 the rate scale sqrt(T/log T) needs T > 1
             ("5,1", "--T-grid: at H = 3/4 every horizon must exceed 1, got T=1.0", 0.75),

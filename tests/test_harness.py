@@ -489,7 +489,7 @@ class TestRunRateExperiment:
         calls = []
         monkeypatch.setattr(harness, "_run_replications", lambda *args: calls.append(args))
         cfg = _config(estimator=Method.LSE_SKOROHOD, d=0.1, replications=6)
-        with pytest.raises(ValueError, match="T=-1.0"):
+        with pytest.raises(ValueError, match="T must be positive, got -1.0"):
             run_rate_experiment(cfg, t_grid=[5.0, -1.0])
         assert calls == []
 

@@ -10,6 +10,9 @@ Covers:
   4. mle: exact agreement with the classical discretized OU likelihood
      estimate at H = 1/2, mesh-refinement stability, the algebraic error
      identity, and a small Monte Carlo sign check.
+  5. The dense exact likelihood of the simulated Euler model
+     (tests/oracles/euler_likelihood.py): its noise covariance against the
+     sfBm covariance, and its estimate at H = 1/2 against the classical one.
 """
 
 import dataclasses
@@ -29,7 +32,9 @@ from msfou import (
     decompose,
     euler_msfou,
     mle,
+    sfbm_covariance,
 )
+from oracles.euler_likelihood import exact_theta, noise_covariance
 
 # the package re-exports the function mle under the module's name
 mle_module = importlib.import_module("msfou.mle")
@@ -436,3 +441,24 @@ class TestMle:
         assert res.method is Method.MLE
         assert res.denominator > 0.0
         assert res.diagnostics["mesh_size"] == 16
+
+
+# ---------------------------------------------------------------------------
+# the dense exact likelihood of the Euler model
+# ---------------------------------------------------------------------------
+
+class TestExactEulerLikelihood:
+    @pytest.mark.parametrize("hh", [0.55, 0.65, 0.85])
+    def test_noise_covariance_is_the_second_difference_of_sfbm_plus_brownian(self, hh):
+        h, n, d = HurstParam(hh), 300, 0.01
+        t = d * np.arange(n + 1)
+        r = sfbm_covariance(t[:, None], t[None, :], h)
+        want = r[1:, 1:] - r[:-1, 1:] - r[1:, :-1] + r[:-1, :-1] + d * np.eye(n)
+        got = noise_covariance(n, d, h)
+        assert np.abs(got - want).max() <= 1e-11 * np.abs(got).max()
+
+    def test_brownian_case_is_the_classical_estimate(self):
+        # at H = 1/2 the sfBm increments are white, Sigma = 2 d I
+        x = euler_msfou(theta=1.0, H=HurstParam(0.5), d=0.01, N=300, seed=7)
+        want = _classical_ou_mle(x.full_values(), x.d)
+        assert exact_theta(x, HurstParam(0.5)) == pytest.approx(want, rel=1e-12)

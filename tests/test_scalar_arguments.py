@@ -81,6 +81,8 @@ FINITE = {
     "EstimateResult-theta_hat": (lambda v: EstimateResult(v, Method.PRACTICAL, 1.0), "theta_hat"),
     "phi_statistic-theta_tilde": (lambda v: phi_statistic(v, 1.0, H, 100, 0.01), "theta_tilde"),
     "run_rate_experiment-T": (lambda v: run_rate_experiment(LSE_CONFIG, [5.0, v]), "T"),
+    "SamplePath-initial_value": (lambda v: SamplePath(d=0.1, values=np.ones(3), initial_value=v),
+                                 "initial_value"),
 }
 NOT_FINITE = {key: NOT_POSITIVE[key] for key in ("inf", "nan", "huge")}
 
