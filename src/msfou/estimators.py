@@ -40,14 +40,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .noise import HurstParam, _finite, _positive, _whole_number
-from .numerics import (
-    _correction_info,
-    _invert_p_impl,
-    _require_hurst,
-    gamma_fn,
-    stationary_second_moment,
-)
+from .noise import HurstParam, _as_float, _count, _finite, _hurst, _positive
+from .numerics import _invert_p_impl, correction_integral, gamma_fn, stationary_second_moment
 from .paths import SamplePath
 
 __all__ = [
@@ -80,7 +74,7 @@ class EstimateResult:
     the least-squares family, the empirical second moment for the moment
     estimator, int Q^2 d<M> for the MLE); it is positive for any returned
     estimate. diagnostics carries named reals such as root-finder iteration
-    counts.
+    counts ("diagnostic iterations must be a number, got '3'").
     """
 
     theta_hat: float
@@ -94,7 +88,9 @@ class EstimateResult:
         object.__setattr__(self, "theta_hat", _finite("theta_hat", self.theta_hat))
         object.__setattr__(self, "denominator", _positive("denominator", self.denominator))
         object.__setattr__(
-            self, "diagnostics", {str(k): float(v) for k, v in self.diagnostics.items()}
+            self,
+            "diagnostics",
+            {str(k): _as_float(f"diagnostic {k}", v) for k, v in self.diagnostics.items()},
         )
 
 
@@ -120,16 +116,14 @@ def lse_skorohod(x: SamplePath, h: HurstParam, theta_ref: float) -> EstimateResu
     ``correction_error`` and ``correction_panels``, which read 0: I is
     evaluated in closed form, with no quadrature error estimate or panels.
     """
-    _require_hurst(h)
-    if h.h <= 0.5:
-        raise ValueError("lse_skorohod requires H > 1/2")
+    _hurst("lse_skorohod", h, "H > 1/2")
     theta_ref = _positive("theta_ref", theta_ref)
     den = integral_X2(x)
     if den <= 0.0:
         raise ValueError("degenerate path: int X^2 dt is zero")
     big_t = x.span
     alpha = h.h * (2.0 * h.h - 1.0)
-    corr = _correction_info(theta_ref, h.h, big_t)
+    corr = correction_integral(theta_ref, h, big_t)
     x_t = x.values[-1]
     theta_bar = (-0.5 * x_t * x_t + alpha * corr + 0.5 * big_t) / den
     return EstimateResult(
@@ -150,9 +144,7 @@ def practical_estimator(x: SamplePath, h: HurstParam) -> EstimateResult:
     The samples are the path's values at t_1..t_N, the initial point
     excluded. Permutation-invariant by construction.
     """
-    _require_hurst(h)
-    if h.h < 0.5:
-        raise ValueError("practical_estimator requires H >= 1/2")
+    _hurst("practical_estimator", h, "H >= 1/2")
     moment = _positive("empirical second moment", np.mean(x.values * x.values))
     theta, iters = _invert_p_impl(moment, h)
     return EstimateResult(
@@ -196,11 +188,9 @@ def sigma_H(theta: float, h: HurstParam) -> float:
     (Gamma(3-4H) pole); the boundary case has its own constant, see
     boundary_variance.
     """
-    _require_hurst(h)
+    _hurst("sigma_H", h, "1/2 < H < 3/4")
     theta = _positive("theta", theta)
     hh = h.h
-    if not 0.5 < hh < 0.75:
-        raise ValueError(f"sigma_H requires 1/2 < H < 3/4, got {hh}")
     g2h = gamma_fn(2.0 * hh)
     bracket = g2h * g2h + g2h * gamma_fn(3.0 - 4.0 * hh) * gamma_fn(4.0 * hh - 1.0) / gamma_fn(
         2.0 - 2.0 * hh
@@ -244,18 +234,14 @@ def phi_statistic(
     using theta^2 |p'(theta)| = 1/2 + 2 H^2 Gamma(2H) theta^(1-2H) and
     sqrt(V) = sigma_H p / theta. Asymptotically standard normal for
     1/2 < H < 3/4 once theta N d >> 1. Affine in theta_tilde and zero
-    exactly at theta_tilde = theta. N must be a whole number (100.0 reads as 100).
+    exactly at theta_tilde = theta. N must be a whole number >= 1 (100.0 reads as 100).
     """
-    _require_hurst(h)
+    _hurst("phi_statistic", h, "1/2 < H < 3/4")
     theta_tilde = _finite("theta_tilde", theta_tilde)
     theta = _positive("theta", theta)
-    n = _whole_number("n", n)
-    if n < 1:
-        raise ValueError(f"phi_statistic requires N >= 1, got {n}")
+    n = _count("n", n, 1)
     d = _positive("d", d)
     hh = h.h
-    if not 0.5 < hh < 0.75:
-        raise ValueError(f"phi_statistic requires 1/2 < H < 3/4, got {hh}")
     g2h_theta = gamma_fn(2.0 * hh) * theta ** (1.0 - 2.0 * hh)
     slope = 0.5 + 2.0 * hh * hh * g2h_theta
     scale = sigma_H(theta, h) * (hh * g2h_theta + 0.5)

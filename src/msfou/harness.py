@@ -29,7 +29,8 @@ from .estimators import (
     practical_estimator,
 )
 from .mle import mle
-from .noise import HurstParam, HurstRegime, _finite, _finite_vector, _positive, _whole_number
+from .noise import HurstParam, HurstRegime, _as_float, _count, _finite, _finite_vector, _hurst
+from .noise import _positive, _whole_number
 from .paths import euler_msfou
 
 __all__ = [
@@ -42,6 +43,14 @@ __all__ = [
 ]
 
 
+# The Hurst range each estimator holds on (see ``noise._hurst``).
+_NEEDS_HURST = {
+    Method.LSE_SKOROHOD: "H > 1/2",
+    Method.PRACTICAL: "H >= 1/2",
+    Method.MLE: "H >= 1/2",
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one Monte Carlo experiment.
@@ -51,14 +60,18 @@ class ExperimentConfig:
     carries the same field names (see ``from_dict``).
 
     A config its estimator cannot apply to is rejected here, before any
-    path is simulated, with a ValueError naming the field: every numeric
-    field but H must be finite ("x0 must be finite, got nan") and within
-    the float range ("x0 is out of range, got an integer of 1329 bits"),
-    d and T positive, N = round(T/d) finite, H in (0, 1), and
-    replications, master_seed and mle_mesh whole numbers ("replications
-    must be a whole number, got 2.5"; 300.0 reads as 300); LSE needs
-    theta_true > 0 and H > 1/2; practical and MLE H >= 1/2; MLE
-    8 <= mle_mesh <= N.
+    path is simulated, with a ValueError naming the field: every field but
+    estimator must be a number ("x0 must be a number, got '1'"); every
+    numeric field but H must be finite ("x0 must be finite, got nan") and
+    within the float range ("x0 is out of range, got an integer of 1329
+    bits"); d and T positive, N = round(T/d) finite, and replications,
+    master_seed and mle_mesh whole numbers ("replications must be a whole
+    number, got 2.5"; 300.0 reads as 300) with replications >= 1 and
+    master_seed in [0, 2**64 - 1]. H is read through ``HurstParam``, so it
+    must lie in (0, 1) ("Hurst index must lie in (0, 1), got 1.5"). LSE
+    needs theta_true > 0 and H > 1/2 ("estimator lse requires H > 1/2, got
+    H=0.5"); practical and MLE H >= 1/2; MLE 8 <= mle_mesh <= N. The
+    checked floats are kept, so a Decimal reads as its float.
     """
 
     theta_true: float
@@ -74,29 +87,24 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.estimator, Method):
             raise TypeError(f"estimator must be a Method, got {self.estimator!r}")
-        for name in ("theta_true", "x0", "replications", "master_seed", "mle_mesh"):
+        for name, check in (("theta_true", _finite), ("x0", _finite), ("d", _positive),
+                            ("T", _positive)):
+            object.__setattr__(self, name, check(name, getattr(self, name)))
+        object.__setattr__(self, "H", HurstParam(_as_float("H", self.H)).h)
+        for name, low, high in (("replications", 1, None), ("master_seed", 0, 2**64 - 1)):
+            # "must be finite" before "must be a whole number"
             _finite(name, getattr(self, name))
-        for name in ("d", "T"):
-            _positive(name, getattr(self, name))
-        for name in ("replications", "master_seed", "mle_mesh"):
-            object.__setattr__(self, name, _whole_number(name, getattr(self, name)))
-        if not 0.0 < self.H < 1.0:
-            raise ValueError(f"H must lie in (0, 1), got {self.H}")
-        if self.replications < 1:
-            raise ValueError(f"replications must be >= 1, got {self.replications}")
-        if not 0 <= self.master_seed < 2**64:
-            raise ValueError(f"master_seed must fit in 64 unsigned bits, got {self.master_seed}")
+            object.__setattr__(self, name, _count(name, getattr(self, name), low, high))
+        _finite("mle_mesh", self.mle_mesh)
+        object.__setattr__(self, "mle_mesh", _whole_number("mle_mesh", self.mle_mesh))
         if math.isinf(self.T / self.d):
             raise ValueError(f"N = round(T/d) must be finite, got d={self.d}, T={self.T}")
         if self.n_steps < 2:
             raise ValueError(f"N = round(T/d) must be >= 2, got {self.n_steps}")
-        if self.estimator is Method.LSE_SKOROHOD:
-            if not self.theta_true > 0.0:
-                raise ValueError(f"estimator lse needs theta_true > 0, got {self.theta_true}")
-            if not self.H > 0.5:
-                raise ValueError(f"estimator lse needs H > 1/2, got {self.H}")
-        if self.estimator in (Method.PRACTICAL, Method.MLE) and not self.H >= 0.5:
-            raise ValueError(f"estimator {self.estimator.value} needs H >= 1/2, got {self.H}")
+        if self.estimator is Method.LSE_SKOROHOD and not self.theta_true > 0.0:
+            raise ValueError(f"estimator lse needs theta_true > 0, got {self.theta_true}")
+        needs = _NEEDS_HURST.get(self.estimator, "")
+        _hurst(f"estimator {self.estimator.value}", self.hurst, needs)
         if self.estimator is Method.MLE and not 8 <= self.mle_mesh <= self.n_steps:
             raise ValueError(
                 f"estimator mle needs mle_mesh in [8, N={self.n_steps}], got {self.mle_mesh}"
@@ -128,11 +136,6 @@ class ExperimentConfig:
         missing = {f.name for f in fields(cls) if f.default is MISSING} - set(raw)
         if missing:
             raise ValueError(f"missing config fields: {sorted(missing)}")
-        for name, value in raw.items():
-            if name != "estimator" and (
-                isinstance(value, bool) or not isinstance(value, (int, float))
-            ):
-                raise ValueError(f"{name} must be a number, got {value!r}")
         data = dict(raw)
         try:
             data["estimator"] = Method(data["estimator"])
@@ -158,9 +161,7 @@ class SummaryStats:
     def __post_init__(self) -> None:
         if self.sdev < 0.0:
             raise ValueError(f"sdev must be nonnegative, got {self.sdev}")
-        object.__setattr__(self, "n_failed", _whole_number("n_failed", self.n_failed))
-        if self.n_failed < 0:
-            raise ValueError(f"n_failed must be nonnegative, got {self.n_failed}")
+        object.__setattr__(self, "n_failed", _count("n_failed", self.n_failed, 0))
 
 
 def summarize(sample, n_failed: int = 0) -> SummaryStats:
@@ -247,9 +248,7 @@ def _run_replications(cfg: ExperimentConfig, workers: int) -> tuple[np.ndarray, 
     a worker without a chunk would only idle. A run of one process, which
     is one worker or one chunk, maps in this process and starts no pool.
     """
-    workers = _whole_number("workers", workers)
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    workers = _count("workers", workers, 1)
     cfgs, reps = [cfg] * cfg.replications, range(cfg.replications)
     processes = min(workers, -(-cfg.replications // _CHUNK))
     if processes == 1:
@@ -276,8 +275,7 @@ def _check_clt_config(cfg: ExperimentConfig) -> None:
         raise ValueError(
             f"the CLT experiment needs estimator practical, got {cfg.estimator.value}"
         )
-    if not 0.5 < cfg.H < 0.75:
-        raise ValueError(f"the CLT experiment needs 1/2 < H < 3/4, got H={cfg.H}")
+    _hurst("the CLT experiment", cfg.hurst, "1/2 < H < 3/4")
     # Phi standardizes by p(theta_true), which is defined for theta > 0 only
     if not cfg.theta_true > 0.0:
         raise ValueError(f"the CLT experiment needs theta_true > 0, got {cfg.theta_true}")
@@ -335,9 +333,7 @@ def _rate_configs(cfg: ExperimentConfig, t_grid) -> list[ExperimentConfig]:
     H = 3/4, where the scale sqrt(T/log T) needs T > 1, on T <= 1.
     """
     configs = [
-        replace(
-            cfg, T=_finite("T", big_t), master_seed=_replication_seed(cfg.master_seed, t_idx, 1)
-        )
+        replace(cfg, T=big_t, master_seed=_replication_seed(cfg.master_seed, t_idx, 1))
         for t_idx, big_t in enumerate(t_grid)
     ]
     if not configs:

@@ -44,8 +44,8 @@ import numpy as np
 from scipy import sparse
 
 from .estimators import EstimateResult, Method
-from .noise import HurstParam, _frozen_vectors, _whole_number
-from .numerics import _GridSums, _mesh_kernel, _require_hurst
+from .noise import HurstParam, _count, _frozen_vectors, _hurst
+from .numerics import _GridSums, _mesh_kernel
 from .paths import SamplePath
 
 __all__ = ["MartingaleDecomposition", "decompose", "mle"]
@@ -163,13 +163,9 @@ def decompose(x: SamplePath, h: HurstParam, m: int = 128) -> MartingaleDecomposi
     8.5"; 8.0 reads as 8), and H >= 1/2. Raises RuntimeError when a kernel
     solve's linear-system residual exceeds 1e-6, as ``solve_g_kernel`` does.
     """
-    _require_hurst(h)
-    if h.h < 0.5:
-        raise ValueError("decompose requires H >= 1/2")
+    _hurst("decompose", h, "H >= 1/2")
     n = x.n
-    m = _whole_number("m", m)
-    if m < 8:
-        raise ValueError(f"mesh size must be >= 8, got {m}")
+    m = _count("m", m, 8)
     if n < m:
         raise ValueError(f"path has {n} points, fewer than mesh size {m}")
 

@@ -30,15 +30,22 @@ __all__ = [
 ]
 
 
-# Argument checks, scalar and vector, written once for the whole library:
-# each returns the converted value or raises a ValueError that names the
-# argument.
+# Argument checks, written once for the whole library: scalars, bounded
+# counts, vectors and Hurst ranges. Each returns the converted value or
+# raises a ValueError that names the argument; a string, a boolean or None
+# is not read as a number.
+
+_NOT_NUMBERS = (str, bytes, bool, np.bool_, type(None))
 
 
 def _as_float(name: str, value) -> float:
-    """float(value); ValueError naming ``name`` for an integer past the float range."""
+    """float(value); ValueError naming ``name`` for a non-number or an integer past float range."""
     try:
+        if isinstance(value, _NOT_NUMBERS):
+            raise TypeError
         return float(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
     except OverflowError:
         raise ValueError(
             f"{name} is out of range, got an integer of {int(value).bit_length()} bits"
@@ -68,10 +75,28 @@ def _whole_number(name: str, value) -> int:
     return int(value)
 
 
+def _count(name: str, value, low: int, high: int | None = None) -> int:
+    """_whole_number(name, value); ValueError naming ``name`` unless low <= it (<= high)."""
+    n = _whole_number(name, value)
+    if n < low or high is not None and n > high:
+        bound = f"at least {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be {bound}, got {n}")
+    return n
+
+
 def _finite_vector(name: str, value) -> np.ndarray:
     """Read-only 1-d float copy of value; ValueError naming ``name`` unless a finite vector."""
     try:
-        arr = np.array(value, dtype=float)
+        arr = np.asarray(value)
+        # an object array holds Python objects, such as integers past int64
+        if arr.dtype.kind not in "iufO" or arr.dtype.kind == "O" and any(
+            isinstance(v, _NOT_NUMBERS) for v in arr.flat
+        ):
+            raise TypeError
+        arr = np.array(arr, dtype=float)
+    except (TypeError, ValueError):
+        # strings, booleans, None or complex numbers, or ragged input
+        raise ValueError(f"{name} must hold numbers") from None
     except OverflowError:
         raise ValueError(f"{name} contains an integer past the float range") from None
     if arr.ndim != 1:
@@ -127,12 +152,31 @@ class HurstParam:
         return HurstRegime.ROSENBLATT
 
 
+# The Hurst ranges the estimators and their constants hold on, keyed by the
+# wording of the error that names them.
+_HURST_RANGES = {
+    "H >= 1/2": lambda hh: hh >= 0.5,
+    "H > 1/2": lambda hh: hh > 0.5,
+    "1/2 < H < 3/4": lambda hh: 0.5 < hh < 0.75,
+}
+
+
+def _hurst(name: str, h, needs: str = "") -> HurstParam:
+    """h; TypeError unless a HurstParam, ValueError naming ``name`` unless H is in ``needs``."""
+    if not isinstance(h, HurstParam):
+        raise TypeError(f"expected HurstParam, got {type(h).__name__}")
+    if needs and not _HURST_RANGES[needs](h.h):
+        raise ValueError(f"{name} requires {needs}, got H={h.h}")
+    return h
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Deterministic description of one noise vector.
 
     Identical specs (plus the Hurst index) yield bit-identical output.
-    ``n``, ``seed`` and ``stream`` must be whole numbers; 300.0 reads as 300.
+    ``n`` >= 1, ``seed`` in [0, 2**64 - 1] and ``stream`` >= 0 must be whole
+    numbers; 300.0 reads as 300.
     ``stream`` selects a statistically independent substream of ``seed``;
     callers that need several independent vectors per seed (e.g. the sfBm
     and Brownian components of a mixed path) use distinct stream indices.
@@ -143,14 +187,9 @@ class NoiseSpec:
     stream: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("n", "seed", "stream"):
-            object.__setattr__(self, name, _whole_number(name, getattr(self, name)))
-        if self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
-        if self.stream < 0:
-            raise ValueError("stream index must be nonnegative")
+        object.__setattr__(self, "n", _count("n", self.n, 1))
+        object.__setattr__(self, "seed", _count("seed", self.seed, 0, 2**64 - 1))
+        object.__setattr__(self, "stream", _count("stream", self.stream, 0))
 
     def rng(self) -> np.random.Generator:
         """Counter-based generator for this (seed, stream) pair."""

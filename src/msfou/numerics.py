@@ -66,7 +66,7 @@ import numpy as np
 from scipy import sparse as _sparse
 from scipy import special as _sp
 
-from .noise import HurstParam, _finite, _frozen_vectors, _positive, _whole_number
+from .noise import HurstParam, _count, _finite, _frozen_vectors, _hurst, _positive
 
 __all__ = [
     "KernelSolution",
@@ -87,12 +87,6 @@ _MIN_LAYER_RHO = 1e-3
 _EDGE_ORDER = 2
 
 _MAX_MESH = 4096
-
-
-def _require_hurst(h) -> HurstParam:
-    if not isinstance(h, HurstParam):
-        raise TypeError(f"expected HurstParam, got {type(h).__name__}")
-    return h
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +115,7 @@ def stationary_second_moment(theta: float, h: HurstParam) -> float:
     theta > 0; strictly decreasing in theta when H >= 1/2, which is what
     makes the moment estimator well defined.
     """
-    _require_hurst(h)
+    _hurst("stationary_second_moment", h)
     theta = _positive("theta", theta)
     return 0.5 / theta + h.h * gamma_fn(2.0 * h.h) * theta ** (-2.0 * h.h)
 
@@ -170,10 +164,8 @@ def invert_p(y: float, h: HurstParam) -> float:
     ("y must be finite, got inf", "y must be positive, got 0.0"); for
     H > 1/2, y must lie in [1e-300, 1e300].
     """
-    _require_hurst(h)
+    _hurst("invert_p", h, "H >= 1/2")
     y = _positive("y", y)
-    if h.h < 0.5:
-        raise ValueError("invert_p requires H >= 1/2 (monotone regime)")
     theta, _ = _invert_p_impl(y, h)
     return float(theta)
 
@@ -183,9 +175,15 @@ def invert_p(y: float, h: HurstParam) -> float:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=64)
-def _correction_info(theta: float, hh: float, big_t: float) -> float:
-    """Correction integral I(theta, H, T) in closed form.
+@functools.lru_cache(maxsize=64, typed=True)
+def correction_integral(theta: float, h: HurstParam, big_t: float) -> float:
+    """int_0^T int_0^t e^(-theta(t-s)) ((t-s)^(2H-2) + (t+s)^(2H-2)) ds dt.
+
+    Requires H > 1/2 so the (t-s)^(2H-2) singularity is integrable, a
+    finite theta > 0 ("theta must be positive, got 0.0") and a finite
+    T >= 0 ("T must be finite, got inf"); T = 0 gives 0. Results are
+    cached per (theta, h, T), so an unhashable argument raises TypeError
+    from the cache before it is checked.
 
     Fubini in the (t-s, t+s) variables collapses the double integral to
 
@@ -209,7 +207,14 @@ def _correction_info(theta: float, hh: float, big_t: float) -> float:
     so the first is at least twice the second and their difference loses
     at most one bit.
     """
-    rho = 2.0 * hh - 1.0
+    _hurst("correction_integral", h, "H > 1/2")
+    theta = _positive("theta", theta)
+    big_t = _finite("T", big_t)
+    if big_t < 0.0:
+        raise ValueError(f"correction_integral requires T >= 0, got {big_t}")
+    if big_t == 0.0:
+        return 0.0
+    rho = 2.0 * h.h - 1.0
     x = theta * big_t
     part_d = theta ** (-rho - 1.0) * (_sp.gammainc(rho + 1.0, x) * _sp.gamma(rho + 1.0))
     part_a = big_t * theta ** (-rho) * (_sp.gammainc(rho, x) * _sp.gamma(rho)) - part_d
@@ -217,29 +222,7 @@ def _correction_info(theta: float, hh: float, big_t: float) -> float:
         (2.0 * big_t) ** (rho + 1.0) * _sp.hyp1f1(1.0, rho + 2.0, -2.0 * x)
         - math.exp(-x) * big_t ** (rho + 1.0) * _sp.hyp1f1(1.0, rho + 2.0, -x)
     ) / (rho + 1.0)
-    return part_a + (part_c - part_d) / (2.0 * rho)
-
-
-def correction_integral(theta: float, h: HurstParam, big_t: float) -> float:
-    """int_0^T int_0^t e^(-theta(t-s)) ((t-s)^(2H-2) + (t+s)^(2H-2)) ds dt.
-
-    Fubini leaves three one-dimensional parts, each in closed form: two
-    are incomplete gamma functions and the third a difference of two
-    Kummer functions. The singular exponent 2H-2 is taken from h.
-    Requires H > 1/2 so the (t-s)^(2H-2) singularity is integrable, a
-    finite theta > 0 ("theta must be positive, got 0.0") and a finite
-    T >= 0 ("T must be finite, got inf"); T = 0 gives 0.
-    """
-    _require_hurst(h)
-    theta = _positive("theta", theta)
-    if h.h <= 0.5:
-        raise ValueError("correction_integral requires H > 1/2")
-    big_t = _finite("T", big_t)
-    if big_t < 0.0:
-        raise ValueError(f"correction_integral requires T >= 0, got {big_t}")
-    if big_t == 0.0:
-        return 0.0
-    return float(_correction_info(theta, h.h, big_t))
+    return float(part_a + (part_c - part_d) / (2.0 * rho))
 
 
 # ---------------------------------------------------------------------------
@@ -774,15 +757,11 @@ def solve_g_kernel(t: float, h: HurstParam, m: int = 256) -> KernelSolution:
     reads as 256) in [8, 4096]. Raises RuntimeError when a linear-system
     residual exceeds 1e-6.
     """
-    _require_hurst(h)
+    _hurst("solve_g_kernel", h, "H >= 1/2")
     t = _positive("t", t)
-    m = _whole_number("m", m)
-    if not 8 <= m <= _MAX_MESH:
-        raise ValueError(f"mesh size m must lie in [8, {_MAX_MESH}], got {m}")
+    m = _count("m", m, 8, _MAX_MESH)
     mesh = np.arange(1, m + 1) * (t / m)
     mesh[-1] = t
-    if h.h < 0.5:
-        raise ValueError("solve_g_kernel requires H >= 1/2")
     if h.h == 0.5:
         g_values = g_diag = np.ones(m)
         bracket, residual = mesh, 0.0

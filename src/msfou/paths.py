@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import blas
 
 from .noise import HurstParam, NoiseSpec, sample_fgn
-from .noise import _finite, _frozen_vectors, _positive, _whole_number
+from .noise import _count, _finite, _frozen_vectors, _positive
 
 __all__ = [
     "SamplePath",
@@ -166,12 +166,10 @@ def euler_msfou(
         disjoint substreams of it.
     x0 : finite initial value (0 in the usual setup).
     """
-    _positive("d", d)
-    _finite("theta", theta)
-    _finite("x0", x0)
-    N = _whole_number("N", N)
-    if N < 1:
-        raise ValueError(f"need at least one step, got N={N!r}")
+    d = _positive("d", d)
+    theta = _finite("theta", theta)
+    x0 = _finite("x0", x0)
+    N = _count("N", N, 1)
 
     fgn = sample_fgn(NoiseSpec(n=2 * N, seed=seed, stream=_STREAM_SFBM), H)
     s_path = sfbm_path(two_sided_fbm(fgn, d, H))

@@ -29,14 +29,20 @@ Layers:
   even m;
 * ``constants``: ``gamma_fn``, p and its inverse, the correction integral,
   ``sigma_H``, ``boundary_variance`` and ``phi_statistic`` on a small
-  (theta, H, T) grid.
+  (theta, H, T) grid;
+* ``cli``: the bytes of every file that ``msfou.cli.main`` writes for
+  ``simulate``, ``estimate`` by each method on that path, and small
+  ``mc-table``, ``mc-clt`` and ``mc-rate`` runs, so the command line's
+  number formatting is compared too.
 
 The README theta_hat is printed as well, to the last digit.
 """
 
 import hashlib
 import json
+import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -60,6 +66,7 @@ from msfou import (
     solve_g_kernel,
     stationary_second_moment,
 )
+from msfou.cli import main as cli_main
 
 HURSTS = (0.5, 0.5002, 0.501, 0.55, 0.65, 0.9)
 SEEDS = (11, 12)
@@ -87,6 +94,50 @@ class Digest:
     def add_result(self, result):
         self.add(result.theta_hat, result.denominator)
         self.sha.update(json.dumps(result.diagnostics, sort_keys=True).encode())
+
+
+# (estimate method, its extra arguments)
+CLI_METHODS = (("mle", ("--hurst", "0.65", "--mesh", "64")),
+               ("lse", ("--hurst", "0.65", "--theta-ref", "1")),
+               ("practical", ("--hurst", "0.65")),
+               ("nonergodic", ()))
+CLI_CONFIG = {"theta_true": 1.0, "H": 0.65, "d": 0.05, "T": 10.0, "replications": 16,
+              "master_seed": 7}
+
+
+def cli_digest() -> Digest:
+    """Hash the files written by one small run of each CLI subcommand."""
+    digest = Digest()
+    with tempfile.TemporaryDirectory() as tmp:
+        def run(*argv):
+            if cli_main(list(argv)) != 0:
+                raise SystemExit(f"msfou {' '.join(argv)} failed")
+
+        def config(**fields):
+            path = os.path.join(tmp, f"{fields['estimator']}.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump({**CLI_CONFIG, **fields}, fh)
+            return path
+
+        files = [os.path.join(tmp, "path.csv")]
+        run("simulate", "--theta", "1", "--hurst", "0.65", "--d", "0.01", "--T", "20",
+            "--seed", "314", "--out", files[0])
+        for method, extra in CLI_METHODS:
+            files.append(os.path.join(tmp, f"{method}.out.json"))
+            run("estimate", "--method", method, *extra, "--in", files[0], "--out", files[-1])
+        files.append(os.path.join(tmp, "table.csv"))
+        run("mc-table", "--config", config(estimator="mle", mle_mesh=32), "--out", files[-1])
+        files += [os.path.join(tmp, "clt.csv"), os.path.join(tmp, "clt.json")]
+        run("mc-clt", "--config", config(estimator="practical", H=0.6), "--out", files[-2],
+            "--stats", files[-1])
+        files.append(os.path.join(tmp, "rate.csv"))
+        run("mc-rate", "--config", config(estimator="lse"), "--T-grid", "5,10",
+            "--out", files[-1])
+        for path in files:
+            with open(path, "rb") as fh:
+                digest.sha.update(fh.read())
+            digest.items += 1
+    return digest
 
 
 def main() -> None:
@@ -125,9 +176,11 @@ def main() -> None:
                 kernel.add(sol.mesh, sol.g_values, sol.g_diag, sol.bracket_M, sol.residual)
     h = HurstParam(0.65)
     readme = mle(euler_msfou(theta=1.0, H=h, d=0.01, N=20000, seed=314), h, m=1024)
+    cli = cli_digest()
     print(f"msfou from {msfou.__file__}", file=sys.stderr)
     for name, digest in (("noise", fgn), ("paths", paths), ("estimators", estimators),
-                         ("mle", likelihood), ("numerics", kernel), ("constants", constants)):
+                         ("mle", likelihood), ("numerics", kernel), ("constants", constants),
+                         ("cli", cli)):
         print(f"{name:<10} {digest.sha.hexdigest()}  ({digest.items} items)")
     print(f"README theta_hat {readme.theta_hat!r}")
 

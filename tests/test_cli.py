@@ -108,7 +108,8 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "theta,seed,message",
-        [("1", "-1", "seed must fit"), ("nan", "1", "theta must be finite, got nan")],
+        [("1", "-1", "seed must be in [0, 18446744073709551615], got -1"),
+         ("nan", "1", "theta must be finite, got nan")],
         ids=["negative-seed", "nan-theta"],
     )
     def test_library_rejection_is_one_line(self, tmp_path, capsys, monkeypatch, theta, seed,
@@ -219,7 +220,7 @@ class TestEstimate:
     @pytest.mark.parametrize(
         "args,message",
         [
-            (["--method", "mle", "--hurst", "0.6", "--mesh", "4"], "mesh size must be >= 8"),
+            (["--method", "mle", "--hurst", "0.6", "--mesh", "4"], "m must be at least 8, got 4"),
             (["--method", "mle", "--hurst", "0.6", "--mesh", str(10**400)],
              "m is out of range, got an integer of 1329 bits"),
             (["--method", "lse", "--hurst", "0.4", "--theta-ref", "1"], "requires H > 1/2"),

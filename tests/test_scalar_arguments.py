@@ -1,15 +1,19 @@
 """Each kind of scalar argument is checked by one rule, with one wording.
 
 A positive real (a drift, a grid spacing, a horizon) must be finite and
-above zero; a count, a seed or a mesh size must be a whole number; and an
-integer past the float range is refused as out of range rather than
-raising OverflowError. Every public function below refuses a bad value
-with a ValueError that starts with the argument's name.
+above zero; a count, a seed or a mesh size must be a whole number within
+its bounds; a string, a boolean or None is not a number; and an integer
+past the float range is refused as out of range rather than raising
+OverflowError. Every public function below refuses a bad value with a
+ValueError that starts with the argument's name. A Hurst index must be a
+HurstParam in the range its function holds on, and a checked value is
+kept, so a Decimal reads as its float.
 """
 
 import math
 import re
 from dataclasses import replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -30,6 +34,8 @@ from msfou import (
     invert_p,
     lse_skorohod,
     phi_statistic,
+    practical_estimator,
+    run_clt_experiment,
     run_rate_experiment,
     run_table_experiment,
     sigma_H,
@@ -103,13 +109,93 @@ NOT_WHOLE = {
     "huge": (HUGE, "is out of range, got an integer of 1329 bits"),
 }
 
+# an argument that must only be a number
+NUMBER = {
+    "EstimateResult-diagnostics": (
+        lambda v: EstimateResult(1.0, Method.PRACTICAL, 1.0, {"iterations": v}),
+        "diagnostic iterations"),
+}
+NOT_A_NUMBER = {
+    "string": ("1", "must be a number, got '1'"),
+    "boolean": (True, "must be a number, got True"),
+    "none": (None, "must be a number, got None"),
+    "list": ([1.0], "must be a number, got [1.0]"),
+}
+# correction_integral is cached per argument, so the cache refuses an
+# unhashable one with TypeError before the check sees it
+CACHED = ("correction_integral", "correction_integral-T")
+
+# (call with the count set to v, its name, its lowest value, its highest or None)
+COUNT = {
+    "NoiseSpec-n": (lambda v: NoiseSpec(n=v, seed=1), "n", 1, None),
+    "NoiseSpec-seed": (lambda v: NoiseSpec(n=8, seed=v), "seed", 0, 2**64 - 1),
+    "NoiseSpec-stream": (lambda v: NoiseSpec(n=8, seed=1, stream=v), "stream", 0, None),
+    "ExperimentConfig-replications": (lambda v: replace(CONFIG, replications=v),
+                                      "replications", 1, None),
+    "ExperimentConfig-master_seed": (lambda v: replace(CONFIG, master_seed=v),
+                                     "master_seed", 0, 2**64 - 1),
+    "summarize-n_failed": (lambda v: summarize([1.0, 2.0], n_failed=v), "n_failed", 0, None),
+    "run_table_experiment-workers": (lambda v: run_table_experiment(CONFIG, workers=v),
+                                     "workers", 1, None),
+    "phi_statistic-n": (lambda v: phi_statistic(1.0, 1.0, H, v, 0.01), "n", 1, None),
+    "euler_msfou-N": (lambda v: euler_msfou(1.0, H, 0.1, v, 1), "N", 1, None),
+    "decompose-m": (lambda v: decompose(PATH, H, v), "m", 8, None),
+    "solve_g_kernel-m": (lambda v: solve_g_kernel(1.0, H, v), "m", 8, 4096),
+}
+
+# (call with the Hurst index set to h, the range it needs, an H just outside)
+HURST = {
+    "invert_p": (lambda h: invert_p(1.0, h), "H >= 1/2", 0.49),
+    "correction_integral": (lambda h: correction_integral(1.0, h, 1.0), "H > 1/2", 0.5),
+    "solve_g_kernel": (lambda h: solve_g_kernel(1.0, h, 8), "H >= 1/2", 0.49),
+    "lse_skorohod": (lambda h: lse_skorohod(PATH, h, 1.0), "H > 1/2", 0.5),
+    "practical_estimator": (lambda h: practical_estimator(PATH, h), "H >= 1/2", 0.49),
+    "sigma_H": (lambda h: sigma_H(1.0, h), "1/2 < H < 3/4", 0.75),
+    "phi_statistic": (lambda h: phi_statistic(1.0, 1.0, h, 100, 0.01), "1/2 < H < 3/4", 0.5),
+    "decompose": (lambda h: decompose(PATH, h, 8), "H >= 1/2", 0.49),
+}
+# the same rules read from a config's H, a float: (call with H set to hh,
+# the name in the message, the range, an H just outside)
+CONFIG_HURST = {
+    "ExperimentConfig-lse": (lambda hh: replace(LSE_CONFIG, H=hh), "estimator lse",
+                             "H > 1/2", 0.5),
+    "ExperimentConfig-practical": (lambda hh: replace(CONFIG, H=hh), "estimator practical",
+                                   "H >= 1/2", 0.49),
+    "ExperimentConfig-mle": (lambda hh: replace(CONFIG, estimator=Method.MLE, H=hh, mle_mesh=8),
+                             "estimator mle", "H >= 1/2", 0.49),
+    "run_clt_experiment": (lambda hh: run_clt_experiment(replace(CONFIG, H=hh)),
+                           "the CLT experiment", "1/2 < H < 3/4", 0.75),
+}
+
 
 # "<case>-<value>": (call, name, value, message)
 ROWS = {
-    f"{case}-{label}": (call, name, value, message)
-    for cases, values in ((POSITIVE, NOT_POSITIVE), (FINITE, NOT_FINITE), (WHOLE, NOT_WHOLE))
-    for case, (call, name) in cases.items()
-    for label, (value, message) in values.items()
+    **{
+        f"{case}-{label}": (call, name, value, message)
+        for cases, values in ((POSITIVE, NOT_POSITIVE), (FINITE, NOT_FINITE),
+                              (WHOLE, NOT_WHOLE), (POSITIVE, NOT_A_NUMBER),
+                              (FINITE, NOT_A_NUMBER), (WHOLE, NOT_A_NUMBER),
+                              (NUMBER, NOT_A_NUMBER))
+        for case, (call, name) in cases.items()
+        for label, (value, message) in values.items()
+        if not (case in CACHED and label == "list")
+    },
+    **{
+        f"{case}-{label}": (call, name, value, "must be " + (
+            f"at least {low}" if high is None else f"in [{low}, {high}]") + f", got {value}")
+        for case, (call, name, low, high) in COUNT.items()
+        for label, value in (("below", low - 1), ("above", None if high is None else high + 1))
+        if value is not None
+    },
+    **{
+        f"{name}-hurst": (lambda hh, call=call: call(HurstParam(hh)), name, hh,
+                          f"requires {needs}, got H={hh}")
+        for name, (call, needs, hh) in HURST.items()
+    },
+    **{
+        f"{case}-hurst": (call, name, hh, f"requires {needs}, got H={hh}")
+        for case, (call, name, needs, hh) in CONFIG_HURST.items()
+    },
 }
 
 
@@ -123,3 +209,32 @@ def test_hurst_index_past_the_float_range():
     message = "Hurst index is out of range, got an integer of 1329 bits"
     with pytest.raises(ValueError, match=f"^{message}$"):
         HurstParam(HUGE)
+
+
+@pytest.mark.parametrize("case", CACHED)
+def test_unhashable_argument_refused_by_the_cache(case):
+    call, _ = POSITIVE.get(case) or FINITE[case]
+    with pytest.raises(TypeError, match="unhashable"):
+        call([1.0])
+
+
+@pytest.mark.parametrize("call", [row[0] for row in HURST.values()]
+                         + [lambda h: stationary_second_moment(1.0, h)],
+                         ids=[*HURST.keys(), "stationary_second_moment"])
+def test_hurst_must_be_a_hurst_param(call):
+    with pytest.raises(TypeError, match="^expected HurstParam, got float$"):
+        call(0.65)
+
+
+def test_decimal_reads_as_its_float():
+    def path(num):
+        return euler_msfou(theta=num("1.5"), H=H, d=num("0.1"), N=50, seed=3, x0=num("0.5"))
+
+    assert path(Decimal).values.tobytes() == path(float).values.tobytes()
+
+    def table(num):
+        cfg = replace(CONFIG, theta_true=num("1.5"), H=num("0.6"), d=num("0.05"), T=num("5"),
+                      x0=num("0.5"))
+        return run_table_experiment(cfg)
+
+    assert table(Decimal) == table(float)

@@ -1,9 +1,11 @@
 """Every input vector is checked by one rule, with one wording.
 
-A vector that a class keeps or a function reduces must be one-dimensional
-and finite, and an integer entry past the float range is refused rather
-than raising OverflowError. Each refusal is a ValueError that starts with
-the vector's name; only the empty vector's message is the caller's own.
+A vector that a class keeps or a function reduces must hold numbers (not
+strings, booleans, None or complex numbers, and not ragged rows), be
+one-dimensional and finite, and an integer entry past the float range is
+refused rather than raising OverflowError. Each refusal is a ValueError
+that starts with the vector's name; only the empty vector's message is the
+caller's own.
 """
 
 import math
@@ -48,6 +50,12 @@ BAD = {
     "nan": ([0.0, math.nan], "contains non-finite entries"),
     "inf": ([0.0, math.inf], "contains non-finite entries"),
     "huge": ([0, HUGE], "contains an integer past the float range"),
+    "string": (["1.0", "2.0"], "must hold numbers"),
+    "boolean": ([True, False], "must hold numbers"),
+    "complex": ([1.0 + 1.0j, 2.0], "must hold numbers"),
+    "ragged": ([[1.0, 2.0], [3.0]], "must hold numbers"),
+    "none": ([None, 1.0], "must hold numbers"),
+    "mixed": ([2**70, "1"], "must hold numbers"),
 }
 
 # "<case>-<value>": (call, value, message)
