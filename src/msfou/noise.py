@@ -203,6 +203,7 @@ def fgn_autocovariance(k, H: HurstParam):
     rho(k) = ((|k|+1)^(2H) - 2|k|^(2H) + ||k|-1|^(2H)) / 2; rho(0) = 1.
     Accepts a scalar or an array of lags.
     """
+    _hurst("fgn_autocovariance", H)
     two_h = 2.0 * H.h
     k_abs = np.abs(np.asarray(k, dtype=float))
     rho = 0.5 * ((k_abs + 1.0) ** two_h - 2.0 * k_abs**two_h + np.abs(k_abs - 1.0) ** two_h)
@@ -254,6 +255,7 @@ def sample_fgn(spec: NoiseSpec, H: HurstParam) -> np.ndarray:
     -------
     numpy.ndarray of shape ``(spec.n,)``. Same spec in, same bytes out.
     """
+    _hurst("sample_fgn", H)
     if spec.n < 2:
         raise ValueError(f"need n >= 2 to define fGn, got n={spec.n}")
     weight = _circulant_sqrt_eig(spec.n, H)

@@ -10,14 +10,14 @@ path X. Paths are read from and written to CSV through open text handles.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas
 
 from .noise import HurstParam, NoiseSpec, sample_fgn
-from .noise import _count, _finite, _frozen_vectors, _positive
+from .noise import _count, _finite, _frozen_vectors, _hurst, _positive
 
 __all__ = [
     "SamplePath",
@@ -98,6 +98,7 @@ def two_sided_fbm(fgn2n, d: float, H: HurstParam) -> TwoSidedFbm:
     if y.ndim != 1 or y.size < 2 or y.size % 2 != 0:
         raise ValueError("fgn2n must be a 1-d vector of even length >= 2")
     d = _positive("d", d)
+    _hurst("two_sided_fbm", H)
     n = y.size // 2
     scale = d**H.h
     pos = scale * np.cumsum(y[n:])
@@ -120,6 +121,7 @@ def sfbm_covariance(s, t, H: HurstParam):
     R(s, t) = t^(2H) + s^(2H) - (|t-s|^(2H) + (t+s)^(2H)) / 2.
     Symmetric in (s, t); zero whenever either argument is zero.
     """
+    _hurst("sfbm_covariance", H)
     s_arr = np.asarray(s, dtype=float)
     t_arr = np.asarray(t, dtype=float)
     for arr in (s_arr, t_arr):
@@ -135,6 +137,48 @@ def sfbm_covariance(s, t, H: HurstParam):
     if np.ndim(s) == 0 and np.ndim(t) == 0:
         return float(r)
     return r
+
+
+# Steps per block of the Euler recursion's blocked solve, and the lag i - j
+# of each entry [j, i] of its filter.
+_BLOCK = 32
+_LAG = np.arange(_BLOCK) - np.arange(_BLOCK)[:, None]
+
+
+@functools.lru_cache(maxsize=8)
+def _block_filter(a: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only powers a^0..a^_BLOCK and the block filter: a^(i-j) at [j, i], j <= i."""
+    powers = a ** np.arange(_BLOCK + 1.0)
+    filt = np.triu(powers[np.abs(_LAG)])
+    powers.setflags(write=False)
+    filt.setflags(write=False)
+    return powers, filt
+
+
+def _first_order_recursion(a: float, drive: np.ndarray) -> np.ndarray:
+    """X with X_i = a*X_{i-1} + drive_i for i = 0, 1, ..., and X_{-1} = 0.
+
+    Up to one block this is the plain loop. A longer drive is cut into
+    blocks of _BLOCK steps, each filtered from a zero start by one matmul
+    with the triangular filter of a^(i-j); the true block ends obey the same
+    recursion with a^_BLOCK and are solved by this function, and each block
+    then adds its predecessor's end times a^(1.._BLOCK) (Blelloch 1990).
+    The filter is built once per a: a Monte Carlo run reuses one a.
+    """
+    n = drive.size
+    if n <= _BLOCK:
+        out, cur = [], 0.0
+        for v in drive.tolist():
+            cur = v + a * cur
+            out.append(cur)
+        return np.array(out)
+    powers, filt = _block_filter(a)
+    blocks = np.zeros(-(-n // _BLOCK) * _BLOCK)
+    blocks[:n] = drive
+    local = blocks.reshape(-1, _BLOCK) @ filt
+    ends = _first_order_recursion(powers[-1], local[:, -1])
+    local[1:] += np.multiply.outer(ends[:-1], powers[1:])
+    return local.ravel()[:n]
 
 
 # Disjoint substream indices of one master seed, so the sfBm and Brownian
@@ -170,6 +214,7 @@ def euler_msfou(
     theta = _finite("theta", theta)
     x0 = _finite("x0", x0)
     N = _count("N", N, 1)
+    _hurst("euler_msfou", H)
 
     fgn = sample_fgn(NoiseSpec(n=2 * N, seed=seed, stream=_STREAM_SFBM), H)
     s_path = sfbm_path(two_sided_fbm(fgn, d, H))
@@ -180,15 +225,14 @@ def euler_msfou(
 
     drive = ds + dw
     a = 1.0 - theta * d
-    # X_i = a X_{i-1} + drive_i is the bidiagonal solve (I - a*shift) X = drive.
-    # The transposed band makes each step round as fl(drive_i + fl(a X_{i-1})),
-    # the plain loop's rounding; the direct sweep fuses the multiply-add.
+    # X_i = a X_{i-1} + drive_i. Up to 32 steps each one rounds as the plain
+    # loop, fl(drive_i + fl(a X_{i-1})); past that the blocked solve sums in
+    # another order, within about 1e-14 of max|X| of the exact recursion.
+    # An exploding path overflows to inf or nan without a warning, and
+    # SamplePath refuses it by name.
     drive[0] += a * x0
-    band = np.empty((2, N), order="F")  # BLAS layout: no copy inside dtbsv
-    band[0, 0] = 0.0
-    band[0, 1:] = -a
-    band[1] = 1.0
-    values = blas.dtbsv(1, band, drive, lower=0, trans=1, diag=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _first_order_recursion(a, drive)
     return SamplePath(d=d, values=values, initial_value=x0)
 
 

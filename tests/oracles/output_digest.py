@@ -11,6 +11,19 @@ two must print the same lines:
 The path of the ``msfou`` that was imported goes to stderr, so ``diff``
 prints nothing exactly when the outputs are byte-identical.
 
+A change that moves outputs by rounding states by how much from one run
+on each tree: ``--save FILE`` writes every layer's arrays to an ``.npz``,
+and ``--against FILE`` prints, per layer, the largest relative difference
+from the saved arrays:
+
+    PYTHONPATH=/path/to/parent/src python tests/oracles/output_digest.py --save old.npz
+    PYTHONPATH=src python tests/oracles/output_digest.py --against old.npz
+
+An array's difference is max|new - old| / max|old| (0 where both are 0,
+and NaNs in the same places count as equal); for the ``cli`` layer and the
+estimators' diagnostics the arrays are the numbers read from the written
+text. A layer whose arrays changed in number or shape says so instead.
+
 The script reads only the public API, so it runs against older trees too.
 The grid covers H near 1/2 (where the layer exponent falls back to 1), odd
 and even estimation meshes, and the README scale N = 20000, m = 1024. It
@@ -38,9 +51,11 @@ Layers:
 The README theta_hat is printed as well, to the last digit.
 """
 
+import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 import tempfile
 
@@ -81,19 +96,32 @@ THETAS = (0.05, 1.0, 7.5)
 HORIZONS = (0.0, 0.5, 20.0, 400.0)
 
 
+# a number in written text, such as 0.65, -1e-05, 20000, nan or Infinity
+NUMBER = re.compile(rb"[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:nan|inf|NaN|Infinity)\b)")
+
+
 class Digest:
+    """sha256 over a layer's outputs, and the arrays it hashed (for --save)."""
+
     def __init__(self):
         self.sha = hashlib.sha256()
         self.items = 0
+        self.arrays = []
 
     def add(self, *values):
         for value in values:
-            self.sha.update(np.ascontiguousarray(value, dtype=np.float64).tobytes())
+            arr = np.ascontiguousarray(value, dtype=np.float64)
+            self.sha.update(arr.tobytes())
+            self.arrays.append(arr)
         self.items += 1
+
+    def add_text(self, text: bytes):
+        self.sha.update(text)
+        self.arrays.append(np.array([float(m) for m in NUMBER.findall(text)]))
 
     def add_result(self, result):
         self.add(result.theta_hat, result.denominator)
-        self.sha.update(json.dumps(result.diagnostics, sort_keys=True).encode())
+        self.add_text(json.dumps(result.diagnostics, sort_keys=True).encode())
 
 
 # (estimate method, its extra arguments)
@@ -135,12 +163,32 @@ def cli_digest() -> Digest:
             "--out", files[-1])
         for path in files:
             with open(path, "rb") as fh:
-                digest.sha.update(fh.read())
+                digest.add_text(fh.read())
             digest.items += 1
     return digest
 
 
+def largest_relative_difference(new: list, old: list) -> str:
+    if len(new) != len(old) or any(a.shape != b.shape for a, b in zip(new, old)):
+        return "arrays differ in number or shape"
+    worst = 0.0
+    for a, b in zip(new, old):
+        same = (a == b) | (np.isnan(a) & np.isnan(b))
+        if same.all():
+            continue
+        scale = np.max(np.abs(b[np.isfinite(b)]), initial=0.0)
+        diff = np.max(np.abs(a[~same] - b[~same]))
+        worst = max(worst, diff / scale if scale > 0.0 and np.isfinite(diff) else np.inf)
+    return f"{worst:.3g}"
+
+
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--save", metavar="FILE", help="write every layer's arrays to an .npz")
+    parser.add_argument("--against", metavar="FILE",
+                        help="print each layer's largest relative difference from a --save file")
+    args = parser.parse_args()
+
     fgn, paths, estimators, likelihood, kernel = Digest(), Digest(), Digest(), Digest(), Digest()
     constants = Digest()
     for hh in HURSTS:
@@ -178,11 +226,22 @@ def main() -> None:
     readme = mle(euler_msfou(theta=1.0, H=h, d=0.01, N=20000, seed=314), h, m=1024)
     cli = cli_digest()
     print(f"msfou from {msfou.__file__}", file=sys.stderr)
-    for name, digest in (("noise", fgn), ("paths", paths), ("estimators", estimators),
-                         ("mle", likelihood), ("numerics", kernel), ("constants", constants),
-                         ("cli", cli)):
+    layers = {"noise": fgn, "paths": paths, "estimators": estimators, "mle": likelihood,
+              "numerics": kernel, "constants": constants, "cli": cli}
+    for name, digest in layers.items():
         print(f"{name:<10} {digest.sha.hexdigest()}  ({digest.items} items)")
     print(f"README theta_hat {readme.theta_hat!r}")
+    arrays = {name: digest.arrays for name, digest in layers.items()}
+    arrays["README"] = [np.array(readme.theta_hat)]
+    if args.save:
+        np.savez(args.save, **{f"{name}_{i:05d}": arr
+                               for name, layer in arrays.items() for i, arr in enumerate(layer)})
+    if args.against:
+        with np.load(args.against) as saved:
+            for name, layer in arrays.items():
+                old = [saved[key] for key in sorted(saved.files) if key.rsplit("_", 1)[0] == name]
+                print(f"{name:<10} largest relative difference "
+                      f"{largest_relative_difference(layer, old)}")
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ Covers:
 import io
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -242,12 +243,12 @@ class TestEulerMsfou:
             out.append(cur)
         assert np.allclose(x.values, out, rtol=1e-12, atol=1e-14)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 64, 5000])
+    @pytest.mark.parametrize("n", [1, 2, 3, 32])
     @pytest.mark.parametrize("theta", [0.7, 0.0, -0.5])
     @pytest.mark.parametrize("x0", [0.0, 0.5])
     def test_recursion_rounds_like_the_plain_loop(self, n, theta, x0):
-        # Byte equality pins the rounding fl(drive_i + fl(a*X_{i-1})): a
-        # solver that fuses the multiply-add moves the last bits and fails.
+        # Up to one block of 32 steps the solve is the plain loop, so byte
+        # equality pins its rounding fl(drive_i + fl(a*X_{i-1})).
         d, seed = 0.02, 99
         h = HurstParam(0.55)
         x = euler_msfou(theta=theta, H=h, d=d, N=n, seed=seed, x0=x0)
@@ -261,6 +262,25 @@ class TestEulerMsfou:
             cur = v + a * cur
             out.append(cur)
         assert np.array_equal(x.values, out)
+
+    # theta*d = 1 gives a = 0 and theta*d = 1.5 gives a = -1/2; the lengths
+    # straddle one block of 32 steps and reach two levels of blocks
+    @pytest.mark.parametrize("n", [1, 2, 3, 31, 32, 33, 64, 1025, 5000])
+    @pytest.mark.parametrize("theta", [0.7, 0.0, -0.5, 50.0, 75.0])
+    @pytest.mark.parametrize("x0", [0.0, 0.5])
+    def test_recursion_matches_a_40_digit_reference(self, n, theta, x0):
+        d, seed = 0.02, 99
+        h = HurstParam(0.55)
+        x = euler_msfou(theta=theta, H=h, d=d, N=n, seed=seed, x0=x0)
+        ds, dw = _drive_parts(h, d, n, seed)
+
+        with mpmath.workdps(40):
+            a, cur, ref = mpmath.mpf(1.0 - theta * d), mpmath.mpf(x0), []
+            for v in (ds + dw).tolist():
+                cur = a * cur + v
+                ref.append(float(cur))
+        ref = np.array(ref)
+        assert np.max(np.abs(x.values - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_overflowing_explosive_path_is_rejected(self):
         with pytest.raises(ValueError, match="values contains non-finite entries"):

@@ -30,6 +30,7 @@ from msfou import (
     correction_integral,
     decompose,
     euler_msfou,
+    fgn_autocovariance,
     gamma_fn,
     invert_p,
     lse_skorohod,
@@ -38,6 +39,8 @@ from msfou import (
     run_clt_experiment,
     run_rate_experiment,
     run_table_experiment,
+    sample_fgn,
+    sfbm_covariance,
     sigma_H,
     solve_g_kernel,
     stationary_second_moment,
@@ -154,6 +157,15 @@ HURST = {
     "phi_statistic": (lambda h: phi_statistic(1.0, 1.0, h, 100, 0.01), "1/2 < H < 3/4", 0.5),
     "decompose": (lambda h: decompose(PATH, h, 8), "H >= 1/2", 0.49),
 }
+# functions that hold on the whole Hurst range check only the type
+HURST_ANY = {
+    "stationary_second_moment": lambda h: stationary_second_moment(1.0, h),
+    "fgn_autocovariance": lambda h: fgn_autocovariance(1, h),
+    "sample_fgn": lambda h: sample_fgn(NoiseSpec(n=8, seed=1), h),
+    "two_sided_fbm": lambda h: two_sided_fbm(np.ones(4), 0.1, h),
+    "sfbm_covariance": lambda h: sfbm_covariance(1.0, 2.0, h),
+    "euler_msfou": lambda h: euler_msfou(1.0, h, 0.1, 10, 1),
+}
 # the same rules read from a config's H, a float: (call with H set to hh,
 # the name in the message, the range, an H just outside)
 CONFIG_HURST = {
@@ -218,9 +230,8 @@ def test_unhashable_argument_refused_by_the_cache(case):
         call([1.0])
 
 
-@pytest.mark.parametrize("call", [row[0] for row in HURST.values()]
-                         + [lambda h: stationary_second_moment(1.0, h)],
-                         ids=[*HURST.keys(), "stationary_second_moment"])
+@pytest.mark.parametrize("call", [row[0] for row in HURST.values()] + [*HURST_ANY.values()],
+                         ids=[*HURST.keys(), *HURST_ANY.keys()])
 def test_hurst_must_be_a_hurst_param(call):
     with pytest.raises(TypeError, match="^expected HurstParam, got float$"):
         call(0.65)
