@@ -5,88 +5,25 @@ Layers, bottom up: ``noise`` (fractional Gaussian noise generators),
 ``numerics`` (gamma, the correction integral, moment-map inversion, the
 martingale kernel equation), ``estimators`` and ``mle`` (the four drift
 estimators), ``harness`` (reproducible Monte Carlo experiments) and
-``cli`` (command-line front end).
+``cli`` (command-line front end). Each public name is declared once, in
+the ``__all__`` of its module, which the package republishes.
 """
 
-from .estimators import (
-    EstimateResult,
-    Method,
-    boundary_variance,
-    integral_X2,
-    lse_skorohod,
-    nonergodic_estimator,
-    phi_statistic,
-    practical_estimator,
-    sigma_H,
-)
-from .harness import (
-    ExperimentConfig,
-    SummaryStats,
-    run_clt_experiment,
-    run_rate_experiment,
-    run_table_experiment,
-    summarize,
-)
-from .mle import MartingaleDecomposition, decompose, mle
-from .noise import HurstParam, HurstRegime, NoiseSpec, fgn_autocovariance, sample_fgn
-from .numerics import (
-    KernelSolution,
-    correction_integral,
-    gamma_fn,
-    invert_p,
-    solve_g_kernel,
-    stationary_second_moment,
-)
-from .paths import (
-    SamplePath,
-    TwoSidedFbm,
-    euler_msfou,
-    read_path_csv,
-    sfbm_covariance,
-    sfbm_path,
-    two_sided_fbm,
-    write_path_csv,
-)
+from . import estimators, harness, noise, numerics, paths
+from . import mle as _mle  # the star import below rebinds msfou.mle to the estimator
+from .estimators import *
+from .harness import *
+from .mle import *
+from .noise import *
+from .numerics import *
+from .paths import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "EstimateResult",
-    "Method",
-    "boundary_variance",
-    "integral_X2",
-    "lse_skorohod",
-    "nonergodic_estimator",
-    "phi_statistic",
-    "practical_estimator",
-    "sigma_H",
-    "ExperimentConfig",
-    "SummaryStats",
-    "run_clt_experiment",
-    "run_rate_experiment",
-    "run_table_experiment",
-    "summarize",
-    "MartingaleDecomposition",
-    "decompose",
-    "mle",
-    "HurstParam",
-    "HurstRegime",
-    "NoiseSpec",
-    "fgn_autocovariance",
-    "sample_fgn",
-    "KernelSolution",
-    "correction_integral",
-    "gamma_fn",
-    "invert_p",
-    "solve_g_kernel",
-    "stationary_second_moment",
-    "SamplePath",
-    "TwoSidedFbm",
-    "euler_msfou",
-    "read_path_csv",
-    "sfbm_covariance",
-    "sfbm_path",
-    "two_sided_fbm",
-    "write_path_csv",
-    "__version__",
-]
+__all__ = ["__version__"]
+__all__ += estimators.__all__
+__all__ += harness.__all__
+__all__ += _mle.__all__
+__all__ += noise.__all__
+__all__ += numerics.__all__
+__all__ += paths.__all__

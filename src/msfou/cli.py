@@ -174,13 +174,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     with _writing(args.out) as write:
         with _rejecting():
             result = _ESTIMATORS[method](path, hurst, args.theta_ref, args.mesh)
-        payload = {
-            "theta_hat": result.theta_hat,
-            "method": result.method.value,
-            "denominator": result.denominator,
-            "diagnostics": result.diagnostics,
-        }
-        write(_json_text(payload))
+        write(_json_text({**asdict(result), "method": method.value}))
     return 0
 
 

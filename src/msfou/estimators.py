@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .noise import HurstParam, _as_float, _count, _finite, _hurst, _positive
+from .noise import HurstParam, _as_float, _count, _finite, _hurst, _in_float_range, _positive
 from .numerics import _invert_p_impl, correction_integral, gamma_fn, stationary_second_moment
 from .paths import SamplePath
 
@@ -172,6 +172,7 @@ def nonergodic_estimator(x: SamplePath) -> EstimateResult:
     )
 
 
+@_in_float_range
 def sigma_H(theta: float, h: HurstParam) -> float:
     """Limit standard deviation of sqrt(T)(theta_bar - theta), 1/2 < H < 3/4.
 
@@ -186,7 +187,7 @@ def sigma_H(theta: float, h: HurstParam) -> float:
     and Brownian parts of V (see the module docstring). As H -> 1/2 the
     constant tends to the classical sqrt(2 theta). Diverges as H -> 3/4
     (Gamma(3-4H) pole); the boundary case has its own constant, see
-    boundary_variance.
+    boundary_variance. ValueError past the float range (theta = 1e-200).
     """
     _hurst("sigma_H", h, "1/2 < H < 3/4")
     theta = _positive("theta", theta)
@@ -204,6 +205,7 @@ def sigma_H(theta: float, h: HurstParam) -> float:
     return math.sqrt(num) / den
 
 
+@_in_float_range
 def boundary_variance(theta: float) -> float:
     """Limit variance of sqrt(T/log T)(theta_bar - theta) at H = 3/4.
 
@@ -215,13 +217,14 @@ def boundary_variance(theta: float) -> float:
         boundary_variance = 9 / (16 theta^2 p(theta)^2),   p at H = 3/4,
 
     which is also the residue lim_{H -> 3/4} (3 - 4H) sigma_H(theta, H)^2
-    of sigma_H's Gamma(3-4H) pole.
+    of sigma_H's Gamma(3-4H) pole. ValueError past the float range.
     """
     theta = _positive("theta", theta)
     p = stationary_second_moment(theta, HurstParam(0.75))
     return 9.0 / (16.0 * theta * theta * p * p)
 
 
+@_in_float_range
 def phi_statistic(
     theta_tilde: float, theta: float, h: HurstParam, n: int, d: float
 ) -> float:
@@ -235,6 +238,7 @@ def phi_statistic(
     sqrt(V) = sigma_H p / theta. Asymptotically standard normal for
     1/2 < H < 3/4 once theta N d >> 1. Affine in theta_tilde and zero
     exactly at theta_tilde = theta. N must be a whole number >= 1 (100.0 reads as 100).
+    ValueError where |p'(theta)| or sqrt(V) is past the float range (theta = 1e-200).
     """
     _hurst("phi_statistic", h, "1/2 < H < 3/4")
     theta_tilde = _finite("theta_tilde", theta_tilde)
@@ -245,4 +249,7 @@ def phi_statistic(
     g2h_theta = gamma_fn(2.0 * hh) * theta ** (1.0 - 2.0 * hh)
     slope = 0.5 + 2.0 * hh * hh * g2h_theta
     scale = sigma_H(theta, h) * (hh * g2h_theta + 0.5)
+    # slope and scale are theta^2 |p'(theta)| and theta^2 sqrt(V)
+    if not math.isfinite(max(slope, scale) / (theta * theta)):
+        raise OverflowError("|p'(theta)| or sqrt(V) is past the float range")
     return slope * math.sqrt(n * d) * (theta_tilde - theta) / scale

@@ -31,6 +31,7 @@ from .estimators import (
 from .mle import mle
 from .noise import HurstParam, HurstRegime, _as_float, _count, _finite, _finite_vector, _hurst
 from .noise import _positive, _whole_number
+from .numerics import correction_integral
 from .paths import euler_msfou
 
 __all__ = [
@@ -70,8 +71,9 @@ class ExperimentConfig:
     master_seed in [0, 2**64 - 1]. H is read through ``HurstParam``, so it
     must lie in (0, 1) ("Hurst index must lie in (0, 1), got 1.5"). LSE
     needs theta_true > 0 and H > 1/2 ("estimator lse requires H > 1/2, got
-    H=0.5"); practical and MLE H >= 1/2; MLE 8 <= mle_mesh <= N. The
-    checked floats are kept, so a Decimal reads as its float.
+    H=0.5") and its correction integral in the float range; practical and
+    MLE H >= 1/2; MLE 8 <= mle_mesh <= N. The checked floats are kept, so
+    a Decimal reads as its float.
     """
 
     theta_true: float
@@ -105,6 +107,8 @@ class ExperimentConfig:
             raise ValueError(f"estimator lse needs theta_true > 0, got {self.theta_true}")
         needs = _NEEDS_HURST.get(self.estimator, "")
         _hurst(f"estimator {self.estimator.value}", self.hurst, needs)
+        if self.estimator is Method.LSE_SKOROHOD:
+            correction_integral(self.theta_true, self.hurst, self.n_steps * self.d)
         if self.estimator is Method.MLE and not 8 <= self.mle_mesh <= self.n_steps:
             raise ValueError(
                 f"estimator mle needs mle_mesh in [8, N={self.n_steps}], got {self.mle_mesh}"
@@ -243,19 +247,25 @@ _CHUNK = 8
 def _run_replications(cfg: ExperimentConfig, workers: int) -> tuple[np.ndarray, int]:
     """Estimates in replication order (both maps keep input order), failure count.
 
-    The run uses at most one process per chunk of replications: under the
-    fork start method a pool starts all its workers at the first task, and
-    a worker without a chunk would only idle. A run of one process, which
-    is one worker or one chunk, maps in this process and starts no pool.
+    A pooled run runs replication 0 here first, so the forked workers
+    inherit the caches it fills (the likelihood's grid plan above all), and
+    maps the rest with at most one process per chunk: a fork pool starts
+    all its workers at the first task. A run of one process (one worker, or
+    one chunk after replication 0) starts no pool.
     """
     workers = _count("workers", workers, 1)
     cfgs, reps = [cfg] * cfg.replications, range(cfg.replications)
-    processes = min(workers, -(-cfg.replications // _CHUNK))
-    if processes == 1:
+    processes = min(workers, -(-(cfg.replications - 1) // _CHUNK))
+    if processes <= 1:
         results = list(map(_guarded_estimate, cfgs, reps))
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=processes) as pool:
-            results = list(pool.map(_guarded_estimate, cfgs, reps, chunksize=_CHUNK))
+        import multiprocessing
+
+        results = [_guarded_estimate(cfg, 0)]
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=processes, mp_context=multiprocessing.get_context("fork")
+        ) as pool:
+            results += pool.map(_guarded_estimate, cfgs[1:], reps[1:], chunksize=_CHUNK)
     estimates = [value for value in results if value is not None]
     n_failed = cfg.replications - len(estimates)
     return np.array(estimates, dtype=float), n_failed
@@ -279,6 +289,8 @@ def _check_clt_config(cfg: ExperimentConfig) -> None:
     # Phi standardizes by p(theta_true), which is defined for theta > 0 only
     if not cfg.theta_true > 0.0:
         raise ValueError(f"the CLT experiment needs theta_true > 0, got {cfg.theta_true}")
+    # and its constants |p'(theta)| and sqrt(V) must be floats there
+    phi_statistic(cfg.theta_true, cfg.theta_true, cfg.hurst, cfg.n_steps, cfg.d)
 
 
 def _check_rate_config(cfg: ExperimentConfig) -> None:

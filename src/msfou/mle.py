@@ -162,6 +162,11 @@ def decompose(x: SamplePath, h: HurstParam, m: int = 128) -> MartingaleDecomposi
     be a whole number with N >= m >= 8 ("m must be a whole number, got
     8.5"; 8.0 reads as 8), and H >= 1/2. Raises RuntimeError when a kernel
     solve's linear-system residual exceeds 1e-6, as ``solve_g_kernel`` does.
+
+    H = 1/2 takes the exact g = 1 and <M>_t = t, not the H -> 1/2 limit
+    g = 1/2, <M>_t = t/2; theta_hat does not see the factor, which halves
+    Z and <M> exactly. <M>_T reads 50.0 at H = 1/2 on the path of theta = 1,
+    N = 5000, d = 0.01, seed 3, with m = 250.
     """
     _hurst("decompose", h, "H >= 1/2")
     n = x.n

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -31,7 +32,8 @@ __all__ = [
 
 
 # Argument checks, written once for the whole library: scalars, bounded
-# counts, vectors and Hurst ranges. Each returns the converted value or
+# counts, vectors, Hurst ranges and, for the closed-form constants, the
+# float range of their results. Each returns the converted value or
 # raises a ValueError that names the argument; a string, a boolean or None
 # is not read as a number.
 
@@ -115,6 +117,30 @@ def _frozen_vectors(obj, names: tuple[str, ...]) -> int:
     if any(getattr(obj, name).size != n for name in names[1:]):
         raise ValueError(f"{', '.join(names)} must share a length")
     return n
+
+
+def _in_float_range(func):
+    """func, with an OverflowError, a ZeroDivisionError or an inf or NaN result
+    refused by one ValueError that names func and its arguments ("sigma_H is
+    out of the float range at theta=1e-200, H=0.65").
+    """
+    signature = inspect.signature(func)
+
+    @functools.wraps(func)
+    def checked(*args, **kwargs):
+        try:
+            value = func(*args, **kwargs)
+            if math.isfinite(value):
+                return value
+        except (OverflowError, ZeroDivisionError):
+            pass
+        where = ", ".join(
+            f"H={v.h}" if isinstance(v, HurstParam) else f"{k}={v}"
+            for k, v in signature.bind(*args, **kwargs).arguments.items()
+        )
+        raise ValueError(f"{func.__name__} is out of the float range at {where}")
+
+    return checked
 
 
 class HurstRegime(enum.Enum):

@@ -66,7 +66,7 @@ import numpy as np
 from scipy import sparse as _sparse
 from scipy import special as _sp
 
-from .noise import HurstParam, _count, _finite, _frozen_vectors, _hurst, _positive
+from .noise import HurstParam, _count, _finite, _frozen_vectors, _hurst, _in_float_range, _positive
 
 __all__ = [
     "KernelSolution",
@@ -94,11 +94,13 @@ _MAX_MESH = 4096
 # ---------------------------------------------------------------------------
 
 
+@_in_float_range
 def gamma_fn(x: float) -> float:
     """Gamma function for x > 0.
 
     Thin validated wrapper over the scipy implementation (relative error
-    at machine-precision level, well inside the 1e-12 contract).
+    at machine-precision level, well inside the 1e-12 contract); ValueError
+    past the float range (x above about 171.6 or below about 5.6e-309).
     """
     return float(_sp.gamma(_positive("x", x)))
 
@@ -108,12 +110,13 @@ def gamma_fn(x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+@_in_float_range
 def stationary_second_moment(theta: float, h: HurstParam) -> float:
     """p(theta) = 1/(2 theta) + H Gamma(2H) theta^(-2H).
 
     Large-time limit of the time-averaged squared process for drift
     theta > 0; strictly decreasing in theta when H >= 1/2, which is what
-    makes the moment estimator well defined.
+    makes the moment estimator well defined. ValueError past the float range.
     """
     _hurst("stationary_second_moment", h)
     theta = _positive("theta", theta)
@@ -138,12 +141,12 @@ def _invert_p_impl(y: float, h: HurstParam) -> tuple[float, int]:
     RuntimeError if it has not stopped after _NEWTON_CAP steps.
     """
     hh = h.h
-    if hh == 0.5:
-        # p(theta) = 1/theta exactly at H = 1/2
-        return 1.0 / y, 0
     if not 1e-300 <= y <= 1e300:
         # keeps lo and every Newton step finite in floating point
         raise ValueError(f"moment y={y} outside [1e-300, 1e300], where p is inverted")
+    if hh == 0.5:
+        # p(theta) = 1/theta exactly at H = 1/2
+        return 1.0 / y, 0
 
     c = hh * gamma_fn(2.0 * hh)
     theta = 0.5 * max(0.5 / y, (c / y) ** (0.5 / hh))
@@ -161,8 +164,8 @@ def invert_p(y: float, h: HurstParam) -> float:
     """Unique theta > 0 with p(theta) = y, to |p(theta) - y| <= 1e-10 max(1, y).
 
     Requires H >= 1/2 (p is strictly decreasing there) and a finite y > 0
-    ("y must be finite, got inf", "y must be positive, got 0.0"); for
-    H > 1/2, y must lie in [1e-300, 1e300].
+    ("y must be finite, got inf", "y must be positive, got 0.0") in
+    [1e-300, 1e300].
     """
     _hurst("invert_p", h, "H >= 1/2")
     y = _positive("y", y)
@@ -176,14 +179,16 @@ def invert_p(y: float, h: HurstParam) -> float:
 
 
 @functools.lru_cache(maxsize=64, typed=True)
+@_in_float_range
 def correction_integral(theta: float, h: HurstParam, big_t: float) -> float:
     """int_0^T int_0^t e^(-theta(t-s)) ((t-s)^(2H-2) + (t+s)^(2H-2)) ds dt.
 
     Requires H > 1/2 so the (t-s)^(2H-2) singularity is integrable, a
     finite theta > 0 ("theta must be positive, got 0.0") and a finite
-    T >= 0 ("T must be finite, got inf"); T = 0 gives 0. Results are
-    cached per (theta, h, T), so an unhashable argument raises TypeError
-    from the cache before it is checked.
+    T >= 0 ("T must be finite, got inf"); T = 0 gives 0, and theta = 1e-300
+    or T = 1e300, past the float range, ValueError. Results are cached per
+    (theta, h, T), so an unhashable argument raises TypeError from the
+    cache before it is checked.
 
     Fubini in the (t-s, t+s) variables collapses the double integral to
 
@@ -216,13 +221,14 @@ def correction_integral(theta: float, h: HurstParam, big_t: float) -> float:
         return 0.0
     rho = 2.0 * h.h - 1.0
     x = theta * big_t
-    part_d = theta ** (-rho - 1.0) * (_sp.gammainc(rho + 1.0, x) * _sp.gamma(rho + 1.0))
-    part_a = big_t * theta ** (-rho) * (_sp.gammainc(rho, x) * _sp.gamma(rho)) - part_d
-    part_c = (
-        (2.0 * big_t) ** (rho + 1.0) * _sp.hyp1f1(1.0, rho + 2.0, -2.0 * x)
-        - math.exp(-x) * big_t ** (rho + 1.0) * _sp.hyp1f1(1.0, rho + 2.0, -x)
-    ) / (rho + 1.0)
-    return float(part_a + (part_c - part_d) / (2.0 * rho))
+    with np.errstate(over="ignore", invalid="ignore"):
+        part_d = theta ** (-rho - 1.0) * (_sp.gammainc(rho + 1.0, x) * _sp.gamma(rho + 1.0))
+        part_a = big_t * theta ** (-rho) * (_sp.gammainc(rho, x) * _sp.gamma(rho)) - part_d
+        part_c = (
+            (2.0 * big_t) ** (rho + 1.0) * _sp.hyp1f1(1.0, rho + 2.0, -2.0 * x)
+            - math.exp(-x) * big_t ** (rho + 1.0) * _sp.hyp1f1(1.0, rho + 2.0, -x)
+        ) / (rho + 1.0)
+        return float(part_a + (part_c - part_d) / (2.0 * rho))
 
 
 # ---------------------------------------------------------------------------

@@ -46,13 +46,18 @@ Layers:
 * ``cli``: the bytes of every file that ``msfou.cli.main`` writes for
   ``simulate``, ``estimate`` by each method on that path, and small
   ``mc-table``, ``mc-clt`` and ``mc-rate`` runs, so the command line's
-  number formatting is compared too.
+  number formatting is compared too;
+* ``surface``: each name of ``msfou.__all__``, in sorted order, with its
+  kind and its ``inspect.signature`` (an enum's members, a constant's
+  value), so a change that claims no API change can show it.
 
 The README theta_hat is printed as well, to the last digit.
 """
 
 import argparse
+import enum
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -168,6 +173,23 @@ def cli_digest() -> Digest:
     return digest
 
 
+def surface_digest() -> Digest:
+    """Hash the public names of msfou, each with its kind and signature."""
+    digest = Digest()
+    for name in sorted(msfou.__all__):
+        obj = getattr(msfou, name)
+        if isinstance(obj, enum.EnumMeta):
+            detail = [(member.name, member.value) for member in obj]
+        elif callable(obj):
+            detail = inspect.signature(obj)
+        else:
+            detail = repr(obj)
+        kind = "class" if isinstance(obj, type) else type(obj).__name__
+        digest.add_text(f"{name} {kind} {detail}\n".encode())
+        digest.items += 1
+    return digest
+
+
 def largest_relative_difference(new: list, old: list) -> str:
     if len(new) != len(old) or any(a.shape != b.shape for a, b in zip(new, old)):
         return "arrays differ in number or shape"
@@ -224,10 +246,10 @@ def main() -> None:
                 kernel.add(sol.mesh, sol.g_values, sol.g_diag, sol.bracket_M, sol.residual)
     h = HurstParam(0.65)
     readme = mle(euler_msfou(theta=1.0, H=h, d=0.01, N=20000, seed=314), h, m=1024)
-    cli = cli_digest()
+    cli, surface = cli_digest(), surface_digest()
     print(f"msfou from {msfou.__file__}", file=sys.stderr)
     layers = {"noise": fgn, "paths": paths, "estimators": estimators, "mle": likelihood,
-              "numerics": kernel, "constants": constants, "cli": cli}
+              "numerics": kernel, "constants": constants, "cli": cli, "surface": surface}
     for name, digest in layers.items():
         print(f"{name:<10} {digest.sha.hexdigest()}  ({digest.items} items)")
     print(f"README theta_hat {readme.theta_hat!r}")

@@ -465,6 +465,19 @@ class TestUserErrors:
         assert "--hurst" in _one_error_line(capsys, simulate)
         assert "--hurst" in _one_error_line(capsys, estimate)
 
+    def test_reference_drift_past_the_float_range(self, tmp_path, capsys):
+        # the LSE's correction integral overflows at theta_ref = 1e-300
+        path_file = tmp_path / "p.csv"
+        with open(path_file, "w", encoding="utf-8", newline="\n") as fh:
+            write_path_csv(euler_msfou(1.0, HurstParam(0.65), 0.1, 10, 1), fh)
+        argv = ["estimate", "--method", "lse", "--hurst", "0.65", "--theta-ref", "1e-300",
+                "--in", str(path_file), "--out", str(tmp_path / "r.json")]
+        assert _one_error_line(capsys, argv) == (
+            "msfou: error: correction_integral is out of the float range at "
+            "theta=1e-300, H=0.65, big_t=1.0"
+        )
+        assert not (tmp_path / "r.json").exists()
+
     @pytest.mark.parametrize(
         "grid,message,hurst",
         [
@@ -510,6 +523,33 @@ class TestUserErrors:
         argv = command + ["--config", str(cfg_file), "--out", "o.csv"]
         line = _one_error_line(capsys, argv)
         assert "cfg.json" in line and message in line
+        assert not (tmp_path / "o.csv").exists() and not (tmp_path / "s.json").exists()
+
+    @pytest.mark.parametrize(
+        "command,overrides,message",
+        [
+            (["mc-table"], {"estimator": "lse", "theta_true": 1e-300},
+             "correction_integral is out of the float range at theta=1e-300, H=0.6, big_t=5.0"),
+            (["mc-rate", "--T-grid", "5"], {"estimator": "lse", "theta_true": 1e-300},
+             "correction_integral is out of the float range at theta=1e-300, H=0.6, big_t=5.0"),
+            (["mc-clt", "--stats", "s.json"], {"theta_true": 1e-200},
+             "phi_statistic is out of the float range at theta_tilde=1e-200, theta=1e-200, "
+             "H=0.6, n=50, d=0.1"),
+            (["mc-clt", "--stats", "s.json"], {"theta_true": 1e-200, "H": 0.65},
+             "sigma_H is out of the float range at theta=1e-200, H=0.65"),
+        ],
+        ids=["table-lse", "rate-lse", "clt", "clt-sigma"],
+    )
+    def test_drift_past_the_float_range(self, tmp_path, capsys, monkeypatch, command,
+                                        overrides, message):
+        # refused before any path is simulated, where each replication would
+        # overflow or, for the CLT, write Phi near 1e99 and a NaN kurtosis
+        monkeypatch.chdir(tmp_path)
+        raw = {"theta_true": 1.0, "H": 0.6, "d": 0.1, "T": 5.0, "replications": 5,
+               "master_seed": 404, "estimator": "practical", **overrides}
+        (tmp_path / "cfg.json").write_text(json.dumps(raw), encoding="utf-8")
+        argv = command + ["--config", "cfg.json", "--out", "o.csv"]
+        assert _one_error_line(capsys, argv) == f"msfou: error: cfg.json: {message}"
         assert not (tmp_path / "o.csv").exists() and not (tmp_path / "s.json").exists()
 
     @pytest.mark.parametrize(

@@ -311,18 +311,20 @@ class TestRunTableExperiment:
 
     @pytest.mark.parametrize(
         "replications,workers,processes",
-        [(2, 4, 1), (8, 2, 1), (9, 4, 2), (17, 2, 2), (40, 4, 4)],
+        [(2, 4, 1), (8, 2, 1), (9, 4, 1), (10, 4, 2), (17, 2, 2), (40, 4, 4)],
     )
     def test_pool_starts_no_process_without_a_chunk(
         self, monkeypatch, replications, workers, processes
     ):
         # a pool may start all its processes at the first task (under fork
-        # it does), and each process takes chunks of replications; a run of
-        # one process maps in this one and starts no pool
+        # it does), and each process takes chunks of the replications after
+        # the first, which runs in this process; a run of one process maps
+        # in this one and starts no pool
         started = []
 
         class InProcessPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, mp_context):
+                assert mp_context.get_start_method() == "fork"
                 started.append(max_workers)
 
             def __enter__(self):
@@ -331,9 +333,10 @@ class TestRunTableExperiment:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, *iterables, chunksize):
-                assert len(range(0, replications, chunksize)) >= processes  # a chunk each
-                return map(fn, *iterables)
+            def map(self, fn, cfgs, reps, chunksize):
+                assert list(reps) == list(range(1, replications))
+                assert len(range(0, len(reps), chunksize)) >= processes  # a chunk each
+                return map(fn, cfgs, reps)
 
         monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         cfg = _config(replications=replications)

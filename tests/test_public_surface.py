@@ -1,8 +1,10 @@
-"""Every name the demos and the README examples import from msfou exists.
+"""msfou's public names, and every name the demos and the README import.
 
-The demos take minutes to run, so this suite only parses them (and the
-```python blocks of the README) and resolves their msfou imports. It also
-pins which scipy subpackages a fresh ``import msfou.cli`` loads.
+``msfou.__all__`` is ``__version__`` followed by the ``__all__`` of the six
+library modules, each name the very object its module defines. The demos
+take minutes to run, so this suite only parses them (and the ```python
+blocks of the README) and resolves their msfou imports. It also pins which
+scipy subpackages a fresh ``import msfou.cli`` loads.
 """
 
 import ast
@@ -18,6 +20,30 @@ import pytest
 import msfou
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+LIBRARY_MODULES = ("estimators", "harness", "mle", "noise", "numerics", "paths")
+
+
+def test_public_names_are_declared_once():
+    assert len(msfou.__all__) == len(set(msfou.__all__)) == 38
+
+
+def test_public_names_are_the_modules_names():
+    # msfou.mle is the estimator, so modules are looked up by their full name
+    modules = [importlib.import_module(f"msfou.{name}") for name in LIBRARY_MODULES]
+    assert msfou.__all__ == ["__version__"] + [n for module in modules for n in module.__all__]
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(msfou, name) is getattr(module, name), name
+    assert msfou.mle is importlib.import_module("msfou.mle").mle
+
+
+def test_star_import_binds_exactly_the_public_names():
+    namespace = {}
+    exec("from msfou import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(msfou.__all__)
 
 
 def _sources() -> dict:

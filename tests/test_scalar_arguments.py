@@ -7,7 +7,9 @@ past the float range is refused as out of range rather than raising
 OverflowError. Every public function below refuses a bad value with a
 ValueError that starts with the argument's name. A Hurst index must be a
 HurstParam in the range its function holds on, and a checked value is
-kept, so a Decimal reads as its float.
+kept, so a Decimal reads as its float. Arguments valid one by one on
+which a closed form leaves the float range are refused with one
+ValueError that names the function and the arguments.
 """
 
 import math
@@ -180,6 +182,39 @@ CONFIG_HURST = {
 }
 
 
+# Arguments valid one by one whose closed forms leave the float range: one
+# ValueError names the function and the arguments, where these overflowed,
+# divided by zero or returned inf or nan.
+# "<case>": (call, value, the function named, the arguments as named)
+FLOAT_RANGE = {
+    "correction_integral-tiny-theta": (lambda v: correction_integral(v, H, 10), 1e-300,
+                                       "correction_integral", "theta=1e-300, H=0.65, big_t=10"),
+    "correction_integral-huge-T": (lambda v: correction_integral(1.0, H, v), 1e300,
+                                   "correction_integral", "theta=1.0, H=0.65, big_t=1e+300"),
+    "correction_integral-huge-theta": (
+        lambda v: correction_integral(v, HurstParam(0.9), 10), 1e200,
+        "correction_integral", "theta=1e+200, H=0.9, big_t=10"),
+    "stationary_second_moment": (lambda v: stationary_second_moment(v, HurstParam(0.9)), 1e-300,
+                                 "stationary_second_moment", "theta=1e-300, H=0.9"),
+    "gamma_fn-huge": (lambda v: gamma_fn(v), 200, "gamma_fn", "x=200"),
+    "gamma_fn-tiny": (lambda v: gamma_fn(v), 1e-310, "gamma_fn", "x=1e-310"),
+    "sigma_H": (lambda v: sigma_H(v, H), 1e-200, "sigma_H", "theta=1e-200, H=0.65"),
+    "phi_statistic-sigma_H": (lambda v: phi_statistic(1.0, v, H, 10, 0.1), 1e-200,
+                              "sigma_H", "theta=1e-200, H=0.65"),
+    "phi_statistic": (lambda v: phi_statistic(1.0, v, HurstParam(0.6), 10, 0.1), 1e-200,
+                      "phi_statistic", "theta_tilde=1.0, theta=1e-200, H=0.6, n=10, d=0.1"),
+    "boundary_variance": (lambda v: boundary_variance(v), 1e-200, "boundary_variance",
+                          "theta=1e-200"),
+    "ExperimentConfig-lse": (lambda v: replace(LSE_CONFIG, theta_true=v), 1e-300,
+                             "correction_integral", "theta=1e-300, H=0.6, big_t=5.0"),
+    "run_rate_experiment-T": (lambda v: run_rate_experiment(LSE_CONFIG, [5.0, v]), 1e300,
+                              "correction_integral", "theta=1.0, H=0.6, big_t=1e+300"),
+    "run_clt_experiment": (lambda v: run_clt_experiment(replace(CONFIG, theta_true=v)), 1e-200,
+                           "phi_statistic",
+                           "theta_tilde=1e-200, theta=1e-200, H=0.6, n=100, d=0.05"),
+}
+
+
 # "<case>-<value>": (call, name, value, message)
 ROWS = {
     **{
@@ -208,6 +243,13 @@ ROWS = {
         f"{case}-hurst": (call, name, hh, f"requires {needs}, got H={hh}")
         for case, (call, name, needs, hh) in CONFIG_HURST.items()
     },
+    **{
+        f"{case}-float-range": (call, name, value, f"is out of the float range at {where}")
+        for case, (call, value, name, where) in FLOAT_RANGE.items()
+    },
+    # p is inverted on [1e-300, 1e300] at every H, so 1/y stays finite at H = 1/2
+    "invert_p-brownian-tiny-y": (lambda v: invert_p(v, HurstParam(0.5)), "moment", 1e-310,
+                                 "y=1e-310 outside [1e-300, 1e300], where p is inverted"),
 }
 
 
