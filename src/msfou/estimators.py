@@ -118,9 +118,7 @@ def lse_skorohod(x: SamplePath, h: HurstParam, theta_ref: float) -> EstimateResu
     """
     _hurst("lse_skorohod", h, "H > 1/2")
     theta_ref = _positive("theta_ref", theta_ref)
-    den = integral_X2(x)
-    if den <= 0.0:
-        raise ValueError("degenerate path: int X^2 dt is zero")
+    den = _positive("int X^2 dt", integral_X2(x))
     big_t = x.span
     alpha = h.h * (2.0 * h.h - 1.0)
     corr = correction_integral(theta_ref, h, big_t)
@@ -161,9 +159,7 @@ def nonergodic_estimator(x: SamplePath) -> EstimateResult:
     Negative for any path with X_T != 0 (the natural regime is negative
     drift); invariant under rescaling of the whole path.
     """
-    den = integral_X2(x)
-    if den <= 0.0:
-        raise ValueError("degenerate path: int X^2 dt is zero")
+    den = _positive("int X^2 dt", integral_X2(x))
     x_t = x.values[-1]
     return EstimateResult(
         theta_hat=-x_t * x_t / (2.0 * den),
@@ -214,14 +210,14 @@ def boundary_variance(theta: float) -> float:
     average grows logarithmically: T Var(A_T) ~ (9/16) theta^(-4) log T.
     Through the linearization -(theta/p)(A_T - p) of the corrected LSE,
 
-        boundary_variance = 9 / (16 theta^2 p(theta)^2),   p at H = 3/4,
+        boundary_variance = 9 / (16 (theta p(theta))^2),   p at H = 3/4,
 
     which is also the residue lim_{H -> 3/4} (3 - 4H) sigma_H(theta, H)^2
     of sigma_H's Gamma(3-4H) pole. ValueError past the float range.
     """
     theta = _positive("theta", theta)
-    p = stationary_second_moment(theta, HurstParam(0.75))
-    return 9.0 / (16.0 * theta * theta * p * p)
+    theta_p = theta * stationary_second_moment(theta, HurstParam(0.75))
+    return 9.0 / (16.0 * theta_p * theta_p)
 
 
 @_in_float_range

@@ -173,14 +173,19 @@ def summarize(sample, n_failed: int = 0) -> SummaryStats:
 
     Skewness is m3/m2^(3/2) and kurtosis m4/m2^2 (plain, not excess) with
     central moments m_k; a constant sample reports both as 0. The standard
-    deviation uses the n-1 normalization (0 for a single point).
+    deviation uses the n-1 normalization (0 for a single point). A sample
+    whose largest magnitude lies outside [2^-100, 2^100] is scaled by a power
+    of two first, so its fourth powers neither overflow nor underflow.
     """
     arr = np.sort(_finite_vector("sample", sample))
     n = arr.size
     if n < 1:
         raise ValueError("cannot summarize an empty sample")
-    mean = float(np.mean(arr))
     median = float(arr[(n - 1) // 2])
+    largest = max(-arr[0], arr[-1])
+    scale = 0 if 2.0**-100 <= largest <= 2.0**100 else math.frexp(largest)[1]
+    arr = np.ldexp(arr, -scale)
+    mean = float(np.mean(arr))
     sdev = float(np.std(arr, ddof=1)) if n > 1 else 0.0
     centered = arr - mean
     m2 = float(np.mean(centered**2))
@@ -191,9 +196,9 @@ def summarize(sample, n_failed: int = 0) -> SummaryStats:
         skewness = 0.0
         kurtosis = 0.0
     return SummaryStats(
-        mean=mean,
+        mean=math.ldexp(mean, scale),
         median=median,
-        sdev=sdev,
+        sdev=math.ldexp(sdev, scale),
         skewness=skewness,
         kurtosis=kurtosis,
         n_failed=n_failed,

@@ -44,7 +44,7 @@ import numpy as np
 from scipy import sparse
 
 from .estimators import EstimateResult, Method
-from .noise import HurstParam, _count, _frozen_vectors, _hurst
+from .noise import HurstParam, _count, _frozen_vectors, _hurst, _positive
 from .numerics import _GridSums, _mesh_kernel
 from .paths import SamplePath
 
@@ -225,9 +225,7 @@ def mle(x: SamplePath, h: HurstParam, m: int = 128) -> EstimateResult:
     dec = decompose(x, h, m)
     q_left = dec.Q[:-1]
     num = float(q_left @ np.diff(dec.Z))
-    den = float((q_left * q_left) @ np.diff(dec.bracket_M))
-    if not den > 0.0:
-        raise ValueError("degenerate path: int Q^2 d<M> is zero")
+    den = _positive("int Q^2 d<M>", (q_left * q_left) @ np.diff(dec.bracket_M))
     return EstimateResult(
         theta_hat=-num / den,
         method=Method.MLE,

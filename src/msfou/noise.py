@@ -32,10 +32,10 @@ __all__ = [
 
 
 # Argument checks, written once for the whole library: scalars, bounded
-# counts, vectors, Hurst ranges and, for the closed-form constants, the
-# float range of their results. Each returns the converted value or
-# raises a ValueError that names the argument; a string, a boolean or None
-# is not read as a number.
+# counts, arrays and vectors, Hurst ranges and, for the closed-form
+# constants, the float range of their results. Each returns the converted
+# value or raises a ValueError that names the argument; a string, a boolean
+# or None is not read as a number.
 
 _NOT_NUMBERS = (str, bytes, bool, np.bool_, type(None))
 
@@ -86,8 +86,8 @@ def _count(name: str, value, low: int, high: int | None = None) -> int:
     return n
 
 
-def _finite_vector(name: str, value) -> np.ndarray:
-    """Read-only 1-d float copy of value; ValueError naming ``name`` unless a finite vector."""
+def _finite_array(name: str, value) -> np.ndarray:
+    """Read-only float copy of value, of any shape; ValueError naming ``name`` unless finite."""
     try:
         arr = np.asarray(value)
         # an object array holds Python objects, such as integers past int64
@@ -101,11 +101,17 @@ def _finite_vector(name: str, value) -> np.ndarray:
         raise ValueError(f"{name} must hold numbers") from None
     except OverflowError:
         raise ValueError(f"{name} contains an integer past the float range") from None
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     arr.setflags(write=False)
+    return arr
+
+
+def _finite_vector(name: str, value) -> np.ndarray:
+    """Read-only 1-d float copy of value; ValueError naming ``name`` unless a finite vector."""
+    arr = _finite_array(name, value)
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional")
     return arr
 
 
@@ -227,15 +233,13 @@ def fgn_autocovariance(k, H: HurstParam):
     """Autocovariance rho(k) of unit-variance fGn at integer lag k.
 
     rho(k) = ((|k|+1)^(2H) - 2|k|^(2H) + ||k|-1|^(2H)) / 2; rho(0) = 1.
-    Accepts a scalar or an array of lags.
+    Accepts a finite scalar, which gives a float, or an array of lags.
     """
     _hurst("fgn_autocovariance", H)
     two_h = 2.0 * H.h
-    k_abs = np.abs(np.asarray(k, dtype=float))
+    k_abs = np.abs(_finite_array("k", k))
     rho = 0.5 * ((k_abs + 1.0) ** two_h - 2.0 * k_abs**two_h + np.abs(k_abs - 1.0) ** two_h)
-    if np.isscalar(k) or np.ndim(k) == 0:
-        return float(rho)
-    return rho
+    return float(rho) if k_abs.ndim == 0 else rho
 
 
 @functools.lru_cache(maxsize=8)

@@ -383,7 +383,6 @@ def _batch_scaled_solve(
     recomputed from the returned solutions against the original systems,
     so an ill-conditioned eigenbasis shows up there.
     """
-    cs = np.asarray(cs, dtype=float)
     lam, vecs = np.linalg.eig(weights)
     inv_vecs = np.linalg.inv(vecs)
     scale = 1.0 / (1.0 + cs[:, None] * lam)
@@ -461,18 +460,17 @@ class _UnitInterpolant:
 
     def at(self, rows, sigma) -> np.ndarray:
         """Value of row rows[i] at sigma[i] in [0, 1], elementwise (rows broadcasts)."""
-        sig = np.asarray(sigma, dtype=float)
-        rows = np.broadcast_to(rows, sig.shape)
-        out = np.empty(sig.shape)
+        rows = np.broadcast_to(rows, sigma.shape)
+        out = np.empty(sigma.shape)
         edge = _EDGE_ORDER / self.nodes.size  # width of each edge layer
-        right = sig >= 1.0 - edge
-        left = (sig <= edge) & ~right
+        right = sigma >= 1.0 - edge
+        left = (sigma <= edge) & ~right
         mid = ~(left | right)
-        out[left] = _power_series(self.left[rows[left]], sig[left] ** self.exponent)
+        out[left] = _power_series(self.left[rows[left]], sigma[left] ** self.exponent)
         out[right] = _power_series(
-            self.right[rows[right]], (1.0 - sig[right]) ** self.exponent
+            self.right[rows[right]], (1.0 - sigma[right]) ** self.exponent
         )
-        s_mid = sig[mid]
+        s_mid = sigma[mid]
         q = np.clip(np.searchsorted(self.nodes, s_mid, side="right") - 1, 0, self.nodes.size - 2)
         r_mid = rows[mid]
         out[mid] = 1.0 - s_mid**self.exponent * (
@@ -608,7 +606,7 @@ def _power_series(coef: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def _unit_interpolant(sols: np.ndarray, rho: float) -> _UnitInterpolant:
     """Interpolant coefficients of the solutions sols[r] (shape (rows, m))."""
-    sols = np.atleast_2d(np.asarray(sols, dtype=float))
+    sols = np.atleast_2d(sols)
     m = sols.shape[-1]
     hstep = 1.0 / m
     order = _EDGE_ORDER

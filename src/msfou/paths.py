@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import HurstParam, NoiseSpec, sample_fgn
+from .noise import HurstParam, NoiseSpec, _finite_array, _finite_vector, sample_fgn
 from .noise import _count, _finite, _frozen_vectors, _hurst, _positive
 
 __all__ = [
@@ -94,8 +94,8 @@ def two_sided_fbm(fgn2n, d: float, H: HurstParam) -> TwoSidedFbm:
     The d^H factor is the self-similarity scaling that turns unit-lag noise
     into increments over lag d.
     """
-    y = np.asarray(fgn2n, dtype=float)
-    if y.ndim != 1 or y.size < 2 or y.size % 2 != 0:
+    y = _finite_vector("fgn2n", fgn2n)
+    if y.size < 2 or y.size % 2 != 0:
         raise ValueError("fgn2n must be a 1-d vector of even length >= 2")
     d = _positive("d", d)
     _hurst("two_sided_fbm", H)
@@ -122,21 +122,17 @@ def sfbm_covariance(s, t, H: HurstParam):
     Symmetric in (s, t); zero whenever either argument is zero.
     """
     _hurst("sfbm_covariance", H)
-    s_arr = np.asarray(s, dtype=float)
-    t_arr = np.asarray(t, dtype=float)
-    for arr in (s_arr, t_arr):
-        # each time must lie in [0, inf); a NaN fails both comparisons
-        if not np.all((0.0 <= arr) & (arr < np.inf)):
-            raise ValueError("sfbm_covariance requires nonnegative times, all finite")
+    s_arr = _finite_array("s", s)
+    t_arr = _finite_array("t", t)
+    if np.any(s_arr < 0.0) or np.any(t_arr < 0.0):
+        raise ValueError("sfbm_covariance requires nonnegative times")
     two_h = 2.0 * H.h
     r = (
         t_arr**two_h
         + s_arr**two_h
         - 0.5 * (np.abs(t_arr - s_arr) ** two_h + (t_arr + s_arr) ** two_h)
     )
-    if np.ndim(s) == 0 and np.ndim(t) == 0:
-        return float(r)
-    return r
+    return float(r) if np.ndim(r) == 0 else r
 
 
 # Steps per block of the Euler recursion's blocked solve, and the lag i - j

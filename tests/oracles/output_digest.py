@@ -32,8 +32,10 @@ takes about 7 s on two cores; it is not part of the test suite.
 Layers:
 
 * ``noise``: ``sample_fgn`` values, every H on a few (n, seed, stream), so
-  a change of the fGn synthesis shows apart from the paths built on it;
-* ``paths``: ``euler_msfou`` values, every (H, theta, seed);
+  a change of the fGn synthesis shows apart from the paths built on it,
+  and ``fgn_autocovariance`` at scalar lags and an integer lag array;
+* ``paths``: ``euler_msfou`` values, every (H, theta, seed), and
+  ``sfbm_covariance`` at scalar times and on a broadcast time grid;
 * ``estimators``: theta_hat, denominator and diagnostics of the practical,
   corrected LSE and nonergodic estimators on those paths;
 * ``mle``: ``decompose`` Z, Q and <M>, and ``mle`` theta_hat, on every
@@ -74,6 +76,7 @@ from msfou import (
     correction_integral,
     decompose,
     euler_msfou,
+    fgn_autocovariance,
     gamma_fn,
     invert_p,
     lse_skorohod,
@@ -82,6 +85,7 @@ from msfou import (
     phi_statistic,
     practical_estimator,
     sample_fgn,
+    sfbm_covariance,
     sigma_H,
     solve_g_kernel,
     stationary_second_moment,
@@ -98,6 +102,11 @@ MLE_GRIDS = ((20000, 0.01, 1024), (5000, 0.01, 250), (5001, 0.01, 251), (999, 0.
              (64, 0.05, 8))
 KERNEL_MESHES = (8, 9, 64, 65, 256, 257)
 THETAS = (0.05, 1.0, 7.5)
+# lags and times of the covariance functions: scalars (an int, a float and
+# zero), an integer lag array with negative lags, and a time grid whose
+# column broadcasts against its row
+LAGS = (0, 1, 2.5, np.arange(-3, 300))
+TIMES = ((0.0, 1.0), (1, 2.5), (np.linspace(0.0, 5.0, 41)[:, None], np.linspace(0.0, 5.0, 41)))
 HORIZONS = (0.0, 0.5, 20.0, 400.0)
 
 
@@ -217,6 +226,8 @@ def main() -> None:
         h = HurstParam(hh)
         for n, seed, stream in NOISE_SPECS:
             fgn.add(sample_fgn(NoiseSpec(n=n, seed=seed, stream=stream), h))
+        fgn.add(*(fgn_autocovariance(k, h) for k in LAGS))
+        paths.add(*(sfbm_covariance(s, t, h) for s, t in TIMES))
         for theta in THETAS:
             p = stationary_second_moment(theta, h)
             constants.add(gamma_fn(theta), gamma_fn(2.0 * hh), p, boundary_variance(theta))

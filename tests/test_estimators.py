@@ -259,6 +259,15 @@ class TestBoundaryVariance:
         assert boundary_variance(1.0) > 0.0
         assert boundary_variance(10.0) < boundary_variance(1.0) * 10  # no blow-up
 
+    @pytest.mark.parametrize("theta,want", [
+        (1e160, 2.25), (1e300, 2.25),
+        # 9 / (16 (theta p)^2) in 50-digit mpmath
+        (1e-200, 1.2732395447351627e-200),
+    ])
+    def test_far_ends_of_the_float_range(self, theta, want):
+        # theta^2 alone over- or underflows here; (theta p)^2 does not
+        assert boundary_variance(theta) == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_gate(self):
         with pytest.raises(ValueError):
             boundary_variance(-1.0)
@@ -307,6 +316,10 @@ class TestPhiStatistic:
 # ---------------------------------------------------------------------------
 
 class TestEstimateResult:
+    def test_validates_method(self):
+        with pytest.raises(TypeError, match="^method must be a Method, got 'mle'$"):
+            EstimateResult(1.0, "mle", 1.0)
+
     def test_validates_denominator(self):
         with pytest.raises(ValueError):
             EstimateResult(theta_hat=1.0, method=Method.PRACTICAL, denominator=0.0)

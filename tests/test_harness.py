@@ -250,6 +250,22 @@ class TestSummarize:
         assert s.skewness == 0.0
         assert s.kurtosis == 0.0
 
+    # (sample, sdev, skewness, kurtosis), exact in rational arithmetic and mpmath
+    @pytest.mark.parametrize("sample,sdev,skewness,kurtosis", [
+        ([1e100, 0.0, -1e100, 3e99], 8.301606270274848e99, -0.2959313655596756,
+         1.9371908487576928),
+        ([1e200, -1e200, 0.0], 1e200, 0.0, 1.5),
+        ([1e-200, 0.0, -1e-200, 5e-201], 8.539125638299666e-201, -0.43465075957466565,
+         1.8457142857142856),
+    ], ids=["fourth-power-overflows", "square-overflows", "square-underflows"])
+    def test_far_ends_of_the_float_range(self, sample, sdev, skewness, kurtosis):
+        # the fourth central moment of these over- or underflows unscaled
+        s = summarize(sample)
+        assert s.sdev == pytest.approx(sdev, rel=1e-12, abs=0.0)
+        assert s.skewness == pytest.approx(skewness, rel=1e-12, abs=1e-12)
+        assert s.kurtosis == pytest.approx(kurtosis, rel=1e-12, abs=0.0)
+        assert s.mean == pytest.approx(sum(sample) / len(sample), rel=1e-12, abs=0.0)
+
     def test_rejects_empty_and_non_finite(self):
         with pytest.raises(ValueError):
             summarize([])

@@ -17,6 +17,7 @@ tests/oracles/kernel_quadrature.py.
 
 import gc
 import math
+import re
 import tracemalloc
 
 import mpmath as mp
@@ -524,11 +525,13 @@ class TestKernelSolution:
         ({"bracket_M": [0.5, 0.75, 1.0]}, "mesh, g_values, g_diag, bracket_M must share a length"),
         ({"mesh": [], "g_values": [], "g_diag": [], "bracket_M": []}, "mesh must be nonempty"),
         ({"mesh": [0.5, 0.9]}, "mesh must end at the right endpoint t"),
+        ({"mesh": [0.5, 0.4, 1.0], "g_values": [1.0, 0.9, 0.8], "g_diag": [0.9, 0.9, 0.8],
+          "bracket_M": [0.5, 0.6, 0.75]}, "mesh must be strictly increasing within (0, t]"),
     ])
     def test_sampled_vector_checks(self, fields, message):
         good = {"mesh": [0.5, 1.0], "g_values": [1.0, 0.9], "g_diag": [0.9, 0.8],
                 "bracket_M": [0.5, 0.75]}
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             KernelSolution(t=1.0, h=HurstParam(0.6), residual=0.0, **{**good, **fields})
 
     def test_vectors_are_read_only_float_copies(self):

@@ -36,6 +36,8 @@ from msfou import (
     gamma_fn,
     invert_p,
     lse_skorohod,
+    mle,
+    nonergodic_estimator,
     phi_statistic,
     practical_estimator,
     run_clt_experiment,
@@ -203,8 +205,14 @@ FLOAT_RANGE = {
                               "sigma_H", "theta=1e-200, H=0.65"),
     "phi_statistic": (lambda v: phi_statistic(1.0, v, HurstParam(0.6), 10, 0.1), 1e-200,
                       "phi_statistic", "theta_tilde=1.0, theta=1e-200, H=0.6, n=10, d=0.1"),
-    "boundary_variance": (lambda v: boundary_variance(v), 1e-200, "boundary_variance",
-                          "theta=1e-200"),
+    # sigma_H is finite here, so phi_statistic's own |p'| / sqrt(V) check refuses
+    "phi_statistic-slope": (lambda v: phi_statistic(1.0, v, HurstParam(0.6), 10, 0.1), 1e-150,
+                            "phi_statistic",
+                            "theta_tilde=1.0, theta=1e-150, H=0.6, n=10, d=0.1"),
+    # boundary_variance itself stays in range (1.27e-200 at theta = 1e-200);
+    # below about 1e-205 its p at H = 3/4 does not
+    "boundary_variance": (lambda v: boundary_variance(v), 1e-300, "stationary_second_moment",
+                          "theta=1e-300, H=0.75"),
     "ExperimentConfig-lse": (lambda v: replace(LSE_CONFIG, theta_true=v), 1e-300,
                              "correction_integral", "theta=1e-300, H=0.6, big_t=5.0"),
     "run_rate_experiment-T": (lambda v: run_rate_experiment(LSE_CONFIG, [5.0, v]), 1e300,
@@ -213,6 +221,16 @@ FLOAT_RANGE = {
                            "phi_statistic",
                            "theta_tilde=1e-200, theta=1e-200, H=0.6, n=100, d=0.05"),
 }
+
+# An estimator's denominator, read from the path, is checked as a positive
+# real: (call with the path, the denominator's name)
+DENOMINATORS = {
+    "lse_skorohod": (lambda x: lse_skorohod(x, H, 1.0), "int X^2 dt"),
+    "nonergodic_estimator": (nonergodic_estimator, "int X^2 dt"),
+    "practical_estimator": (lambda x: practical_estimator(x, H), "empirical second moment"),
+    "mle": (lambda x: mle(x, H, 8), "int Q^2 d<M>"),
+}
+ZERO_PATH = SamplePath(d=0.1, values=np.zeros(16))
 
 
 # "<case>-<value>": (call, name, value, message)
@@ -247,6 +265,12 @@ ROWS = {
         f"{case}-float-range": (call, name, value, f"is out of the float range at {where}")
         for case, (call, value, name, where) in FLOAT_RANGE.items()
     },
+    **{
+        f"{case}-zero-path": (call, name, ZERO_PATH, "must be positive, got 0.0")
+        for case, (call, name) in DENOMINATORS.items()
+    },
+    "correction_integral-negative-T": (lambda v: correction_integral(1.0, H, v),
+                                       "correction_integral", -1.0, "requires T >= 0, got -1.0"),
     # p is inverted on [1e-300, 1e300] at every H, so 1/y stays finite at H = 1/2
     "invert_p-brownian-tiny-y": (lambda v: invert_p(v, HurstParam(0.5)), "moment", 1e-310,
                                  "y=1e-310 outside [1e-300, 1e300], where p is inverted"),

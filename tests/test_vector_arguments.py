@@ -1,11 +1,12 @@
-"""Every input vector is checked by one rule, with one wording.
+"""Every input vector and array is checked by one rule, with one wording.
 
 A vector that a class keeps or a function reduces must hold numbers (not
 strings, booleans, None or complex numbers, and not ragged rows), be
 one-dimensional and finite, and an integer entry past the float range is
 refused rather than raising OverflowError. Each refusal is a ValueError
 that starts with the vector's name; only the empty vector's message is the
-caller's own.
+caller's own. The lags and times of the covariance functions follow the
+same rule at any shape: a scalar, a vector or a broadcast grid.
 """
 
 import math
@@ -20,9 +21,13 @@ from msfou import (
     MartingaleDecomposition,
     SamplePath,
     TwoSidedFbm,
+    fgn_autocovariance,
+    sfbm_covariance,
     summarize,
+    two_sided_fbm,
 )
 
+H = HurstParam(0.65)
 HUGE = 10**400  # 1329 bits, past the float range
 
 # (call with the vector set to v, the vector's name, the message for an empty v)
@@ -35,6 +40,8 @@ VECTORS = {
     "TwoSidedFbm-neg": (lambda v: TwoSidedFbm(pos=[1.0, 2.0], neg=v, d=0.1), "neg",
                         "pos, neg must share a length"),
     "summarize": (summarize, "sample", "cannot summarize an empty sample"),
+    "two_sided_fbm": (lambda v: two_sided_fbm(v, 0.1, H), "fgn2n",
+                      "fgn2n must be a 1-d vector of even length >= 2"),
     "KernelSolution-mesh": (
         lambda v: KernelSolution(t=1.0, h=HurstParam(0.6), mesh=v, g_values=v, g_diag=v,
                                  bracket_M=v, residual=0.0),
@@ -69,6 +76,31 @@ ROWS = {
     "TwoSidedFbm-lengths": (lambda v: TwoSidedFbm(pos=v, neg=[1.0], d=0.1), [1.0, 2.0],
                             "pos, neg must share a length"),
 }
+
+# (call with the array set to v, the array's name); the other time is a
+# vector of 3, so a column of 2 broadcasts to a 2 x 3 grid
+ARRAYS = {
+    "fgn_autocovariance-k": (lambda v: fgn_autocovariance(v, H), "k"),
+    "sfbm_covariance-s": (lambda v: sfbm_covariance(v, np.array([1.0, 2.0, 3.0]), H), "s"),
+    "sfbm_covariance-t": (lambda v: sfbm_covariance(np.array([1.0, 2.0, 3.0]), v, H), "t"),
+}
+# (bad entry, message); each is tried as a scalar, a vector of it and a column
+BAD_ENTRIES = {
+    "nan": (math.nan, "contains non-finite entries"),
+    "inf": (-math.inf, "contains non-finite entries"),
+    "huge": (HUGE, "contains an integer past the float range"),
+    "string": ("1.0", "must hold numbers"),
+    "boolean": (True, "must hold numbers"),
+    "complex": (1.0 + 2.0j, "must hold numbers"),
+    "none": (None, "must hold numbers"),
+}
+SHAPES = {"scalar": lambda e: e, "vector": lambda e: [e, e, e], "column": lambda e: [[e], [e]]}
+ROWS.update({
+    f"{case}-{shape}-{label}": (call, form(value), f"{name} {message}")
+    for case, (call, name) in ARRAYS.items()
+    for shape, form in SHAPES.items()
+    for label, (value, message) in BAD_ENTRIES.items()
+})
 
 
 @pytest.mark.parametrize("call,value,message", ROWS.values(), ids=ROWS.keys())
