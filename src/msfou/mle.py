@@ -39,14 +39,17 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .estimators import EstimateResult, Method
 from .noise import HurstParam, _count, _frozen_vectors, _hurst, _positive
 from .numerics import _GridSums, _mesh_kernel
 from .paths import SamplePath
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = ["MartingaleDecomposition", "decompose", "mle"]
 

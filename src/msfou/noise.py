@@ -90,9 +90,13 @@ def _finite_array(name: str, value) -> np.ndarray:
     """Read-only float copy of value, of any shape; ValueError naming ``name`` unless finite."""
     try:
         arr = np.asarray(value)
-        # an object array holds Python objects, such as integers past int64
-        if arr.dtype.kind not in "iufO" or arr.dtype.kind == "O" and any(
-            isinstance(v, _NOT_NUMBERS) for v in arr.flat
+        # np.asarray reads a boolean among numbers as a number, and an object
+        # array holds Python objects, such as integers past int64, so the
+        # entries' types are looked at unless value is already a numeric array
+        scan_entries = arr.dtype.kind == "O" or not isinstance(value, np.ndarray)
+        if arr.dtype.kind not in "iufO" or scan_entries and any(
+            issubclass(kind, _NOT_NUMBERS)
+            for kind in set(map(type, np.asarray(value, dtype=object).flat))
         ):
             raise TypeError
         arr = np.array(arr, dtype=float)

@@ -2,7 +2,7 @@
 
 Four tools live here:
 
-* ``gamma_fn``: validated gamma function.
+* ``gamma_fn``: validated gamma function (``math.gamma``).
 * ``correction_integral``: the weakly singular double integral entering the
   Skorohod-corrected least-squares estimator, reduced by Fubini to three
   one-dimensional integrals, all in closed form: two lower incomplete
@@ -61,12 +61,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse as _sparse
-from scipy import special as _sp
 
 from .noise import HurstParam, _count, _finite, _frozen_vectors, _hurst, _in_float_range, _positive
+
+if TYPE_CHECKING:
+    from scipy import sparse as _sparse
 
 __all__ = [
     "KernelSolution",
@@ -98,11 +100,11 @@ _MAX_MESH = 4096
 def gamma_fn(x: float) -> float:
     """Gamma function for x > 0.
 
-    Thin validated wrapper over the scipy implementation (relative error
-    at machine-precision level, well inside the 1e-12 contract); ValueError
+    Thin validated wrapper over ``math.gamma`` (relative error at
+    machine-precision level, well inside the 1e-12 contract); ValueError
     past the float range (x above about 171.6 or below about 5.6e-309).
     """
-    return float(_sp.gamma(_positive("x", x)))
+    return math.gamma(_positive("x", x))
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +221,8 @@ def correction_integral(theta: float, h: HurstParam, big_t: float) -> float:
         raise ValueError(f"correction_integral requires T >= 0, got {big_t}")
     if big_t == 0.0:
         return 0.0
+    from scipy import special as _sp  # imported on first use, so that import msfou needs numpy alone
+
     rho = 2.0 * h.h - 1.0
     x = theta * big_t
     with np.errstate(over="ignore", invalid="ignore"):
@@ -262,6 +266,8 @@ def _edge_moments(rho: float, m: int, order: int) -> tuple[np.ndarray, np.ndarra
     The cross part is a Gauss hypergeometric on the left and, as
     1 + sigma_i > X, an incomplete beta on the right.
     """
+    from scipy import special as _sp  # imported on first use, so that import msfou needs numpy alone
+
     hstep = 1.0 / m
     big_x = order * hstep
     idx = np.arange(1, m + 1)
@@ -556,6 +562,8 @@ def _csr(
 
     A row may repeat a column; the matrix-vector product sums its entries.
     """
+    from scipy import sparse as _sparse  # imported on first use, so that import msfou needs numpy alone
+
     return _sparse.csr_array((data.ravel(), indices.ravel(), indptr), shape=shape, copy=False)
 
 

@@ -264,6 +264,17 @@ class TestMcTable:
         main(["mc-table", "--config", str(cfg_file), "--out", str(b), "--workers", "2"])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_mle_workers_do_not_change_bytes(self, tmp_path):
+        # the workers fork after replication 0 has built the grid plan and
+        # loaded scipy's special and sparse in the parent
+        cfg_file = tmp_path / "cfg.json"
+        _write_config(cfg_file, replications=16, estimator="mle", mle_mesh=16)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        main(["mc-table", "--config", str(cfg_file), "--out", str(a), "--workers", "1"])
+        main(["mc-table", "--config", str(cfg_file), "--out", str(b), "--workers", "2"])
+        assert a.read_bytes() == b.read_bytes()
+        assert a.read_text(encoding="utf-8").splitlines()[1].endswith(",0")
+
 
 class TestMcClt:
     def test_sample_and_stats_files(self, tmp_path):

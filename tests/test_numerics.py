@@ -58,6 +58,19 @@ GAMMA_TABLE = {
     3.7: 4.1706517837966031654,
 }
 
+# The arguments the library passes gamma_fn: 2H (p, its inverse, sigma_H and
+# phi_statistic), and 3 - 4H, 4H - 1 and 2 - 2H, which enter sigma_H only,
+# at H < 3/4; and 2H + 1, as p's constant H Gamma(2H) is Gamma(2H + 1) / 2.
+# "<argument>-<H>": x
+LIBRARY_GAMMA_ARGS = {
+    f"{label}-{hh}": arg(hh)
+    for hh in (0.501, 0.55, 0.6, 0.618, 0.65, 0.7, 0.75, 0.85, 0.99)
+    for label, arg in (("2H", lambda hh: 2.0 * hh), ("2H+1", lambda hh: 2.0 * hh + 1.0),
+                       ("3-4H", lambda hh: 3.0 - 4.0 * hh), ("4H-1", lambda hh: 4.0 * hh - 1.0),
+                       ("2-2H", lambda hh: 2.0 - 2.0 * hh))
+    if hh < 0.75 or label in ("2H", "2H+1")
+}
+
 # mpmath; tests/oracles/stationary_variance_targets.py
 P_TABLE = {
     (1.0, 0.55): 1.023242923426780251,
@@ -102,6 +115,12 @@ class TestGammaFn:
     @settings(max_examples=100, deadline=None)
     def test_recurrence(self, x):
         assert gamma_fn(x + 1.0) == pytest.approx(x * gamma_fn(x), rel=1e-12)
+
+    @pytest.mark.parametrize("x", LIBRARY_GAMMA_ARGS.values(), ids=LIBRARY_GAMMA_ARGS.keys())
+    def test_library_arguments_against_mpmath(self, x):
+        with mp.workdps(50):
+            expected = float(mp.gamma(mp.mpf(x)))
+        assert gamma_fn(x) == pytest.approx(expected, rel=1e-14)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5])
     def test_rejects_nonpositive(self, bad):

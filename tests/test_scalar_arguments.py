@@ -200,6 +200,9 @@ FLOAT_RANGE = {
                                  "stationary_second_moment", "theta=1e-300, H=0.9"),
     "gamma_fn-huge": (lambda v: gamma_fn(v), 200, "gamma_fn", "x=200"),
     "gamma_fn-tiny": (lambda v: gamma_fn(v), 1e-310, "gamma_fn", "x=1e-310"),
+    # the first arguments past either end: Gamma(171.7) and 1/5e-309 exceed 1.8e308
+    "gamma_fn-just-above-the-range": (lambda v: gamma_fn(v), 171.7, "gamma_fn", "x=171.7"),
+    "gamma_fn-just-below-the-range": (lambda v: gamma_fn(v), 5e-309, "gamma_fn", "x=5e-309"),
     "sigma_H": (lambda v: sigma_H(v, H), 1e-200, "sigma_H", "theta=1e-200, H=0.65"),
     "phi_statistic-sigma_H": (lambda v: phi_statistic(1.0, v, H, 10, 0.1), 1e-200,
                               "sigma_H", "theta=1e-200, H=0.65"),

@@ -59,6 +59,10 @@ BAD = {
     "huge": ([0, HUGE], "contains an integer past the float range"),
     "string": (["1.0", "2.0"], "must hold numbers"),
     "boolean": ([True, False], "must hold numbers"),
+    # np.asarray would read these booleans as the numbers 1.0 and 1
+    "boolean-among-floats": ([1.0, True], "must hold numbers"),
+    "boolean-among-integers": ([1, True], "must hold numbers"),
+    "numpy-boolean-among-floats": ([1.0, np.True_], "must hold numbers"),
     "complex": ([1.0 + 1.0j, 2.0], "must hold numbers"),
     "ragged": ([[1.0, 2.0], [3.0]], "must hold numbers"),
     "none": ([None, 1.0], "must hold numbers"),
@@ -100,6 +104,11 @@ ROWS.update({
     for case, (call, name) in ARRAYS.items()
     for shape, form in SHAPES.items()
     for label, (value, message) in BAD_ENTRIES.items()
+})
+ROWS.update({
+    f"{case}-{shape}-boolean-among-floats": (call, value, f"{name} must hold numbers")
+    for case, (call, name) in ARRAYS.items()
+    for shape, value in (("vector", [1.0, True, 2.0]), ("column", [[1.0], [True]]))
 })
 
 
