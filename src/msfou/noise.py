@@ -92,11 +92,15 @@ def _finite_array(name: str, value) -> np.ndarray:
         arr = np.asarray(value)
         # np.asarray reads a boolean among numbers as a number, and an object
         # array holds Python objects, such as integers past int64, so the
-        # entries' types are looked at unless value is already a numeric array
+        # entries' types are looked at unless value is already a numeric array;
+        # a 0-d array entry is typed by its dtype
         scan_entries = arr.dtype.kind == "O" or not isinstance(value, np.ndarray)
         if arr.dtype.kind not in "iufO" or scan_entries and any(
             issubclass(kind, _NOT_NUMBERS)
-            for kind in set(map(type, np.asarray(value, dtype=object).flat))
+            for kind in {
+                entry.dtype.type if isinstance(entry, np.ndarray) else type(entry)
+                for entry in np.asarray(value, dtype=object).flat
+            }
         ):
             raise TypeError
         arr = np.array(arr, dtype=float)

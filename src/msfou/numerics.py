@@ -6,7 +6,10 @@ Four tools live here:
 * ``correction_integral``: the weakly singular double integral entering the
   Skorohod-corrected least-squares estimator, reduced by Fubini to three
   one-dimensional integrals, all in closed form: two lower incomplete
-  gamma functions and two Kummer functions.
+  gamma functions (a series, DLMF 8.7.1, or Legendre's continued fraction,
+  DLMF 8.9.2) and two Kummer functions (a series after Kummer's
+  transformation, DLMF 13.2.39, or the asymptotic series, DLMF 13.7.2),
+  each summed with ``math`` to near full double precision.
 * ``stationary_second_moment`` / ``invert_p``: the monotone moment map
   ``p(theta) = 1/(2 theta) + H Gamma(2H) theta^(-2H)`` and its inverse
   (Newton's method from a closed-form lower bound).
@@ -51,9 +54,14 @@ mesh graded toward both ends. All kernel moments are exact: both systems
 take their linear-hat moments from one assembly of elementary power
 antiderivatives (``_hat_panel_moments``); both edge elements take theirs
 from one routine of incomplete-beta and Gauss hypergeometric closed forms
-(``_edge_moments``). The bracket integrates the squared diagonal by
-quadratic fits in the layer coordinate, in closed form
-(``_layer_cumulative_square_integral``).
+(``_edge_moments``), summed with numpy as Gauss series (DLMF 15.2.1) after
+Pfaff's transformation (DLMF 15.8.1) and the incomplete beta function's
+hypergeometric form (DLMF 8.17.7) and reflection (DLMF 8.17.4). The
+bracket integrates the squared diagonal by quadratic fits in the layer
+coordinate, in closed form (``_layer_cumulative_square_integral``).
+
+No scipy special function is used: the only scipy module this one
+imports is ``scipy.sparse``, for the grid-sum operators, on first use.
 """
 
 from __future__ import annotations
@@ -180,6 +188,72 @@ def invert_p(y: float, h: HurstParam) -> float:
 # ---------------------------------------------------------------------------
 
 
+_EPS = float(np.finfo(float).eps)
+
+# From here on the asymptotic series of M(1, b, -x) is summed instead of its
+# power series: its error, e^(-x) relative, is then below 1e-17.
+_KUMMER_ASYMPTOTIC_X = 40.0
+
+
+def _lower_gamma(s: float, x: float) -> float:
+    """Lower incomplete gamma function gamma(s, x) = int_0^x v^(s-1) e^(-v) dv, s, x > 0.
+
+    For x <= s + 1, the series x^s e^(-x) sum_n x^n / (s (s+1) ... (s+n))
+    (DLMF 8.7.1), whose terms fall by x/(s+n+1) each. Above, Gamma(s) less
+    Gamma(s, x) from Legendre's continued fraction (DLMF 8.9.2), summed by
+    the modified Lentz method; it converges in fewer steps the larger x is,
+    about 90 at x = s + 1. Both keep full double precision.
+    """
+    if x <= s + 1.0:
+        term = total = 1.0 / s
+        n = 0
+        while term > _EPS * total:
+            n += 1
+            term *= x / (s + n)
+            total += term
+        return x**s * math.exp(-x) * total
+    b = x + 1.0 - s
+    d = 1.0 / b
+    c = math.inf  # so that the first c is b
+    fraction = d
+    n = 0
+    while True:
+        n += 1
+        an = -n * (n - s)
+        b += 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        fraction *= c * d
+        if abs(c * d - 1.0) <= _EPS:
+            # e^(-x) x^s, written so that a large x underflows instead of overflowing
+            return math.gamma(s) - math.exp(s * math.log(x) - x) * fraction
+
+
+def _kummer_negative(b: float, x: float) -> float:
+    """Kummer function M(1, b, -x) for x >= 0, 2 <= b <= 3.
+
+    Below ``_KUMMER_ASYMPTOTIC_X``, Kummer's transformation (DLMF 13.2.39)
+    gives the positive series e^(-x) sum_n (b-1)/(b-1+n) x^n/n!. From
+    there on, the asymptotic series (b-1)/x sum_k (2-b)_k x^(-k) (DLMF
+    13.7.2), whose terms fall at least 40-fold at first and reach the
+    float spacing long before they would grow again, so the cost does not
+    grow with x.
+    """
+    term = total = 1.0
+    n = 0
+    if x < _KUMMER_ASYMPTOTIC_X:
+        while term > _EPS * total:
+            n += 1
+            term *= x / n * (b - 2.0 + n) / (b - 1.0 + n)
+            total += term
+        return math.exp(-x) * total
+    while abs(term) > _EPS * total:
+        term *= (2.0 - b + n) / x
+        n += 1
+        total += term
+    return (b - 1.0) / x * total
+
+
 @functools.lru_cache(maxsize=64, typed=True)
 @_in_float_range
 def correction_integral(theta: float, h: HurstParam, big_t: float) -> float:
@@ -188,9 +262,9 @@ def correction_integral(theta: float, h: HurstParam, big_t: float) -> float:
     Requires H > 1/2 so the (t-s)^(2H-2) singularity is integrable, a
     finite theta > 0 ("theta must be positive, got 0.0") and a finite
     T >= 0 ("T must be finite, got inf"); T = 0 gives 0, and theta = 1e-300
-    or T = 1e300, past the float range, ValueError. Results are cached per
-    (theta, h, T), so an unhashable argument raises TypeError from the
-    cache before it is checked.
+    or T = 1e300, past the float range, ValueError, as does a theta T past
+    it. Results are cached per (theta, h, T), so an unhashable argument
+    raises TypeError from the cache before it is checked.
 
     Fubini in the (t-s, t+s) variables collapses the double integral to
 
@@ -209,10 +283,13 @@ def correction_integral(theta: float, h: HurstParam, big_t: float) -> float:
         ((2T)^(rho+1) M(1, rho+2, -2 theta T)
          - e^(-theta T) T^(rho+1) M(1, rho+2, -theta T)) / (rho+1),
 
-    M the Kummer function ``hyp1f1``. The two terms are e^(-2 theta T)
-    times the integral of an increasing function over [0, 2T] and [0, T],
-    so the first is at least twice the second and their difference loses
-    at most one bit.
+    M the Kummer function. The two terms are e^(-2 theta T) times the
+    integral of an increasing function over [0, 2T] and [0, T], so the
+    first is at least twice the second and their difference loses at most
+    one bit. The four function values come from ``_lower_gamma`` and
+    ``_kummer_negative`` to near full double precision, which the division
+    by 2 rho needs as H nears 1/2 (2500-fold at H = 0.5001), and at a cost
+    that does not grow with theta T.
     """
     _hurst("correction_integral", h, "H > 1/2")
     theta = _positive("theta", theta)
@@ -221,18 +298,17 @@ def correction_integral(theta: float, h: HurstParam, big_t: float) -> float:
         raise ValueError(f"correction_integral requires T >= 0, got {big_t}")
     if big_t == 0.0:
         return 0.0
-    from scipy import special as _sp  # imported on first use, so that import msfou needs numpy alone
-
     rho = 2.0 * h.h - 1.0
     x = theta * big_t
-    with np.errstate(over="ignore", invalid="ignore"):
-        part_d = theta ** (-rho - 1.0) * (_sp.gammainc(rho + 1.0, x) * _sp.gamma(rho + 1.0))
-        part_a = big_t * theta ** (-rho) * (_sp.gammainc(rho, x) * _sp.gamma(rho)) - part_d
-        part_c = (
-            (2.0 * big_t) ** (rho + 1.0) * _sp.hyp1f1(1.0, rho + 2.0, -2.0 * x)
-            - math.exp(-x) * big_t ** (rho + 1.0) * _sp.hyp1f1(1.0, rho + 2.0, -x)
-        ) / (rho + 1.0)
-        return float(part_a + (part_c - part_d) / (2.0 * rho))
+    if math.isinf(x):
+        raise OverflowError  # refused by name through _in_float_range
+    part_d = theta ** (-rho - 1.0) * _lower_gamma(rho + 1.0, x)
+    part_a = big_t * theta ** (-rho) * _lower_gamma(rho, x) - part_d
+    part_c = (
+        (2.0 * big_t) ** (rho + 1.0) * _kummer_negative(rho + 2.0, 2.0 * x)
+        - math.exp(-x) * big_t ** (rho + 1.0) * _kummer_negative(rho + 2.0, x)
+    ) / (rho + 1.0)
+    return part_a + (part_c - part_d) / (2.0 * rho)
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +327,64 @@ def _edge_shape_matrix(exponent: float, hstep: float, order: int) -> np.ndarray:
     return np.linalg.inv(np.vander(u, increasing=True))
 
 
+# Terms of a Gauss series summed between two convergence checks.
+_GAUSS_CHECK_EVERY = 8
+
+
+def _gauss_2f1(a, b, c, z: np.ndarray) -> np.ndarray:
+    """Gauss hypergeometric function 2F1(a_k, b_k; c_k; z_i), shape (rows k, z.size).
+
+    a, b and c broadcast to one parameter per row, and 0 <= z_i <= 2/3.
+    Every use here has |(a+n)(b+n) / ((c+n)(n+1))| < 1, so the terms of the
+    Gauss series (DLMF 15.2.1) fall by at least a factor z each, and once
+    the last is below the float spacing of the sum the rest add less than
+    twice that. The series is summed for all entries at once: they are
+    sorted by z, and every ``_GAUSS_CHECK_EVERY`` terms those whose last
+    term is below the float spacing of their sum in every row are dropped
+    from the end, so each entry takes about the terms it needs (90 at
+    z = 2/3, 8 at z = 2e-3).
+    """
+    a, b, c = (np.reshape(v, (-1, 1)) for v in np.broadcast_arrays(a, b, c))
+    order = np.argsort(z)[::-1]
+    z = z[order]
+    total = np.ones((a.size, z.size))
+    term = np.ones((a.size, z.size))
+    n = np.arange(_GAUSS_CHECK_EVERY, dtype=float)
+    live = z.size
+    while live:
+        ratio = ((a + n) * (b + n) / ((c + n) * (n + 1.0)))[:, :, None] * z[:live]
+        block = np.zeros_like(term)
+        for j in range(n.size):
+            term *= ratio[:, j]
+            block += term
+        total[:, :live] += block
+        open_ = np.flatnonzero(np.any(np.abs(term) > _EPS * np.abs(total[:, :live]), axis=0))
+        live = open_[-1] + 1 if open_.size else 0
+        term = term[:, :live]
+        n += n.size
+    out = np.empty_like(total)
+    out[:, order] = total
+    return out
+
+
+def _incomplete_beta(a: np.ndarray, b: float, x: np.ndarray, full: np.ndarray) -> np.ndarray:
+    """B_x(a_k, b) = int_0^x t^(a_k-1) (1-t)^(b-1) dt, shape (rows k, x.size), 0 <= x <= 1.
+
+    a and full = B(a, b) are columns, one row per a_k. Up to x = 2/3,
+    x^a/a 2F1(a, 1-b; a+1; x) (DLMF 8.17.7), a positive series; above, the
+    reflection B(a, b) - B_(1-x)(b, a) (DLMF 8.17.4). The reflection would
+    lose digits to cancellation at small b already at x = 2/3, where the
+    series is still quick.
+    """
+    out = np.empty((a.size, x.size))
+    flip = x > 2.0 / 3.0
+    y = x[~flip]
+    out[:, ~flip] = y**a / a * _gauss_2f1(a, 1.0 - b, a + 1.0, y)
+    y = 1.0 - x[flip]
+    out[:, flip] = full - y**b / b * _gauss_2f1(b, 1.0 - a, b + 1.0, y)
+    return out
+
+
 def _edge_moments(rho: float, m: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Moments of kappa-hat over the two edge elements, X = order/m.
 
@@ -260,45 +394,52 @@ def _edge_moments(rho: float, m: int, order: int) -> tuple[np.ndarray, np.ndarra
     |r - sigma|^(rho-1) - (r + sigma)^(rho-1), and w = 1 - r maps the last
     ``order`` panels onto [0, X]. Both same-side parts are
     int_0^X w^(k rho) |c_i - w|^(rho-1) dw, with c_i = sigma_i on the left
-    and c_i = 1 - sigma_i on the right: an incomplete beta function when
-    c_i >= X, split at w = c_i when 0 < c_i < X (the tail in the Euler
-    hypergeometric form), an elementary power at c_i = 0 (the final node).
-    The cross part is a Gauss hypergeometric on the left and, as
-    1 + sigma_i > X, an incomplete beta on the right.
+    and c_i = 1 - sigma_i on the right: c_i^((k+1) rho) times an incomplete
+    beta function B_(X/c_i)(k rho + 1, rho) when c_i >= X, split at w = c_i
+    when 0 < c_i < X (the tail in the Euler hypergeometric form), an
+    elementary power at c_i = 0 (the final node). The cross part is a Gauss
+    hypergeometric function of -X/sigma_i on the left and, as
+    1 + sigma_i > X, an incomplete beta function on the right. Pfaff's
+    transformation (DLMF 15.8.1) takes each Gauss function of -v to one of
+    v/(1+v) <= 2/3, and ``_incomplete_beta`` and ``_gauss_2f1`` sum the
+    series, all rows k at once. B(a, b) = Gamma(a) Gamma(b) / Gamma(a + b)
+    from ``math.gamma``, to about 3 ulps; through ``math.lgamma`` the
+    largest moments, near the element, came out twice as far from mpmath.
     """
-    from scipy import special as _sp  # imported on first use, so that import msfou needs numpy alone
-
     hstep = 1.0 / m
     big_x = order * hstep
     idx = np.arange(1, m + 1)
     sig = idx * hstep
+    k = np.arange(order + 1)[:, None]  # one row per power of the layer coordinate
+    ap = k * rho + 1.0
+    pw = (k + 1.0) * rho
+    b_full = np.array([[math.gamma(a) * math.gamma(rho) / math.gamma(a + rho)] for a in ap[:, 0]])
+    # the same-side parts, left then right: the node's distance c from w = 0
+    # and the panels between them
+    c = np.concatenate((sig, 1.0 - sig))
+    steps = np.concatenate((idx, m - idx))
+    far = steps >= order
+    inside = (steps > 0) & ~far
+    # one incomplete beta call for the far same-side parts and the right cross part
+    ends = np.concatenate((c[far], 1.0 + sig))
+    betas = ends**pw * _incomplete_beta(ap, rho, np.minimum(big_x / ends, 1.0), b_full)
+    same = np.empty((order + 1, 2 * m))
+    same[:, far] = betas[:, :-m]
+    # 2F1(-k rho, rho; rho+1; -v) = (1+v)^(k rho) 2F1(-k rho, 1; rho+1; v/(1+v))
+    v = (big_x - c[inside]) / c[inside]
+    tail = (
+        v**rho / rho * (1.0 + v) ** (k * rho)
+        * _gauss_2f1(-k * rho, 1.0, rho + 1.0, v / (1.0 + v))
+    )
+    same[:, inside] = c[inside] ** pw * (b_full + tail)
+    same[:, steps == 0] = big_x**pw / pw
+    # 2F1(1-rho, ap; ap+1; -xq) = (1+xq)^(rho-1) 2F1(1-rho, 1; ap+1; xq/(1+xq))
     xq = big_x / sig
-    c_cross = 1.0 + sig
-    left = np.empty((order + 1, m))
-    right = np.empty((order + 1, m))
-    for k in range(order + 1):
-        ap = k * rho + 1.0
-        b_full = _sp.beta(ap, rho)
-        pw = (k + 1.0) * rho
-
-        def same_side(c: np.ndarray, steps: np.ndarray) -> np.ndarray:
-            # steps = m c, the panels between the node and w = 0
-            out = np.empty(m)
-            far = steps >= order
-            ratio = np.minimum(big_x / c[far], 1.0)
-            out[far] = c[far] ** pw * b_full * _sp.betainc(ap, rho, ratio)
-            inside = (steps > 0) & ~far
-            v = (big_x - c[inside]) / c[inside]
-            tail = v**rho / rho * _sp.hyp2f1(-k * rho, rho, rho + 1.0, -v)
-            out[inside] = c[inside] ** pw * (b_full + tail)
-            out[steps == 0] = big_x ** (k * rho + rho) / (k * rho + rho)
-            return out
-
-        cross = sig**pw * xq**ap / ap * _sp.hyp2f1(1.0 - rho, ap, ap + 1.0, -xq)
-        left[k] = same_side(sig, idx) - cross
-        cross = c_cross**pw * b_full * _sp.betainc(ap, rho, big_x / c_cross)
-        right[k] = same_side(1.0 - sig, m - idx) - cross
-    return left, right
+    cross = (
+        sig**pw * xq**ap / ap * (1.0 + xq) ** (rho - 1.0)
+        * _gauss_2f1(1.0 - rho, 1.0, ap + 1.0, xq / (1.0 + xq))
+    )
+    return same[:, :m] - cross, same[:, m:] - betas[:, -m:]
 
 
 def _hat_panel_moments(

@@ -121,6 +121,22 @@ MPMATH_CASES = [
     (0.01, 0.99, 1e6),
     (1.0, 0.5001, 100.0),
     (10.0, 0.75, 1e6),
+    # the horizons of the benchmark's mc-rate run
+    (1.0, 0.6, 125.0),
+    (1.0, 0.6, 250.0),
+    (1.0, 0.6, 500.0),
+    # either side of each branch switch of the library's special functions:
+    # gamma(s, theta T) at theta T = s + 1 for s = rho (H = 0.5001) and
+    # s = rho + 1 (H = 0.75), then M(1, rho + 2, -x) at x = 40 for x = 2 theta T
+    # and x = theta T
+    (1.0, 0.5001, 0.999),
+    (1.0, 0.5001, 1.001),
+    (1.0, 0.75, 2.49),
+    (1.0, 0.75, 2.51),
+    (2.0, 0.6, 9.99),
+    (2.0, 0.6, 10.01),
+    (0.5, 0.9, 79.9),
+    (0.5, 0.9, 80.1),
 ]
 
 SWEEP_THETAS = (0.01, 0.1, 1.0, 10.0, 100.0)

@@ -266,7 +266,7 @@ class TestMcTable:
 
     def test_mle_workers_do_not_change_bytes(self, tmp_path):
         # the workers fork after replication 0 has built the grid plan and
-        # loaded scipy's special and sparse in the parent
+        # loaded scipy's sparse in the parent
         cfg_file = tmp_path / "cfg.json"
         _write_config(cfg_file, replications=16, estimator="mle", mle_mesh=16)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

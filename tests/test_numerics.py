@@ -97,6 +97,20 @@ MPMATH_CORRECTION_TABLE = {
     (0.01, 0.99, 1e6): 168613501.48694128,
     (1.0, 0.5001, 100.0): 499944.23488290346,
     (10.0, 0.75, 1e6): 560640.4869425825,
+    # the benchmark's mc-rate horizons
+    (1.0, 0.6, 125.0): 578.1785401958233,
+    (1.0, 0.6, 250.0): 1153.1581766512916,
+    (1.0, 0.6, 500.0): 2302.1589525336844,
+    # either side of each branch switch of the incomplete gamma and Kummer
+    # functions: theta T = s + 1 for s = rho and rho + 1, theta T = 20 and 40
+    (1.0, 0.5001, 0.999): 4994.109788172366,
+    (1.0, 0.5001, 1.001): 5004.109023409127,
+    (1.0, 0.75, 2.49): 4.70990040019458,
+    (1.0, 0.75, 2.51): 4.753469352350517,
+    (2.0, 0.6, 9.99): 40.79047687187117,
+    (2.0, 0.6, 10.01): 40.87133747425172,
+    (0.5, 0.9, 79.9): 228.36899643104036,
+    (0.5, 0.9, 80.1): 228.91972868781176,
 }
 
 
@@ -239,6 +253,13 @@ class TestCorrectionIntegral:
 
     def test_zero_horizon(self):
         assert correction_integral(1.0, HurstParam(0.6), 0.0) == 0.0
+
+    def test_huge_drift(self):
+        # I = T Gamma(rho) theta^(-rho) + O(theta^(-rho-1)), rho = 2H - 1: the
+        # Kummer functions' arguments are 1e201 and 2e201, far in their
+        # asymptotic range, and theta^(-rho-1) underflows
+        got = correction_integral(1e200, HurstParam(0.9), 10.0)
+        assert got == pytest.approx(10.0 * math.gamma(0.8) * 1e200**-0.8, rel=1e-14)
 
     def test_monotone_in_horizon(self):
         h = HurstParam(0.65)

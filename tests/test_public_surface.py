@@ -102,9 +102,8 @@ def test_cli_import_skips_scipy_signal_and_stats():
     # No scipy module at all: a fresh `import msfou.cli` takes 0.15 s and
     # 29.6 MiB of peak RSS, against 0.35 s and 55.8 MiB while it loaded scipy's
     # sparse and special (medians of 12 alternated runs on 2 cores,
-    # tests/oracles/startup_cost.py); every short CLI run paid that. scipy is
-    # imported where it is used: special by the correction integral and the
-    # kernel solves, sparse by the likelihood's grid plan.
+    # tests/oracles/startup_cost.py); every short CLI run paid that. The only
+    # scipy module msfou uses is sparse, imported by the likelihood's grid plan.
     assert _fresh("import msfou.cli; print(sorted(scipy_modules()))") == []
 
 
@@ -125,21 +124,37 @@ print(sorted(scipy_modules()))
     assert out.stat().st_size > 0
 
 
+def test_lse_mc_rate_loads_no_scipy(tmp_path):
+    # the correction integral of every horizon is computed with math alone
+    cfg, out = tmp_path / "cfg.json", tmp_path / "rate.csv"
+    cfg.write_text('{"theta_true": 1.0, "H": 0.6, "d": 0.1, "T": 5.0, "replications": 4, '
+                   '"master_seed": 7, "estimator": "lse"}', encoding="utf-8")
+    code = f"""
+from msfou.cli import main
+assert main(["mc-rate", "--config", {str(cfg)!r}, "--T-grid", "5,10", "--workers", "2",
+             "--out", {str(out)!r}]) == 0
+print(sorted(scipy_modules()))
+"""
+    assert _fresh(code) == []
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 3
+
+
 # A pooled run checks its config and runs replication 0 in the parent, then
 # forks its workers. "<estimator>": (what the parent runs before it forks,
-# the scipy subpackages that loads)
+# the scipy subpackages that loads): lse evaluates its correction integral
+# with math alone, and mle's grid plan builds scipy.sparse matrices
 BEFORE_FORK = {
-    "lse": ("cfg = ExperimentConfig(estimator=Method.LSE_SKOROHOD, **FIELDS)",
-            ["special", "version"]),
+    "lse": ("cfg = ExperimentConfig(estimator=Method.LSE_SKOROHOD, **FIELDS)", []),
     "mle": ("cfg = ExperimentConfig(estimator=Method.MLE, mle_mesh=16, **FIELDS)\n"
             "assert harness._guarded_estimate(cfg, 0) is not None",
-            ["sparse", "special", "version"]),
+            ["sparse", "version"]),
 }
 
 
 @pytest.mark.parametrize("before_fork,loaded", BEFORE_FORK.values(), ids=BEFORE_FORK.keys())
 def test_pooled_run_loads_scipy_before_it_forks(before_fork, loaded):
-    # so a worker forked afterwards inherits scipy and never imports it itself
+    # so a worker forked afterwards inherits what scipy it needs and never
+    # imports scipy itself
     code = f"""
 from msfou import ExperimentConfig, Method, harness
 FIELDS = dict(theta_true=1.0, H=0.65, d=0.1, T=5.0, replications=4, master_seed=7)

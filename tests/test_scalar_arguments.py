@@ -193,9 +193,11 @@ FLOAT_RANGE = {
                                        "correction_integral", "theta=1e-300, H=0.65, big_t=10"),
     "correction_integral-huge-T": (lambda v: correction_integral(1.0, H, v), 1e300,
                                    "correction_integral", "theta=1.0, H=0.65, big_t=1e+300"),
+    # theta T is past the float range; at theta = 1e200 the integral is
+    # 1.16e-159 (tests/test_numerics.py)
     "correction_integral-huge-theta": (
-        lambda v: correction_integral(v, HurstParam(0.9), 10), 1e200,
-        "correction_integral", "theta=1e+200, H=0.9, big_t=10"),
+        lambda v: correction_integral(v, HurstParam(0.9), 10), 1e308,
+        "correction_integral", "theta=1e+308, H=0.9, big_t=10"),
     "stationary_second_moment": (lambda v: stationary_second_moment(v, HurstParam(0.9)), 1e-300,
                                  "stationary_second_moment", "theta=1e-300, H=0.9"),
     "gamma_fn-huge": (lambda v: gamma_fn(v), 200, "gamma_fn", "x=200"),

@@ -63,6 +63,7 @@ BAD = {
     "boolean-among-floats": ([1.0, True], "must hold numbers"),
     "boolean-among-integers": ([1, True], "must hold numbers"),
     "numpy-boolean-among-floats": ([1.0, np.True_], "must hold numbers"),
+    "0d-array-boolean-among-floats": ([np.array(True), 1.0], "must hold numbers"),
     "complex": ([1.0 + 1.0j, 2.0], "must hold numbers"),
     "ragged": ([[1.0, 2.0], [3.0]], "must hold numbers"),
     "none": ([None, 1.0], "must hold numbers"),
@@ -108,7 +109,8 @@ ROWS.update({
 ROWS.update({
     f"{case}-{shape}-boolean-among-floats": (call, value, f"{name} must hold numbers")
     for case, (call, name) in ARRAYS.items()
-    for shape, value in (("vector", [1.0, True, 2.0]), ("column", [[1.0], [True]]))
+    for shape, value in (("vector", [1.0, True, 2.0]), ("column", [[1.0], [True]]),
+                         ("vector-0d-array", [1.0, np.array(True), 2.0]))
 })
 
 
