@@ -38,10 +38,12 @@ mesh. One matrix assembly per ``(H, m)`` therefore serves every right
 endpoint ``t``; changing ``t`` only rescales the system by ``c = t^(2H-1)``.
 The diagonal values ``g(s_j, s_j)`` come from a batch of such rescaled
 solves, one per right endpoint ``s_j``, each fully resolved on its own
-scaled mesh. The batch factors ``K`` once, by one eigendecomposition per
-call; each rescaled system is then a diagonal scaling in the
-eigenbasis, O(m^2) per right endpoint, and its residual is checked
-against the original system.
+scaled mesh. The batch factors no m x m matrix: the Krylov space of
+``I + c K`` is that of ``K`` for every ``c``, so one Arnoldi basis of a
+few dozen vectors per right-hand side serves every rescaled system
+(shifted FOM), each of which then costs a small projected solve and one
+combination of the basis, and its residual is checked against the
+original system.
 
 Solutions carry boundary layers in powers of ``s^rho`` and ``(t-s)^rho``
 (rho = 2H-1) at the two ends of ``[0, t]``. Two Nystrom systems handle
@@ -514,37 +516,121 @@ def _unit_kernel_system(hh: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     return weights, anchor
 
 
+# Arnoldi steps taken between two convergence checks of the shifted solves.
+_KRYLOV_CHECK_EVERY = 8
+
+
+def _balance(weights: np.ndarray) -> np.ndarray:
+    """Powers of two d such that D W D^-1 has matched off-diagonal row and column norms.
+
+    One pass of diagonal balancing (Parlett & Reinsch 1969): the edge
+    elements make a few rows of W large (entries of 300 beside a diagonal
+    near 1 at H = 0.5002, m = 9), and an orthogonal Krylov basis of the
+    unbalanced W loses those rows' equations to rounding (errors of 1e-10
+    against a dense LU, where the balanced basis keeps 1e-13). A diagonal
+    similarity keeps every shifted system a shifted system, and powers of
+    two scale without rounding.
+    """
+    sq = weights * weights
+    np.fill_diagonal(sq, 0.0)
+    col, row = sq.sum(axis=0), sq.sum(axis=1)
+    scale = np.ones(len(weights))
+    ok = (col > 0.0) & (row > 0.0)
+    scale[ok] = np.exp2(np.round(0.25 * np.log2(col[ok] / row[ok])))
+    return scale
+
+
+def _projected_solve(hess: np.ndarray, beta: float, cs: np.ndarray) -> np.ndarray:
+    """y(c) solving (I + c H) y = beta e_1 for each scale c, one row each.
+
+    H is the small Hessenberg matrix of a Krylov basis, factored once as
+    H = V diag(lam) V^-1, so every shift is a diagonal scaling in the
+    eigenbasis. H is real, so its eigenpairs come in conjugate pairs and
+    the imaginary parts cancel up to rounding. One step of iterative
+    refinement with the same factorization removes the error an
+    ill-conditioned eigenbasis adds (3e-10 against a dense LU without it,
+    near H = 1/2).
+    """
+    lam, vecs = np.linalg.eig(hess)
+    inv_vecs = np.linalg.inv(vecs)
+    scale = 1.0 / (1.0 + cs[:, None] * lam)
+    rhs = np.zeros((cs.size, len(hess)))
+    rhs[:, 0] = beta
+
+    def shifted_solve(r: np.ndarray) -> np.ndarray:
+        return (((r @ inv_vecs.T) * scale) @ vecs.T).real
+
+    y = shifted_solve(rhs)
+    return y + shifted_solve(rhs - y - cs[:, None] * (y @ hess.T))
+
+
+def _shifted_fom(
+    balanced: np.ndarray, scale: np.ndarray, b: np.ndarray, cs: np.ndarray
+) -> np.ndarray:
+    """x(c) solving (I + c W) x = b for each scale c, one row each, on one Krylov basis.
+
+    ``balanced`` is D W D^-1 with D = diag(scale). The Krylov space of
+    I + c D W D^-1 started at D b is that of D W D^-1 for every c, so one
+    Arnoldi basis V_k (classical Gram-Schmidt, twice) with
+    D W D^-1 V_k = V_k H_k + h_{k+1,k} v_{k+1} e_k^T serves all shifts: the
+    full orthogonalization method takes x(c) = D^-1 V_k y(c),
+    (I + c H_k) y(c) = |D b| e_1 (Frommer & Glaessner, SIAM J. Sci.
+    Comput. 19(1), 1998), and its residual in the original system is
+    -c h_{k+1,k} y_k(c) D^-1 v_{k+1}. The basis grows by
+    ``_KRYLOV_CHECK_EVERY`` vectors until every shift's residual norm is
+    at most 4 eps |b|, or until it spans the whole space. The residual is
+    measured unbalanced because D spans six decades or more near H = 1/2:
+    a balanced residual at rounding level can still leave 1e-11 in the
+    nodes that D shrinks (H = 0.501, m = 65).
+    """
+    m = b.size
+    beta = float(np.linalg.norm(scale * b))
+    target = 4.0 * _EPS * float(np.linalg.norm(b))
+    basis = (scale * b / beta)[None, :]
+    hess = np.zeros((1, 0))
+    k = 0
+    while True:
+        grow = min(_KRYLOV_CHECK_EVERY, m - k)
+        basis = np.vstack((basis, np.zeros((grow, m))))
+        hess = np.pad(hess, ((0, grow), (0, grow)))
+        for j in range(k, k + grow):
+            w = balanced @ basis[j]
+            for _ in range(2):
+                h = basis[: j + 1] @ w
+                w -= h @ basis[: j + 1]
+                hess[: j + 1, j] += h
+            hess[j + 1, j] = np.linalg.norm(w)
+            if hess[j + 1, j] > 0.0:  # else the basis spans an invariant subspace
+                basis[j + 1] = w / hess[j + 1, j]
+        k += grow
+        y = _projected_solve(hess[:k, :k], beta, cs)
+        tail = hess[k, k - 1] * float(np.linalg.norm(basis[k] / scale))
+        if k == m or tail * np.max(np.abs(cs * y[:, -1])) <= target:
+            x = y @ basis[:k]
+            x /= scale
+            return x
+
+
 def _batch_scaled_solve(
     weights: np.ndarray, anchor: np.ndarray, cs: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """Solve (I + c W) G = 1 - c e for each scale c; (solutions, max residual).
 
-    Only c changes between the systems, so W is factored once as
-    W = V diag(lam) V^-1 and every shift becomes a diagonal scaling,
-    (I + c W)^-1 r = Re[V diag(1 / (1 + c lam)) V^-1 r]: O(m^3) for the
-    factorization, then O(m^2) per shift. W is real, so its eigenpairs come
-    in conjugate pairs and the imaginary parts cancel up to rounding. One
-    step of iterative refinement with the same factorization removes the
-    error the eigenbasis adds (without it, mle estimates move by a few
-    1e-12 relative against a dense LU per shift). The residual is
-    recomputed from the returned solutions against the original systems,
-    so an ill-conditioned eigenbasis shows up there.
+    Only c changes between the systems, and the right-hand side is linear
+    in it, so G(c) = x_1(c) - c x_2(c) with (I + c W) x_1 = 1 and
+    (I + c W) x_2 = e: two shifted Krylov solves (``_shifted_fom``) of the
+    balanced D W D^-1 (``_balance``), each on one basis of k = 8-40
+    vectors: O(k m^2 + S k m) for S shifts, and no m x m matrix is
+    factored. The residual is recomputed from the returned solutions
+    against the original systems, one O(S m^2) matrix product.
     """
-    lam, vecs = np.linalg.eig(weights)
-    inv_vecs = np.linalg.inv(vecs)
-    scale = 1.0 / (1.0 + cs[:, None] * lam)
-    rhs = 1.0 - cs[:, None] * anchor
-
-    def shifted_solve(r: np.ndarray) -> np.ndarray:
-        return (((r @ inv_vecs.T) * scale) @ vecs.T).real
-
-    def gap(g: np.ndarray) -> np.ndarray:
-        return rhs - g - cs[:, None] * (g @ weights.T)
-
-    sols = shifted_solve(rhs)
-    sols = sols + shifted_solve(gap(sols))
-    residual = float(np.abs(gap(sols)).max())
-    return sols, residual
+    scale = _balance(weights)
+    balanced = weights * scale[:, None] / scale
+    sols = _shifted_fom(balanced, scale, anchor, cs)
+    sols *= -cs[:, None]
+    sols += _shifted_fom(balanced, scale, np.ones(anchor.size), cs)
+    gap = (1.0 - cs[:, None] * anchor) - sols - cs[:, None] * (sols @ weights.T)
+    return sols, float(np.abs(gap).max())
 
 
 def _graded_unit_system(hh: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -903,9 +989,10 @@ def solve_g_kernel(t: float, h: HurstParam, m: int = 256) -> KernelSolution:
     Returns nodal g(s_j, t), the diagonal g(s_j, s_j) (each diagonal value
     from its own fully resolved solve at right endpoint s_j), and the
     bracket <M> accumulated from the squared diagonal. H = 1/2 short-
-    circuits to the exact g = 1, <M>_t = t. The m diagonal solves share one
-    eigendecomposition of the graded m x m system, O(m^3), after which each
-    costs O(m^2). t must be finite and positive ("t must be positive, got
+    circuits to the exact g = 1, <M>_t = t. The m diagonal solves share two
+    Krylov bases of the graded m x m system, of k = 8-40 vectors each,
+    O(k m^2), after which each costs O(k m), and O(m^2) to check its
+    residual. t must be finite and positive ("t must be positive, got
     0.0"), and m a whole number ("m must be a whole number, got 8.5"; 256.0
     reads as 256) in [8, 4096]. Raises RuntimeError when a linear-system
     residual exceeds 1e-6.

@@ -27,7 +27,10 @@ can change the 15th digit of a written number and read as up to 5e-15
 relative: a number written with at most 15 significant digits that moved
 by at most one unit of its 15th digit is counted as print rounding, and
 left out of the largest difference. A layer whose arrays changed in
-number or shape says so instead.
+number or shape says so instead. The ``solve_g_kernel`` residuals are
+hashed with the ``numerics`` layer but compared apart: a solver's residual
+is a rounding-level number whose relative move says nothing of the
+outputs, so ``--against`` prints the largest residual on each tree.
 
 The script reads only the public API, so it runs against older trees too.
 The grid covers H near 1/2 (where the layer exponent falls back to 1), odd
@@ -46,7 +49,7 @@ Layers:
 * ``mle``: ``decompose`` Z, Q and <M>, and ``mle`` theta_hat, on every
   (H, N, m) and two seeds;
 * ``numerics``: ``solve_g_kernel`` g, diagonal, <M> and residual on odd and
-  even m;
+  even m (the residual hashed, not compared: see above);
 * ``constants``: ``gamma_fn``, p and its inverse, the correction integral,
   ``sigma_H``, ``boundary_variance`` and ``phi_statistic`` on a small
   (theta, H, T) grid;
@@ -143,6 +146,7 @@ class Digest:
         self.items = 0
         self.arrays = []
         self.units = []
+        self.residuals = []
 
     def add(self, *values):
         for value in values:
@@ -151,6 +155,11 @@ class Digest:
             self.arrays.append(arr)
             self.units.append(None)
         self.items += 1
+
+    def add_residual(self, value: float):
+        """Hash a solver residual like ``add``, but keep it out of the compared arrays."""
+        self.sha.update(np.float64(value).tobytes())
+        self.residuals.append(float(value))
 
     def add_text(self, text: bytes):
         self.sha.update(text)
@@ -285,7 +294,8 @@ def main() -> None:
         for m in KERNEL_MESHES:
             for t in (0.5, 20.0):
                 sol = solve_g_kernel(t, h, m)
-                kernel.add(sol.mesh, sol.g_values, sol.g_diag, sol.bracket_M, sol.residual)
+                kernel.add(sol.mesh, sol.g_values, sol.g_diag, sol.bracket_M)
+                kernel.add_residual(sol.residual)
     h = HurstParam(0.65)
     readme = mle(euler_msfou(theta=1.0, H=h, d=0.01, N=20000, seed=314), h, m=1024)
     cli, surface = cli_digest(), surface_digest()
@@ -300,14 +310,17 @@ def main() -> None:
     units = {name: digest.units for name, digest in layers.items()}
     units["README"] = [None]
     if args.save:
-        np.savez(args.save, **{f"{name}_{i:05d}": arr
-                               for name, layer in arrays.items() for i, arr in enumerate(layer)})
+        np.savez(args.save, residuals=np.array(kernel.residuals),
+                 **{f"{name}_{i:05d}": arr
+                    for name, layer in arrays.items() for i, arr in enumerate(layer)})
     if args.against:
         with np.load(args.against) as saved:
             for name, layer in arrays.items():
                 old = [saved[key] for key in sorted(saved.files) if key.rsplit("_", 1)[0] == name]
                 print(f"{name:<10} largest relative difference "
                       f"{largest_relative_difference(layer, old, units[name])}")
+            print(f"numerics   largest solve_g_kernel residual {max(saved['residuals']):.3g}"
+                  f" -> {max(kernel.residuals):.3g}")
 
 
 if __name__ == "__main__":

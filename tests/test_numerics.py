@@ -388,12 +388,21 @@ def _per_shift_solutions(weights, anchor, cs):
     return np.array([np.linalg.solve(eye + c * weights, 1.0 - c * anchor) for c in cs])
 
 
+SYSTEMS = pytest.mark.parametrize(
+    "system", [_unit_kernel_system, _graded_unit_system], ids=["uniform", "graded"]
+)
+
+
 class TestBatchScaledSolve:
-    @pytest.mark.parametrize("m", [8, 64, 256])
-    @pytest.mark.parametrize("hh", [0.501, 0.55, 0.65, 0.75, 0.9, 0.99])
-    @pytest.mark.parametrize(
-        "system", [_unit_kernel_system, _graded_unit_system], ids=["uniform", "graded"]
-    )
+    # H = 0.5002 and m = 9: the edge element's rows of the uniform system
+    # hold entries of 300 beside a diagonal near 1, which an unbalanced
+    # Krylov basis resolves only to 1e-10; m = 9 is not a multiple of the
+    # Krylov check interval, so the basis ends at the whole space. At
+    # H = 0.501 and m = 65 a residual at rounding level in the balanced
+    # system still left 2e-11 in the original one.
+    @pytest.mark.parametrize("m", [8, 9, 64, 65, 256])
+    @pytest.mark.parametrize("hh", [0.5002, 0.501, 0.55, 0.65, 0.75, 0.9, 0.99])
+    @SYSTEMS
     def test_matches_per_shift_solve(self, system, hh, m):
         # the shifts of a T = 200 horizon: c_j = (j T / m)^rho, j = 1..m
         weights, anchor = system(hh, m)
@@ -403,6 +412,39 @@ class TestBatchScaledSolve:
         assert float(np.max(np.abs(sols - want))) <= 1e-12
         gap = (1.0 - cs[:, None] * anchor) - sols - cs[:, None] * (sols @ weights.T)
         assert residual == float(np.max(np.abs(gap)))
+
+    @pytest.mark.parametrize("hh", [0.5002, 0.65])
+    @SYSTEMS
+    def test_unit_1024_matches_per_shift_solve(self, system, hh):
+        # the README's 1024 shifts (T = 200) on a unit mesh four times the
+        # default, against a dense solve of every 64th shift
+        weights, anchor = system(hh, 1024)
+        cs = (np.arange(1, 1025) * (200.0 / 1024)) ** (2.0 * hh - 1.0)
+        sols, residual = _batch_scaled_solve(weights, anchor, cs)
+        want = _per_shift_solutions(weights, anchor, cs[::64])
+        assert float(np.max(np.abs(sols[::64] - want))) <= 1e-12
+        assert residual <= 1e-12
+
+    @SYSTEMS
+    def test_factors_no_matrix_of_order_m(self, system, monkeypatch):
+        # the shifts share small projected problems, never an m x m
+        # factorization: record the order of every matrix that numpy's
+        # dense eig, inv and solve see
+        orders = []
+        for name in ("eig", "inv", "solve"):
+            real = getattr(np.linalg, name)
+
+            def spy(a, *args, real=real, **kwargs):
+                orders.append(np.shape(a)[-1])
+                return real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+        m, hh = 256, 0.65
+        weights, anchor = system(hh, m)
+        orders.clear()  # assembly inverts a small shape matrix
+        cs = (np.arange(1, m + 1) * (200.0 / m)) ** (2.0 * hh - 1.0)
+        _batch_scaled_solve(weights, anchor, cs)
+        assert orders and max(orders) < m // 2
 
 
 def _edge_moment_reference(rho: float, m: int, k: int, i: int, side: str) -> float:
