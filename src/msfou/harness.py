@@ -32,7 +32,7 @@ from .mle import mle
 from .noise import HurstParam, HurstRegime, _as_float, _count, _finite, _finite_vector, _hurst
 from .noise import _positive, _whole_number
 from .numerics import correction_integral
-from .paths import euler_msfou
+from .paths import _reuse_buffers, euler_msfou
 
 __all__ = [
     "ExperimentConfig",
@@ -256,21 +256,23 @@ def _run_replications(cfg: ExperimentConfig, workers: int) -> tuple[np.ndarray, 
     inherit the caches it fills (the likelihood's grid plan above all), and
     maps the rest with at most one process per chunk: a fork pool starts
     all its workers at the first task. A run of one process (one worker, or
-    one chunk after replication 0) starts no pool.
+    one chunk after replication 0) starts no pool. Every process simulates
+    its paths in one reused set of buffers, dropped when the loop ends.
     """
     workers = _count("workers", workers, 1)
     cfgs, reps = [cfg] * cfg.replications, range(cfg.replications)
     processes = min(workers, -(-(cfg.replications - 1) // _CHUNK))
-    if processes <= 1:
-        results = list(map(_guarded_estimate, cfgs, reps))
-    else:
-        import multiprocessing
+    with _reuse_buffers():
+        if processes <= 1:
+            results = list(map(_guarded_estimate, cfgs, reps))
+        else:
+            import multiprocessing
 
-        results = [_guarded_estimate(cfg, 0)]
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=processes, mp_context=multiprocessing.get_context("fork")
-        ) as pool:
-            results += pool.map(_guarded_estimate, cfgs[1:], reps[1:], chunksize=_CHUNK)
+            results = [_guarded_estimate(cfg, 0)]
+            with concurrent.futures.ProcessPoolExecutor(
+                max_workers=processes, mp_context=multiprocessing.get_context("fork")
+            ) as pool:
+                results += pool.map(_guarded_estimate, cfgs[1:], reps[1:], chunksize=_CHUNK)
     estimates = [value for value in results if value is not None]
     n_failed = cfg.replications - len(estimates)
     return np.array(estimates, dtype=float), n_failed

@@ -8,7 +8,8 @@ Newsam 1997; Wood & Chan 1994). The embedding of size ``2n`` has
 nonnegative eigenvalues for fGn, so the synthesized vector has exactly the
 requested covariance. The spectrum depends only on (n, H), so it is
 computed once per (n, H) and cached; each sample then costs its ``4n``
-normals and one half-length real inverse FFT.
+normals and one half-length real inverse FFT, computed by ``_fgn_into``
+into buffers it is given: ``sample_fgn`` allocates them per call.
 """
 
 from __future__ import annotations
@@ -273,6 +274,32 @@ def _circulant_sqrt_eig(n: int, H: HurstParam) -> np.ndarray:
     return weight
 
 
+def _fgn_into(spec: NoiseSpec, H: HurstParam, z: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """fGn of ``spec`` at H, written over z[:n]: a view of z, which holds 4n floats.
+
+    ``half`` holds n + 1 complex numbers. Every entry of z and half is
+    written before it is read, so their old contents do not matter and
+    the same buffers serve call after call. Unchecked: see ``sample_fgn``.
+    """
+    weight = _circulant_sqrt_eig(spec.n, H)
+    n, m = spec.n, 2 * spec.n
+    spec.rng().standard_normal(out=z)
+    a, b = z[:m], z[m:]
+    # x = sqrt(m) Re(ifft(sqrt(eig) (a + ib))) has exactly the circulant
+    # covariance: E[(a + ib)_k^2] = 0, so the real part carries half of
+    # E|.|^2 = 2 eig / m. That real part is the inverse FFT of the Hermitian
+    # part of sqrt(eig) (a + ib); as eig_k = eig_{m-k}, its entry k is
+    # sqrt(eig_k) (a_k + a_{m-k} + i (b_k - b_{m-k})) / 2, indices mod m, and
+    # irfft reads it at k = 0..n only. The normals are spent once half is
+    # built, so the transform is written over them.
+    half.real[0], half.imag[0] = 2.0 * a[0], 0.0
+    np.add(a[1 : n + 1], a[: n - 1 : -1], out=half.real[1:])
+    np.subtract(b[1 : n + 1], b[: n - 1 : -1], out=half.imag[1:])
+    np.multiply(half.real, weight, out=half.real)
+    np.multiply(half.imag, weight, out=half.imag)
+    return np.fft.irfft(half, m, out=a)[:n]
+
+
 def sample_fgn(spec: NoiseSpec, H: HurstParam) -> np.ndarray:
     """Sample a zero-mean stationary Gaussian vector with fGn covariance.
 
@@ -280,7 +307,8 @@ def sample_fgn(spec: NoiseSpec, H: HurstParam) -> np.ndarray:
     exactly ``fgn_autocovariance(., H)``, not an approximation of it. The
     embedding's spectrum is computed once per (n, H) and reused, so a call
     with a seen (n, H) costs only its ``4n`` normals and one half-length
-    real inverse FFT.
+    real inverse FFT. It allocates the ``4n`` normals, which the transform
+    overwrites, the ``n + 1`` complex half spectrum and the returned vector.
 
     Parameters
     ----------
@@ -291,24 +319,10 @@ def sample_fgn(spec: NoiseSpec, H: HurstParam) -> np.ndarray:
 
     Returns
     -------
-    numpy.ndarray of shape ``(spec.n,)``. Same spec in, same bytes out.
+    numpy.ndarray of shape ``(spec.n,)`` that owns its values: it keeps
+    no larger buffer alive. Same spec in, same bytes out.
     """
     _hurst("sample_fgn", H)
     if spec.n < 2:
         raise ValueError(f"need n >= 2 to define fGn, got n={spec.n}")
-    weight = _circulant_sqrt_eig(spec.n, H)
-    n, m = spec.n, 2 * spec.n
-    z = spec.rng().standard_normal(2 * m)
-    a, b = z[:m], z[m:]
-    # x = sqrt(m) Re(ifft(sqrt(eig) (a + ib))) has exactly the circulant
-    # covariance: E[(a + ib)_k^2] = 0, so the real part carries half of
-    # E|.|^2 = 2 eig / m. That real part is the inverse FFT of the Hermitian
-    # part of sqrt(eig) (a + ib); as eig_k = eig_{m-k}, its entry k is
-    # sqrt(eig_k) (a_k + a_{m-k} + i (b_k - b_{m-k})) / 2, indices mod m, and
-    # irfft reads it at k = 0..n only.
-    half = np.empty(n + 1, dtype=complex)
-    half.real[0], half.imag[0] = 2.0 * a[0], 0.0
-    np.add(a[1 : n + 1], a[: n - 1 : -1], out=half.real[1:])
-    np.subtract(b[1 : n + 1], b[: n - 1 : -1], out=half.imag[1:])
-    half *= weight
-    return np.fft.irfft(half, m)[:n]
+    return _fgn_into(spec, H, np.empty(4 * spec.n), np.empty(spec.n + 1, dtype=complex)).copy()

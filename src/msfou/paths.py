@@ -6,18 +6,26 @@ folding the two sides gives a sub-fractional Brownian motion (sfBm); adding
 an independent Brownian motion gives the mixed process xi; the
 Ornstein-Uhlenbeck recursion driven by xi increments gives the observed
 path X. Paths are read from and written to CSV through open text handles.
+
+``euler_msfou`` runs that pipeline in place in 12N + 2 floats: the fGn's
+8N normals and its half spectrum. A call makes and drops its own set,
+except inside ``_reuse_buffers``, where a thread keeps one set per N: the
+harness runs its replication loops in one, so no replication faults in a
+fresh set.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .noise import HurstParam, NoiseSpec, _finite_array, _finite_vector, sample_fgn
-from .noise import _count, _finite, _frozen_vectors, _hurst, _positive
+from .noise import _count, _fgn_into, _finite, _frozen_vectors, _hurst, _positive
 
 __all__ = [
     "SamplePath",
@@ -151,7 +159,7 @@ def _block_filter(a: float) -> tuple[np.ndarray, np.ndarray]:
     return powers, filt
 
 
-def _first_order_recursion(a: float, drive: np.ndarray) -> np.ndarray:
+def _first_order_recursion(a: float, drive: np.ndarray, work=None) -> np.ndarray:
     """X with X_i = a*X_{i-1} + drive_i for i = 0, 1, ..., and X_{-1} = 0.
 
     Up to one block this is the plain loop. A longer drive is cut into
@@ -159,7 +167,9 @@ def _first_order_recursion(a: float, drive: np.ndarray) -> np.ndarray:
     with the triangular filter of a^(i-j); the true block ends obey the same
     recursion with a^_BLOCK and are solved by this function, and each block
     then adds its predecessor's end times a^(1.._BLOCK) (Blelloch 1990).
-    The filter is built once per a: a Monte Carlo run reuses one a.
+    The filter is built once per a: a Monte Carlo run reuses one a. The
+    blocks take 2 * ceil(n / _BLOCK) * _BLOCK floats of ``work`` (made if
+    None), not overlapping drive, and a longer X is a view of it.
     """
     n = drive.size
     if n <= _BLOCK:
@@ -169,12 +179,34 @@ def _first_order_recursion(a: float, drive: np.ndarray) -> np.ndarray:
             out.append(cur)
         return np.array(out)
     powers, filt = _block_filter(a)
-    blocks = np.zeros(-(-n // _BLOCK) * _BLOCK)
-    blocks[:n] = drive
-    local = blocks.reshape(-1, _BLOCK) @ filt
+    size = -(-n // _BLOCK) * _BLOCK
+    flat = np.empty(2 * size) if work is None else work[: 2 * size]
+    flat[:n], flat[n:size] = drive, 0.0
+    blocks, local = flat.reshape(2, -1, _BLOCK)
+    np.matmul(blocks, filt, out=local)
     ends = _first_order_recursion(powers[-1], local[:, -1])
-    local[1:] += np.multiply.outer(ends[:-1], powers[1:])
+    # the blocks are spent: their room takes the carried-in ends
+    np.multiply(ends[:-1, None], powers[1:], out=blocks[1:])
+    local[1:] += blocks[1:]
     return local.ravel()[:n]
+
+
+class _Scope(threading.local):
+    sets = None  # euler_msfou's {N: (z, half)} inside _reuse_buffers
+
+
+_scope = _Scope()
+
+
+@contextlib.contextmanager
+def _reuse_buffers():
+    """In the block, euler_msfou on this thread (or a fork) keeps one buffer set per N."""
+    outer = _scope.sets
+    _scope.sets = {} if outer is None else outer
+    try:
+        yield
+    finally:
+        _scope.sets = outer
 
 
 # Disjoint substream indices of one master seed, so the sfBm and Brownian
@@ -212,23 +244,35 @@ def euler_msfou(
     N = _count("N", N, 1)
     _hurst("euler_msfou", H)
 
-    fgn = sample_fgn(NoiseSpec(n=2 * N, seed=seed, stream=_STREAM_SFBM), H)
-    s_path = sfbm_path(two_sided_fbm(fgn, d, H))
-    ds = np.diff(s_path.full_values())
+    sets = {} if _scope.sets is None else _scope.sets
+    if N not in sets:
+        sets[N] = np.empty(8 * N), np.empty(2 * N + 1, dtype=complex)
+    z, half = sets[N]
+    # The public route, sfbm_path(two_sided_fbm(sample_fgn(...))), its
+    # increments and the Brownian ones, op for op and so byte for byte, in
+    # z beyond the fGn z[:2N]; the half spectrum's room takes the recursion.
+    fgn = _fgn_into(NoiseSpec(n=2 * N, seed=seed, stream=_STREAM_SFBM), H, z, half)
+    s, neg, ds, dw = z[2 * N : 6 * N].reshape(4, N)
+    scale = d**H.h
+    np.multiply(np.cumsum(fgn[N:], out=s), scale, out=s)
+    np.multiply(np.cumsum(fgn[N - 1 :: -1], out=neg), -scale, out=neg)
+    np.divide(np.add(s, neg, out=s), math.sqrt(2.0), out=s)
+    ds[0] = s[0]
+    np.subtract(s[1:], s[:-1], out=ds[1:])
 
     rng = NoiseSpec(n=N, seed=seed, stream=_STREAM_BM).rng()
-    dw = math.sqrt(d) * rng.standard_normal(N)
+    np.multiply(rng.standard_normal(out=dw), math.sqrt(d), out=dw)
 
-    drive = ds + dw
+    drive = np.add(ds, dw, out=ds)
     a = 1.0 - theta * d
     # X_i = a X_{i-1} + drive_i. Up to 32 steps each one rounds as the plain
     # loop, fl(drive_i + fl(a X_{i-1})); past that the blocked solve sums in
     # another order, within about 1e-14 of max|X| of the exact recursion.
     # An exploding path overflows to inf or nan without a warning, and
-    # SamplePath refuses it by name.
+    # SamplePath, a copy out of the buffers, refuses it by name.
     drive[0] += a * x0
     with np.errstate(over="ignore", invalid="ignore"):
-        values = _first_order_recursion(a, drive)
+        values = _first_order_recursion(a, drive, half.view(float))
     return SamplePath(d=d, values=values, initial_value=x0)
 
 

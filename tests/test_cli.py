@@ -117,7 +117,7 @@ class TestSimulate:
         def sampled(*args, **kwargs):
             raise AssertionError("noise was drawn")
 
-        monkeypatch.setattr(paths, "sample_fgn", sampled)
+        monkeypatch.setattr(paths, "_fgn_into", sampled)
         out = tmp_path / "q.csv"
         argv = ["simulate", "--theta", theta, "--hurst", "0.6", "--d", "0.1", "--T", "1",
                 "--seed", seed, "--out", str(out)]

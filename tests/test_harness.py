@@ -5,13 +5,17 @@ Covers:
   2. summarize against an independent moment implementation (scipy.stats).
   3. Per-replication seed derivation.
   4. run_table_experiment: determinism, worker-count invariance, failure
-     accounting, invariance to the state of the noise spectrum cache.
+     accounting, invariance to the state of the noise spectrum cache, one
+     reused set of path buffers per loop, thread safety.
   5. run_clt_experiment: gates and the standardization pipeline.
   6. run_rate_experiment: gates, shape, and the regime scaling map.
   7. All three experiments reject workers below 1 before any path.
 """
 
 import math
+import sys
+import threading
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -382,6 +386,63 @@ class TestRunTableExperiment:
         assert 0.4 < stats.mean < 1.8
         assert stats.n_failed == 0
 
+
+class TestPathBuffers:
+    N = 5000  # T / d
+
+    def test_warm_replication_allocates_no_path_buffers(self, monkeypatch):
+        # a replication's path is simulated in the loop's buffer set: past
+        # the first it allocates only the path it returns, where a fresh set
+        # of intermediates held 16 N-long vectors
+        cfg = _config(T=50.0, d=0.01, replications=4)
+        run_table_experiment(cfg)  # fills the spectrum and filter caches
+        simulate, peaks = harness.euler_msfou, []
+
+        def measured(**kwargs):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            path = simulate(**kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            return path
+
+        monkeypatch.setattr(harness, "euler_msfou", measured)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            run_table_experiment(cfg)
+            kept = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        print(f"  warm paths peak at {max(peaks[1:]) / (8 * self.N):.2f} N floats, "
+              f"{kept} bytes kept")
+        assert len(peaks) == cfg.replications
+        assert max(peaks[1:]) <= 3 * 8 * self.N
+        # the set goes when the loop returns
+        assert kept <= 64 * 1024
+
+    def test_threads_running_tables_at_once_match_serial_runs(self):
+        # each thread keeps its own buffer set, so none overwrites another's
+        # path mid-replication; more threads than cores, switching often
+        cfgs = [_config(T=20.0, d=0.01, replications=40, master_seed=s) for s in (5, 6, 7)]
+        serial = [run_table_experiment(cfg) for cfg in cfgs]
+        start, results = threading.Barrier(len(cfgs)), [None] * len(cfgs)
+
+        def run(i):
+            start.wait(timeout=60)
+            results[i] = run_table_experiment(cfgs[i])
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(cfgs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == serial
 
 class TestWorkersBelowOne:
     @pytest.fixture(autouse=True)

@@ -25,8 +25,10 @@ from msfou import (
     HurstRegime,
     Method,
     NoiseSpec,
+    euler_msfou,
     fgn_autocovariance,
     noise,
+    paths,
     run_table_experiment,
     sample_fgn,
 )
@@ -301,3 +303,28 @@ class TestHalfLengthSynthesis:
         assert _state(used[0]) == _state(fresh)
         fresh.standard_normal()
         assert _state(used[0]) != _state(fresh)
+
+
+class TestSampleBuffers:
+    def test_returned_vector_owns_its_values(self):
+        # a view of the 2n-long transform would keep all of it alive
+        x = sample_fgn(NoiseSpec(n=1000, seed=3), HurstParam(0.65))
+        assert x.base is None
+        assert x.nbytes == 8 * 1000
+
+    def test_synthesis_reads_nothing_it_did_not_write(self):
+        spec, h = NoiseSpec(n=1000, seed=3, stream=1), HurstParam(0.65)
+        z, half = np.full(4000, np.nan), np.full(1001, np.nan, dtype=complex)
+        x = noise._fgn_into(spec, h, z, half)
+        assert np.shares_memory(x, z)
+        assert x.tobytes() == sample_fgn(spec, h).tobytes()
+
+    def test_vector_from_a_reuse_scope_survives_the_next_calls(self):
+        h = HurstParam(0.65)
+        with paths._reuse_buffers():
+            x = sample_fgn(NoiseSpec(n=1000, seed=3), h)
+            kept = x.copy()
+            for seed in (3, 4):
+                sample_fgn(NoiseSpec(n=1000, seed=seed), h)
+                euler_msfou(theta=1.0, H=h, d=0.01, N=500, seed=seed)
+        assert x.tobytes() == kept.tobytes()

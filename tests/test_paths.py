@@ -5,11 +5,13 @@ Covers:
   2. Two-sided fBm assembly and the sfBm fold.
   3. sfBm covariance closed form (frozen oracle value, reductions).
   4. Euler recursion for the mixed OU process (exact cases, determinism).
-  5. CSV round trips.
+  5. Path buffers: byte equality with the public route, reuse scopes.
+  6. CSV round trips.
 """
 
 import io
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -23,6 +25,7 @@ from msfou import (
     SamplePath,
     TwoSidedFbm,
     euler_msfou,
+    paths,
     read_path_csv,
     sample_fgn,
     sfbm_covariance,
@@ -312,6 +315,70 @@ class TestEulerMsfou:
         name, value = ("x0", x0) if math.isfinite(theta) else ("theta", theta)
         with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
             euler_msfou(theta=theta, H=HurstParam(0.6), d=0.1, N=10, seed=1, x0=x0)
+
+
+def _public_route(theta, h, d, n, seed, x0):
+    """euler_msfou's values through the public fold and the allocating recursion."""
+    ds, dw = _drive_parts(h, d, n, seed)
+    drive = ds + dw
+    a = 1.0 - theta * d
+    drive[0] += a * x0
+    return paths._first_order_recursion(a, drive)
+
+
+class TestPathBuffers:
+    # euler_msfou folds the fGn and runs the recursion in place; beyond 32
+    # steps only byte equality with the public route pins that fold
+    @pytest.mark.parametrize("n", [33, 1250, 5000])
+    @pytest.mark.parametrize("theta", [0.7, 0.0, -0.5])
+    @pytest.mark.parametrize("x0", [0.0, 0.5])
+    def test_matches_the_public_route_byte_for_byte(self, n, theta, x0):
+        d, seed, h = 0.02, 99, HurstParam(0.55)
+        expected = _public_route(theta, h, d, n, seed, x0).tobytes()
+        one_off = euler_msfou(theta=theta, H=h, d=d, N=n, seed=seed, x0=x0)
+        assert one_off.values.tobytes() == expected
+        with paths._reuse_buffers():
+            # the first call leaves another path's numbers in the buffers
+            euler_msfou(theta=theta, H=h, d=d, N=n, seed=seed + 1, x0=x0)
+            x = euler_msfou(theta=theta, H=h, d=d, N=n, seed=seed, x0=x0)
+        assert x.values.tobytes() == expected
+
+    def test_exploding_path_in_a_scope_leaves_the_next_path_intact(self):
+        h = HurstParam(0.55)
+        expected = euler_msfou(theta=0.7, H=h, d=0.1, N=20000, seed=98).values.tobytes()
+        with paths._reuse_buffers():
+            with pytest.raises(ValueError, match="values contains non-finite entries"):
+                euler_msfou(theta=-0.5, H=h, d=0.1, N=20000, seed=99)
+            x = euler_msfou(theta=0.7, H=h, d=0.1, N=20000, seed=98)
+        assert x.values.tobytes() == expected
+
+    def test_scope_keeps_one_set_per_n_until_the_outermost_exits(self):
+        h = HurstParam(0.6)
+        assert paths._scope.sets is None
+        with paths._reuse_buffers():
+            x = euler_msfou(theta=1.0, H=h, d=0.01, N=100, seed=1)
+            kept = x.values.copy()
+            with paths._reuse_buffers():
+                euler_msfou(theta=1.0, H=h, d=0.01, N=100, seed=2)
+                euler_msfou(theta=1.0, H=h, d=0.01, N=40, seed=2)
+            assert sorted(paths._scope.sets) == [40, 100]
+            euler_msfou(theta=1.0, H=h, d=0.01, N=100, seed=3)
+            assert x.values.tobytes() == kept.tobytes()
+        assert paths._scope.sets is None
+
+    def test_one_off_path_peaks_below_sixteen_vectors_of_n(self):
+        # the allocating pipeline held 16 N-long float vectors at its peak
+        n, h = 5000, HurstParam(0.6)
+        euler_msfou(theta=1.0, H=h, d=0.01, N=n, seed=1)  # fills the spectrum cache
+        tracemalloc.start()
+        try:
+            euler_msfou(theta=1.0, H=h, d=0.01, N=n, seed=2)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        print(f"  one-off path peaks at {peak / (8 * n):.2f} N floats")
+        assert peak < 16 * 8 * n
+        assert kept < 8 * 1024
 
 
 # ---------------------------------------------------------------------------
