@@ -93,7 +93,7 @@ class _GridPlan:
     observation times up to t_k; panel holds d^-1 times the trapezoid
     weights of g(., t_k) on [t_{k-1}, t_k], one CSR row per k. g_stop is
     g(t_k, t_k) (at s = 0, g is exactly 1); d_vals the trapezoid
-    int_0^{t_{k-1}} g(s, t_k) ds; bracket is <M> on the mesh, dm its steps.
+    int_0^{t_{k-1}} g(s, t_k) ds; bracket is <M> on the mesh.
     """
 
     z_sums: _GridSums
@@ -102,11 +102,10 @@ class _GridPlan:
     g_stop: np.ndarray
     d_vals: np.ndarray
     bracket: np.ndarray
-    dm: np.ndarray
 
     def __post_init__(self) -> None:
         panel = (self.panel.data, self.panel.indices, self.panel.indptr)
-        for arr in (*panel, self.g_stop, self.d_vals, self.bracket, self.dm):
+        for arr in (*panel, self.g_stop, self.d_vals, self.bracket):
             arr.setflags(write=False)
 
 
@@ -123,8 +122,7 @@ def _grid_plan(hh: float, n: int, d: float, m: int) -> _GridPlan:
     times = d * np.arange(n + 1)  # t_0..t_N of the path
     t = idx[1:] * d
     kernel, bracket = _mesh_kernel(hh, _UNIT_MESH, t)
-    dm = np.diff(bracket)
-    if np.any(dm <= 0.0):
+    if np.any(np.diff(bracket) <= 0.0):
         raise RuntimeError("degenerate bracket increment in <M>")
     stop, prev = idx[1:], idx[:-1]
     # Z on the step midpoints, F on the observation times, both up to t_k
@@ -144,7 +142,6 @@ def _grid_plan(hh: float, n: int, d: float, m: int) -> _GridPlan:
         g_stop=g_stop,
         d_vals=d * (f_sums(np.ones(n + 1)) - 0.5 * (1.0 + g_stop) - panel.sum(axis=1)),
         bracket=bracket,
-        dm=dm,
     )
 
 
@@ -202,7 +199,8 @@ def decompose(x: SamplePath, h: HurstParam, m: int = 128) -> MartingaleDecomposi
     # int_0^{t_{k-1}} g(s, t_k) X_s ds is F(t_k) minus the last panel's trapezoid.
     c_vals = f_vals - x.d * (plan.panel @ full)
     f_before = np.concatenate(([0.0], f_vals[:-1]))
-    bracket, dm = plan.bracket, plan.dm
+    bracket = plan.bracket
+    dm = np.diff(bracket)
     q_vals = np.empty(m + 1)
     q_vals[:-1] = (c_vals - f_before + full[prev] * (bracket[1:] - plan.d_vals)) / dm
     # right endpoint: one-sided, never enters the left-point sums

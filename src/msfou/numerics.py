@@ -38,12 +38,13 @@ mesh. One matrix assembly per ``(H, m)`` therefore serves every right
 endpoint ``t``; changing ``t`` only rescales the system by ``c = t^(2H-1)``.
 The diagonal values ``g(s_j, s_j)`` come from a batch of such rescaled
 solves, one per right endpoint ``s_j``, each fully resolved on its own
-scaled mesh. The batch factors no m x m matrix: the Krylov space of
+scaled mesh. Each system has a node at sigma = 0, whose row reads the
+known value g(0, t) = 1, so every system of a batch has the right-hand
+side 1. The batch factors no m x m matrix: the Krylov space of
 ``I + c K`` is that of ``K`` for every ``c``, so one Arnoldi basis of a
-few dozen vectors per right-hand side serves every rescaled system
-(shifted FOM), each of which then costs a small projected solve and one
-combination of the basis, and its residual is checked against the
-original system.
+few dozen vectors serves every rescaled system (shifted FOM), each of
+which then costs a small projected solve and one combination of the
+basis, and its residual is checked against the original system.
 
 Solutions carry boundary layers in powers of ``s^rho`` and ``(t-s)^rho``
 (rho = 2H-1) at the two ends of ``[0, t]``. Two Nystrom systems handle
@@ -396,17 +397,19 @@ def _edge_moments(rho: float, m: int, order: int) -> tuple[np.ndarray, np.ndarra
     |r - sigma|^(rho-1) - (r + sigma)^(rho-1), and w = 1 - r maps the last
     ``order`` panels onto [0, X]. Both same-side parts are
     int_0^X w^(k rho) |c_i - w|^(rho-1) dw, with c_i = sigma_i on the left
-    and c_i = 1 - sigma_i on the right: c_i^((k+1) rho) times an incomplete
-    beta function B_(X/c_i)(k rho + 1, rho) when c_i >= X, split at w = c_i
-    when 0 < c_i < X (the tail in the Euler hypergeometric form), an
-    elementary power at c_i = 0 (the final node). The cross part is a Gauss
-    hypergeometric function of -X/sigma_i on the left and, as
-    1 + sigma_i > X, an incomplete beta function on the right. Pfaff's
-    transformation (DLMF 15.8.1) takes each Gauss function of -v to one of
-    v/(1+v) <= 2/3, and ``_incomplete_beta`` and ``_gauss_2f1`` sum the
-    series, all rows k at once. B(a, b) = Gamma(a) Gamma(b) / Gamma(a + b)
-    from ``math.gamma``, to about 3 ulps; through ``math.lgamma`` the
-    largest moments, near the element, came out twice as far from mpmath.
+    and c_i = 1 - sigma_i, taken as (m - i)/m, on the right (so that
+    c_i = X exactly at the element's inner node): c_i^((k+1) rho) times an
+    incomplete beta function B_(X/c_i)(k rho + 1, rho) when c_i >= X,
+    split at w = c_i when 0 < c_i < X (the tail in the Euler
+    hypergeometric form), an elementary power at c_i = 0 (the final
+    node). The cross part is a Gauss hypergeometric function of -X/sigma_i
+    on the left and, as 1 + sigma_i > X, an incomplete beta function on
+    the right. Pfaff's transformation (DLMF 15.8.1) takes each Gauss
+    function of -v to one of v/(1+v) <= 2/3, and ``_incomplete_beta`` and
+    ``_gauss_2f1`` sum the series, all rows k at once. B(a, b) = Gamma(a)
+    Gamma(b) / Gamma(a + b) from ``math.gamma``, to about 3 ulps; through
+    ``math.lgamma`` the largest moments, near the element, came out twice
+    as far from mpmath.
     """
     hstep = 1.0 / m
     big_x = order * hstep
@@ -418,7 +421,7 @@ def _edge_moments(rho: float, m: int, order: int) -> tuple[np.ndarray, np.ndarra
     b_full = np.array([[math.gamma(a) * math.gamma(rho) / math.gamma(a + rho)] for a in ap[:, 0]])
     # the same-side parts, left then right: the node's distance c from w = 0
     # and the panels between them
-    c = np.concatenate((sig, 1.0 - sig))
+    c = np.concatenate((sig, (m - idx) * hstep))
     steps = np.concatenate((idx, m - idx))
     far = steps >= order
     inside = (steps > 0) & ~far
@@ -445,20 +448,23 @@ def _edge_moments(rho: float, m: int, order: int) -> tuple[np.ndarray, np.ndarra
 
 
 def _hat_panel_moments(
-    a: np.ndarray, b: np.ndarray, sig: np.ndarray, rho: float, alpha: float, width
+    nodes: np.ndarray, rho: float, alpha: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact unit-kernel moments of the linear hats on panels [a_q, b_q].
+    """Exact unit-kernel moments of the linear hats on the panels between nodes.
+
+    Panel q runs from a_q = nodes[q] to b_q = nodes[q + 1], and row i
+    collocates at sig_i = nodes[i + 1]:
 
     m0[i, q] = int_panel_q alpha kappa-hat(r, sig_i) dr
-    u1[i, q] = int_panel_q ((r - a_q)/width_q) alpha kappa-hat(r, sig_i) dr
+    u1[i, q] = int_panel_q ((r - a_q)/(b_q - a_q)) alpha kappa-hat(r, sig_i) dr
 
     The left node of panel q gets weight m0 - u1, the right node u1.
-    ``width`` is the panel width as the caller's mesh defines it (the
-    scalar step of a uniform mesh, else b - a).
+    Panel ends and collocation points are the same floats, so a panel
+    end at the collocation point puts |x|^rho at x = 0, exactly.
     """
-    a = a[None, :]
-    b = b[None, :]
-    col = sig[:, None]
+    a = nodes[None, :-1]
+    b = nodes[None, 1:]
+    col = nodes[1:, None]
 
     def f_same(x):
         # antiderivative of |x|^(rho-1)
@@ -476,44 +482,37 @@ def _hat_panel_moments(
     ) - (a + col) * cross_0
 
     m0 = alpha * (d_f - cross_0)
-    u1 = alpha * (d_g + (col - a) * d_f - cross_1) / width
+    u1 = alpha * (d_g + (col - a) * d_f - cross_1) / (b - a)
     return m0, u1
 
 
-def _unit_kernel_system(hh: float, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nystrom weight matrix W and anchor vector e on the unit mesh j/m.
+def _unit_kernel_system(hh: float, m: int) -> np.ndarray:
+    """Nystrom matrix W on the unit mesh sigma_j = j/m, j = 0..m, one column per node.
 
-    For any right endpoint t, the nodal values G_j ~ g(t*sigma_j, t) at
-    sigma_j = j/m (j = 1..m) solve (I + c W) G = 1 - c e with c = t^(2H-1).
-    The anchor vector carries the known boundary value g(0, t) = 1 through
-    the left edge element. Interior panels are linear hats with elementary
-    exact moments; the two edge elements are quadratic in the layer
-    coordinate with beta/hypergeometric exact moments.
+    For any right endpoint t, the nodal values G_j ~ g(t*sigma_j, t) solve
+    (I + c W) G = 1 with c = t^(2H-1). Row 0 is zero: the node sigma = 0
+    carries the known value g(0, t) = 1, which that row reads as G_0 = 1,
+    and column 0 feeds it to the other rows through the left edge element.
+    Interior panels are linear hats with elementary exact moments; the two
+    edge elements are quadratic in the layer coordinate with
+    beta/hypergeometric exact moments.
     """
     rho = 2.0 * hh - 1.0
     alpha = hh * rho
     order = _EDGE_ORDER
     hstep = 1.0 / m
-    sig = np.arange(1, m + 1) * hstep
-    a = np.arange(0, m) * hstep  # panel q = [a_q, a_q + hstep]
-    m0, u1 = _hat_panel_moments(a, a + hstep, sig, rho, alpha, hstep)
+    m0, u1 = _hat_panel_moments(np.arange(m + 1) * hstep, rho, alpha)
 
     shape = _edge_shape_matrix(rho, hstep, order)  # (order+1, order+1)
     left, right = _edge_moments(rho, m, order)  # each (order+1, m)
-    left_contrib = (alpha * left).T @ shape  # (m, order+1), column j <-> node sigma = j/m
-    right_contrib = (alpha * right).T @ shape  # column j <-> node sigma = 1 - j/m
-
-    weights = np.zeros((m, m))
-    anchor = left_contrib[:, 0].copy()  # known node g(0, t) = 1
-    for j in range(1, order + 1):
-        weights[:, j - 1] += left_contrib[:, j]
-    for j in range(order + 1):
-        weights[:, m - 1 - j] += right_contrib[:, j]
+    weights = np.zeros((m + 1, m + 1))
+    weights[1:, : order + 1] = (alpha * left).T @ shape  # column j <-> node j
+    weights[1:, m - order :] += ((alpha * right).T @ shape)[:, ::-1]  # node m - j
     # interior hats: u1 to each panel's right node, then m0 - u1 to its left
     inner = slice(order, m - order)
-    weights[:, inner] += u1[:, inner]
-    weights[:, order - 1 : m - order - 1] += m0[:, inner] - u1[:, inner]
-    return weights, anchor
+    weights[1:, order + 1 : m - order + 1] += u1[:, inner]
+    weights[1:, inner] += m0[:, inner] - u1[:, inner]
+    return weights
 
 
 # Arnoldi steps taken between two convergence checks of the shifted solves.
@@ -611,37 +610,33 @@ def _shifted_fom(
             return x
 
 
-def _batch_scaled_solve(
-    weights: np.ndarray, anchor: np.ndarray, cs: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Solve (I + c W) G = 1 - c e for each scale c; (solutions, max residual).
+def _batch_scaled_solve(weights: np.ndarray, cs: np.ndarray) -> tuple[np.ndarray, float]:
+    """Solve (I + c W) G = 1 for each scale c; (solutions, max residual).
 
-    Only c changes between the systems, and the right-hand side is linear
-    in it, so G(c) = x_1(c) - c x_2(c) with (I + c W) x_1 = 1 and
-    (I + c W) x_2 = e: two shifted Krylov solves (``_shifted_fom``) of the
-    balanced D W D^-1 (``_balance``), each on one basis of k = 8-40
-    vectors: O(k m^2 + S k m) for S shifts, and no m x m matrix is
-    factored. The residual is recomputed from the returned solutions
-    against the original systems, one O(S m^2) matrix product.
+    Only c changes between the systems, so one shifted Krylov solve
+    (``_shifted_fom``) of the balanced D W D^-1 (``_balance``) serves them
+    all, on one basis of k = 8-40 vectors: O(k m^2 + S k m) for S shifts,
+    and no m x m matrix is factored. The residual is recomputed from the
+    returned solutions against the original systems, one O(S m^2) matrix
+    product.
     """
     scale = _balance(weights)
     balanced = weights * scale[:, None] / scale
-    sols = _shifted_fom(balanced, scale, anchor, cs)
-    sols *= -cs[:, None]
-    sols += _shifted_fom(balanced, scale, np.ones(anchor.size), cs)
-    gap = (1.0 - cs[:, None] * anchor) - sols - cs[:, None] * (sols @ weights.T)
+    sols = _shifted_fom(balanced, scale, np.ones(len(weights)), cs)
+    gap = 1.0 - sols - cs[:, None] * (sols @ weights.T)
     return sols, float(np.abs(gap).max())
 
 
-def _graded_unit_system(hh: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Hat-basis Nystrom system on a mesh graded toward both endpoints.
+def _graded_unit_system(hh: float, n: int) -> np.ndarray:
+    """Hat-basis Nystrom matrix on a mesh graded toward both endpoints.
 
     Node j sits at x^q / (x^q + (1-x)^q) with x = j/n and grading exponent
     q = 2/rho (capped), the classical grading that restores second-order
     convergence of piecewise-linear product integration in the presence of
-    s^rho endpoint layers. Unknowns are the nodal values at j = 1..n; the
-    known value G = 1 at node 0 feeds the anchor vector. Only the value at
-    sigma = 1 is read off (diagonal solves), so no interpolant is built.
+    s^rho endpoint layers. Column j is node j = 0..n, and row j > 0
+    collocates there; row 0 is zero, so that (I + c W) G = 1 reads the
+    known value G_0 = g(0, t) = 1 there. Only the value at sigma = 1 is
+    read off (diagonal solves), so no interpolant is built.
     """
     rho = 2.0 * hh - 1.0
     alpha = hh * rho
@@ -653,15 +648,11 @@ def _graded_unit_system(hh: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     nodes = xa / (xa + xb)
     if np.any(np.diff(nodes) <= 0.0):
         raise RuntimeError(f"graded mesh collapsed at n={n} (grading {qexp:.2f})")
-    a, b = nodes[:-1], nodes[1:]
-    # collocation at the unknown nodes, which are the panels' right ends
-    m0, u1 = _hat_panel_moments(a, b, b, rho, alpha, b - a)
-
-    left = m0 - u1
-    weights_mat = u1  # right node of panel q is unknown column q
-    weights_mat[:, : n - 1] += left[:, 1:]  # left nodes of panels 1..n-1
-    anchor = left[:, 0].copy()  # left node of panel 0 has known value 1
-    return weights_mat, anchor
+    m0, u1 = _hat_panel_moments(nodes, rho, alpha)
+    weights = np.zeros((n + 1, n + 1))
+    weights[1:, 1:] = u1  # the right node of panel q is node q + 1
+    weights[1:, :-1] += m0 - u1
+    return weights
 
 
 @dataclass(frozen=True, eq=False)
@@ -930,16 +921,14 @@ def _solve_kernel(
     Raises RuntimeError when the residual exceeds 1e-6.
     """
     rho = 2.0 * hh - 1.0
-    weights, anchor = _unit_kernel_system(hh, unit)
-    rows, res_uniform = _batch_scaled_solve(weights, anchor, ends**rho)
-    weights, anchor = _graded_unit_system(hh, unit)
-    sols, res_graded = _batch_scaled_solve(weights, anchor, mesh**rho)
+    rows, res_uniform = _batch_scaled_solve(_unit_kernel_system(hh, unit), ends**rho)
+    sols, res_graded = _batch_scaled_solve(_graded_unit_system(hh, unit), mesh**rho)
     residual = max(res_uniform, res_graded)
     if residual > 1e-6:
         raise RuntimeError(f"Nystrom linear-system residual {residual:.3e} > 1e-6")
     diagonal = sols[:, -1]
     bracket = _layer_cumulative_square_integral(mesh, diagonal, rho)
-    return rows, diagonal, bracket, residual
+    return rows[:, 1:], diagonal, bracket, residual
 
 
 def _mesh_kernel(hh: float, unit: int, t: np.ndarray) -> tuple[_UnitInterpolant, np.ndarray]:
@@ -989,8 +978,8 @@ def solve_g_kernel(t: float, h: HurstParam, m: int = 256) -> KernelSolution:
     Returns nodal g(s_j, t), the diagonal g(s_j, s_j) (each diagonal value
     from its own fully resolved solve at right endpoint s_j), and the
     bracket <M> accumulated from the squared diagonal. H = 1/2 short-
-    circuits to the exact g = 1, <M>_t = t. The m diagonal solves share two
-    Krylov bases of the graded m x m system, of k = 8-40 vectors each,
+    circuits to the exact g = 1, <M>_t = t. The m diagonal solves share one
+    Krylov basis of the graded system of order m + 1, of k = 8-40 vectors,
     O(k m^2), after which each costs O(k m), and O(m^2) to check its
     residual. t must be finite and positive ("t must be positive, got
     0.0"), and m a whole number ("m must be a whole number, got 8.5"; 256.0

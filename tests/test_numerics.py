@@ -5,7 +5,8 @@ Covers:
   2. Stationary second moment p(theta) and its inverse.
   3. Correction integral against a brute-force tensor-grid oracle and an
      mpmath reference.
-  4. The kernel equation solver: residual, identity, stability, reductions.
+  4. The kernel equation solver: residual, identity, stability, reductions,
+     and the Nystrom rows' integral of the constant.
   5. The edge-element kernel moments against an mpmath reference.
   6. The interpolant: nodes, region boundaries, and its window matrices.
 
@@ -45,6 +46,7 @@ from msfou.numerics import (
     _unit_kernel_system,
 )
 from oracles.kernel_quadrature import integral_g
+from oracles.nystrom_rows import row_integral_defect
 
 # mpmath, 50 digits; tests/oracles/gamma_values.py
 GAMMA_TABLE = {
@@ -382,10 +384,16 @@ class TestSolveGKernel:
         assert kept < 0.1 * 2**20
 
 
-def _per_shift_solutions(weights, anchor, cs):
-    """Oracle: one dense solve of (I + c W) G = 1 - c e per shift c."""
-    eye = np.eye(weights.shape[0])
-    return np.array([np.linalg.solve(eye + c * weights, 1.0 - c * anchor) for c in cs])
+def _per_shift_solutions(weights, cs):
+    """Oracle: one dense solve of (I + c W) G = 1 - c e per shift c, then G_0 = 1.
+
+    W is the matrix without the known node sigma = 0, e its column in the
+    other rows: the system that the known value g(0, t) = 1 leaves.
+    """
+    inner, known = weights[1:, 1:], weights[1:, 0]
+    eye = np.eye(len(inner))
+    sols = [np.linalg.solve(eye + c * inner, 1.0 - c * known) for c in cs]
+    return np.concatenate((np.ones((len(cs), 1)), sols), axis=1)
 
 
 SYSTEMS = pytest.mark.parametrize(
@@ -405,12 +413,12 @@ class TestBatchScaledSolve:
     @SYSTEMS
     def test_matches_per_shift_solve(self, system, hh, m):
         # the shifts of a T = 200 horizon: c_j = (j T / m)^rho, j = 1..m
-        weights, anchor = system(hh, m)
+        weights = system(hh, m)
         cs = (np.arange(1, m + 1) * (200.0 / m)) ** (2.0 * hh - 1.0)
-        sols, residual = _batch_scaled_solve(weights, anchor, cs)
-        want = _per_shift_solutions(weights, anchor, cs)
+        sols, residual = _batch_scaled_solve(weights, cs)
+        want = _per_shift_solutions(weights, cs)
         assert float(np.max(np.abs(sols - want))) <= 1e-12
-        gap = (1.0 - cs[:, None] * anchor) - sols - cs[:, None] * (sols @ weights.T)
+        gap = 1.0 - sols - cs[:, None] * (sols @ weights.T)
         assert residual == float(np.max(np.abs(gap)))
 
     @pytest.mark.parametrize("hh", [0.5002, 0.65])
@@ -418,10 +426,10 @@ class TestBatchScaledSolve:
     def test_unit_1024_matches_per_shift_solve(self, system, hh):
         # the README's 1024 shifts (T = 200) on a unit mesh four times the
         # default, against a dense solve of every 64th shift
-        weights, anchor = system(hh, 1024)
+        weights = system(hh, 1024)
         cs = (np.arange(1, 1025) * (200.0 / 1024)) ** (2.0 * hh - 1.0)
-        sols, residual = _batch_scaled_solve(weights, anchor, cs)
-        want = _per_shift_solutions(weights, anchor, cs[::64])
+        sols, residual = _batch_scaled_solve(weights, cs)
+        want = _per_shift_solutions(weights, cs[::64])
         assert float(np.max(np.abs(sols[::64] - want))) <= 1e-12
         assert residual <= 1e-12
 
@@ -440,11 +448,30 @@ class TestBatchScaledSolve:
 
             monkeypatch.setattr(np.linalg, name, spy)
         m, hh = 256, 0.65
-        weights, anchor = system(hh, m)
+        weights = system(hh, m)
         orders.clear()  # assembly inverts a small shape matrix
         cs = (np.arange(1, m + 1) * (200.0 / m)) ** (2.0 * hh - 1.0)
-        _batch_scaled_solve(weights, anchor, cs)
+        _batch_scaled_solve(weights, cs)
         assert orders and max(orders) < m // 2
+
+
+class TestNystromRows:
+    # every row of both unit matrices integrates the constant exactly, also
+    # at m that are not powers of two: there a node distance computed an
+    # ulp away from the mesh's own reads |x|^rho at x = 1e-17 instead of 0,
+    # which left a defect of 0.49 at H = 0.5002
+    @pytest.mark.parametrize("m", [9, 100, 250, 1000])
+    @pytest.mark.parametrize("hh", [0.5002, 0.501, 0.55, 0.65, 0.85])
+    @pytest.mark.parametrize(
+        "name,system",
+        [("uniform", _unit_kernel_system), ("graded", _graded_unit_system)],
+        ids=["uniform", "graded"],
+    )
+    def test_rows_integrate_the_constant(self, name, system, hh, m):
+        weights = system(hh, m)
+        assert weights.shape == (m + 1, m + 1)
+        assert not weights[0].any()  # the known node sigma = 0 has no equation
+        assert row_integral_defect(name, hh, weights) <= 1e-12
 
 
 def _edge_moment_reference(rho: float, m: int, k: int, i: int, side: str) -> float:
@@ -459,7 +486,9 @@ def _edge_moment_reference(rho: float, m: int, k: int, i: int, side: str) -> flo
         r = mp.mpf(rho)
         big_x = mp.mpf(2) / m
         sig = mp.mpf(i) / m
-        c = sig if side == "left" else 1 - sig
+        # 1 - sig would leave c and X 1e-30 apart at i = m - 2 when 1/m is
+        # not a binary fraction, and (1e-30)^rho is far from 0
+        c = sig if side == "left" else mp.mpf(m - i) / m
 
         def layer(w):
             return w ** (k * r) if k else mp.mpf(1)
@@ -479,9 +508,13 @@ def _edge_moment_reference(rho: float, m: int, k: int, i: int, side: str) -> flo
 
 class TestEdgeMoments:
     # m = 4: every node; m = 64: both edge elements, their neighbours and
-    # the middle, so each branch (c >= X, 0 < c < X, c = 0) is taken
+    # the middle, so each branch (c >= X, 0 < c < X, c = 0) is taken;
+    # m = 100: the same rows where 1/m is not a binary fraction, so that
+    # sigma = 1 - X must still meet the right element's end exactly
     @pytest.mark.parametrize(
-        "m,rows", [(4, (1, 2, 3, 4)), (64, (1, 2, 3, 31, 62, 63, 64))], ids=["m4", "m64"]
+        "m,rows",
+        [(4, (1, 2, 3, 4)), (64, (1, 2, 3, 31, 62, 63, 64)), (100, (1, 2, 3, 49, 98, 99, 100))],
+        ids=["m4", "m64", "m100"],
     )
     @pytest.mark.parametrize("hh", [0.55, 0.9])
     def test_matches_mpmath(self, hh, m, rows):
@@ -506,9 +539,8 @@ class TestInterpUnitSolution:
     )
     def solution(self, request):
         hh = request.param
-        weights, anchor = _unit_kernel_system(hh, self.M)
-        sols, _ = _batch_scaled_solve(weights, anchor, np.array([5.0]))
-        return sols[0], 2.0 * hh - 1.0
+        sols, _ = _batch_scaled_solve(_unit_kernel_system(hh, self.M), np.array([5.0]))
+        return sols[0, 1:], 2.0 * hh - 1.0
 
     def _spanning_sigma(self):
         edges = [2.0 / self.M, 1.0 - 2.0 / self.M]
@@ -565,10 +597,9 @@ class TestWindow:
         # row k holds g_k(s_i / t_k) at i = lo[k] .. hi[k] - 1, in order and
         # int32-indexed; a row with lo[k] = hi[k] stays empty
         hh, rows = 0.65, 7
-        weights, anchor = _unit_kernel_system(hh, 64)
         t = np.linspace(1.0, 3.0, rows)
-        sols, _ = _batch_scaled_solve(weights, anchor, t ** (2.0 * hh - 1.0))
-        kernel = _unit_interpolant(sols, 2.0 * hh - 1.0)
+        sols, _ = _batch_scaled_solve(_unit_kernel_system(hh, 64), t ** (2.0 * hh - 1.0))
+        kernel = _unit_interpolant(sols[:, 1:], 2.0 * hh - 1.0)
         s = 0.01 * np.arange(101)
         rng = np.random.default_rng(seed)
         lo = rng.integers(0, s.size + 1, rows)
