@@ -29,7 +29,7 @@ per row (``grid_sums``): everything in those sums that depends on the
 grid alone is built with the operator, so applying it to data costs a
 few prefix sums and sparse matrix-vector products. Both ``_mesh_kernel``
 and ``solve_g_kernel`` take their solves from ``_solve_kernel``, which
-caches nothing: each call assembles and factors its systems anew, and
+caches nothing: each call assembles and solves its systems anew, and
 ``mle`` caches what a grid's paths repeat.
 
 The kernel ``kappa`` is homogeneous of degree ``2H-2``, so ``g(t*sigma, t)``
@@ -62,6 +62,11 @@ Pfaff's transformation (DLMF 15.8.1) and the incomplete beta function's
 hypergeometric form (DLMF 8.17.7) and reflection (DLMF 8.17.4). The
 bracket integrates the squared diagonal by quadratic fits in the layer
 coordinate, in closed form (``_layer_cumulative_square_integral``).
+
+Each step of the build writes into the arrays it returns, beside at most
+one full-size work array: the hat moments go into their matrix by row
+blocks (``_row_blocks``), so ``solve_g_kernel`` at unit m peaks near three
+(m+1)^2 arrays of doubles.
 
 No scipy special function is used: the only scipy module this one
 imports is ``scipy.sparse``, for the grid-sum operators, on first use.
@@ -447,42 +452,72 @@ def _edge_moments(rho: float, m: int, order: int) -> tuple[np.ndarray, np.ndarra
     return same[:, :m] - cross, same[:, m:] - betas[:, -m:]
 
 
+# Entries of each row block in which a kernel matrix is assembled: the
+# block's temporaries are a few arrays of about this size, beside the one
+# matrix that the blocks are written into.
+_BLOCK_ENTRIES = 2**15
+
+
+def _row_blocks(rows: int, cols: int):
+    """Slices that cover range(rows), of about _BLOCK_ENTRIES / cols rows each."""
+    step = max(1, _BLOCK_ENTRIES // cols)
+    return (slice(lo, min(lo + step, rows)) for lo in range(0, rows, step))
+
+
 def _hat_panel_moments(
-    nodes: np.ndarray, rho: float, alpha: float
+    nodes: np.ndarray, rho: float, alpha: float, rows: slice
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact unit-kernel moments of the linear hats on the panels between nodes.
 
     Panel q runs from a_q = nodes[q] to b_q = nodes[q + 1], and row i
-    collocates at sig_i = nodes[i + 1]:
+    collocates at sig_i = nodes[i + 1]; the rows i returned are ``rows``:
 
     m0[i, q] = int_panel_q alpha kappa-hat(r, sig_i) dr
     u1[i, q] = int_panel_q ((r - a_q)/(b_q - a_q)) alpha kappa-hat(r, sig_i) dr
 
     The left node of panel q gets weight m0 - u1, the right node u1.
     Panel ends and collocation points are the same floats, so a panel
-    end at the collocation point puts |x|^rho at x = 0, exactly.
+    end at the collocation point puts |x|^rho at x = 0, exactly. Each
+    antiderivative is evaluated once per node, at x = node - sig_i and
+    x = node + sig_i, and differenced across the panels.
     """
-    a = nodes[None, :-1]
-    b = nodes[None, 1:]
-    col = nodes[1:, None]
+    col = nodes[1:][rows, None]
+    # the cross parts, at x = node + sig; panel q reads columns q and q + 1
+    near = nodes + col
+    power = near**rho
+    cross_0 = power[:, 1:] - power[:, :-1]
+    del power
+    cross_0 /= rho
+    tail = near[:, :-1] * cross_0
+    near **= rho + 1.0
+    cross_1 = near[:, 1:] - near[:, :-1]
+    del near
+    cross_1 /= rho + 1.0
+    cross_1 -= tail
+    del tail
+    # the same-side parts, at x = node - sig: the antiderivatives of
+    # |x|^(rho-1) (f) and of x |x|^(rho-1) (g)
+    f = nodes - col
+    g = np.abs(f)
+    np.sign(f, out=f)
+    f *= g**rho
+    f /= rho
+    d_f = f[:, 1:] - f[:, :-1]
+    del f
+    g **= rho + 1.0
+    g /= rho + 1.0
+    u1 = g[:, 1:] - g[:, :-1]
+    del g
 
-    def f_same(x):
-        # antiderivative of |x|^(rho-1)
-        return np.sign(x) * np.abs(x) ** rho / rho
-
-    def g_same(x):
-        # antiderivative of x |x|^(rho-1)
-        return np.abs(x) ** (rho + 1.0) / (rho + 1.0)
-
-    d_f = f_same(b - col) - f_same(a - col)
-    d_g = g_same(b - col) - g_same(a - col)
-    cross_0 = ((b + col) ** rho - (a + col) ** rho) / rho
-    cross_1 = ((b + col) ** (rho + 1.0) - (a + col) ** (rho + 1.0)) / (
-        rho + 1.0
-    ) - (a + col) * cross_0
-
-    m0 = alpha * (d_f - cross_0)
-    u1 = alpha * (d_g + (col - a) * d_f - cross_1) / (b - a)
+    m0 = d_f - cross_0
+    del cross_0
+    m0 *= alpha
+    d_f *= col - nodes[:-1]
+    u1 += d_f
+    del d_f
+    u1 -= cross_1
+    u1 *= alpha
+    u1 /= np.diff(nodes)
     return m0, u1
 
 
@@ -495,13 +530,14 @@ def _unit_kernel_system(hh: float, m: int) -> np.ndarray:
     and column 0 feeds it to the other rows through the left edge element.
     Interior panels are linear hats with elementary exact moments; the two
     edge elements are quadratic in the layer coordinate with
-    beta/hypergeometric exact moments.
+    beta/hypergeometric exact moments. The hat moments are computed and
+    added by row blocks, so W is the only full-size array.
     """
     rho = 2.0 * hh - 1.0
     alpha = hh * rho
     order = _EDGE_ORDER
     hstep = 1.0 / m
-    m0, u1 = _hat_panel_moments(np.arange(m + 1) * hstep, rho, alpha)
+    nodes = np.arange(m + 1) * hstep
 
     shape = _edge_shape_matrix(rho, hstep, order)  # (order+1, order+1)
     left, right = _edge_moments(rho, m, order)  # each (order+1, m)
@@ -510,8 +546,12 @@ def _unit_kernel_system(hh: float, m: int) -> np.ndarray:
     weights[1:, m - order :] += ((alpha * right).T @ shape)[:, ::-1]  # node m - j
     # interior hats: u1 to each panel's right node, then m0 - u1 to its left
     inner = slice(order, m - order)
-    weights[1:, order + 1 : m - order + 1] += u1[:, inner]
-    weights[1:, inner] += m0[:, inner] - u1[:, inner]
+    for rows in _row_blocks(m, m + 1):
+        m0, u1 = _hat_panel_moments(nodes, rho, alpha, rows)
+        block = weights[1:][rows]
+        block[:, order + 1 : m - order + 1] += u1[:, inner]
+        m0 -= u1
+        block[:, inner] += m0[:, inner]
     return weights
 
 
@@ -621,10 +661,19 @@ def _batch_scaled_solve(weights: np.ndarray, cs: np.ndarray) -> tuple[np.ndarray
     product.
     """
     scale = _balance(weights)
-    balanced = weights * scale[:, None] / scale
+    balanced = weights * scale[:, None]
+    balanced /= scale
     sols = _shifted_fom(balanced, scale, np.ones(len(weights)), cs)
-    gap = 1.0 - sols - cs[:, None] * (sols @ weights.T)
-    return sols, float(np.abs(gap).max())
+    del balanced
+    # the residual (1 - G) - c (W G): the product whole, the rest by row blocks
+    prod = sols @ weights.T
+    prod *= cs[:, None]
+    worst = []
+    for rows in _row_blocks(*sols.shape):
+        gap = 1.0 - sols[rows]
+        gap -= prod[rows]
+        worst.append(np.abs(gap).max())
+    return sols, float(np.max(worst))
 
 
 def _graded_unit_system(hh: float, n: int) -> np.ndarray:
@@ -648,10 +697,13 @@ def _graded_unit_system(hh: float, n: int) -> np.ndarray:
     nodes = xa / (xa + xb)
     if np.any(np.diff(nodes) <= 0.0):
         raise RuntimeError(f"graded mesh collapsed at n={n} (grading {qexp:.2f})")
-    m0, u1 = _hat_panel_moments(nodes, rho, alpha)
     weights = np.zeros((n + 1, n + 1))
-    weights[1:, 1:] = u1  # the right node of panel q is node q + 1
-    weights[1:, :-1] += m0 - u1
+    for rows in _row_blocks(n, n + 1):
+        m0, u1 = _hat_panel_moments(nodes, rho, alpha, rows)
+        block = weights[1:][rows]
+        block[:, 1:] = u1  # the right node of panel q is node q + 1
+        m0 -= u1
+        block[:, :-1] += m0
     return weights
 
 
@@ -688,12 +740,14 @@ class _UnitInterpolant:
         out = np.empty(sigma.shape)
         edge = _EDGE_ORDER / self.nodes.size  # width of each edge layer
         right = sigma >= 1.0 - edge
-        left = (sigma <= edge) & ~right
-        mid = ~(left | right)
-        out[left] = _power_series(self.left[rows[left]], sigma[left] ** self.exponent)
-        out[right] = _power_series(
-            self.right[rows[right]], (1.0 - sigma[right]) ** self.exponent
-        )
+        left = sigma <= edge
+        left &= ~right
+        mid = np.logical_not(left | right)
+        out[left] = _power_series(self.left, rows[left], sigma[left] ** self.exponent)
+        v = np.subtract(1.0, sigma[right])
+        v **= self.exponent
+        out[right] = _power_series(self.right, rows[right], v)
+        del v
         s_mid = sigma[mid]
         q = np.clip(np.searchsorted(self.nodes, s_mid, side="right") - 1, 0, self.nodes.size - 2)
         r_mid = rows[mid]
@@ -721,9 +775,10 @@ class _UnitInterpolant:
         prefix sums of a depends on (t, s, n) alone and is built here,
         once: the cuts, the jumps, the powers of t and s and the right
         layer's kernel values. The operators share the arrays that depend
-        on t only. Each array is built whole, over all rows; the cuts and
-        right layers come before the jumps, so that the two phases'
-        temporaries never overlap.
+        on t only. Each array is built whole, over all rows, and in place:
+        each grid's cuts in one float buffer, the jumps in the arrays that
+        the operators keep. The cuts and right layers come before the
+        jumps, so that the two phases' temporaries never overlap.
         """
         e = self.exponent
         # the interior panels q, from sigma = order/m to 1 - order/m
@@ -732,19 +787,20 @@ class _UnitInterpolant:
         grid_parts = []
         for s, n in grids:
             u = s**e
-            factors = tuple(u**p for p in range(self.left.shape[1])) + (u * s,)
-            # samples below each boundary; a sample within rounding of a
-            # boundary may fall on either side, where the interpolant is continuous
-            below = np.ceil((np.outer(t, bounds) - s[0]) / (s[1] - s[0]))
-            cut = np.clip(below, 0, n[:, None]).astype(np.int32)
+            factors = tuple(u**p for p in range(1, self.left.shape[1])) + (u * s,)
+            # samples below each boundary, in one float buffer; a sample within rounding
+            # of a boundary may fall on either side, where the interpolant is continuous
+            below = np.multiply.outer(t, bounds)
+            below -= s[0]
+            below /= s[1] - s[0]
+            np.ceil(below, out=below)
+            np.clip(below, 0, n[:, None], out=below)
+            cut = below.astype(np.int32)
             del below  # so that it does not sit under the later temporaries
             right = self.window(t, s, cut[:, -1], n)
             # the prefix sums of a, which start at 0, have one column more than s
             grid_parts.append((factors, (t.size, s.size + 1), cut, right))
-        jump_u, jump_us = (
-            -np.diff(coef[:, inner], axis=1, prepend=0.0, append=0.0)
-            for coef in (self.offset, self.slope)
-        )
+        jump_u, jump_us = (_jumps(coef[:, inner]) for coef in (self.offset, self.slope))
         # each row of a jump matrix holds one entry per boundary
         rows_at = np.arange(0, jump_u.size + 1, bounds.size, dtype=np.int32)
         t_e = t**-e
@@ -766,11 +822,27 @@ class _UnitInterpolant:
         length = np.maximum(hi - lo, 0)
         local = np.repeat(np.arange(t.size, dtype=np.int32), length)
         end = np.cumsum(length)  # where row k's samples end in pos
-        shift = np.repeat(lo - (end - length), length)
-        pos = (np.arange(local.size) + shift).astype(np.int32)
-        g = self.at(local, s[pos] / t[local])
+        pos = np.repeat(lo - (end - length), length)
+        pos += np.arange(local.size)
+        pos = pos.astype(np.int32)
+        sigma = s[pos]
+        sigma /= t[local]
+        g = self.at(local, sigma)
         rows_at = np.concatenate(([0], end)).astype(np.int32)
         return _csr(g, pos, rows_at, (t.size, s.size))
+
+
+def _jumps(coef: np.ndarray) -> np.ndarray:
+    """-diff of each row of coef between a 0 before it and a 0 after it.
+
+    The same subtractions as np.diff over the padded rows, then the same
+    negation, written into the one array returned.
+    """
+    out = np.empty((coef.shape[0], coef.shape[1] + 1))
+    out[:, 0] = coef[:, 0]  # c - 0 is c, signed zeros too
+    np.subtract(coef[:, 1:], coef[:, :-1], out=out[:, 1:-1])
+    np.subtract(0.0, coef[:, -1], out=out[:, -1])
+    return np.negative(out, out=out)
 
 
 def _csr(
@@ -790,12 +862,13 @@ class _GridSums:
     """Sums of every interpolant row against data on one grid; see ``grid_sums``.
 
     lead[p] = left[:, p] t^(-p e), t_e = t^(-e), t_e1 = t^(-e-1); factors
-    are s^(p e) and s^(e+1). cut[k, r]: samples of s below boundary r of
-    row k, capped at n[k]. jump_u and jump_us are CSR matrices over the
-    cuts and the jumps, shared, not copied; the operators of one
-    ``grid_sums`` call share the jumps. right is the ``window`` of row k's
-    right layer, samples cut[k, -1] .. n[k] - 1. Index arrays are int32;
-    all arrays, those of the matrices too, are read-only once built.
+    are s^(p e) for p >= 1 and s^(e+1) (s^0 = 1 needs none). cut[k, r]:
+    samples of s below boundary r of row k, capped at n[k]. jump_u and
+    jump_us are CSR matrices over the cuts and the jumps, shared, not
+    copied; the operators of one ``grid_sums`` call share the jumps. right
+    is the ``window`` of row k's right layer, samples cut[k, -1] .. n[k] - 1.
+    Index arrays are int32; all arrays, those of the matrices too, are
+    read-only once built.
     """
 
     factors: tuple[np.ndarray, ...]
@@ -816,7 +889,10 @@ class _GridSums:
 
     def __call__(self, a: np.ndarray) -> np.ndarray:
         """Sum over i < n[k] of g_k(s_i / t_k) a_i, for each row k: O(N + rows * panels)."""
-        *powers, tail = (np.concatenate(([0.0], np.cumsum(a * f))) for f in self.factors)
+        *powers, tail = (
+            np.concatenate(([0.0], np.cumsum(term)))
+            for term in (a, *(a * f for f in self.factors))
+        )
         first, last = self.cut[:, 0], self.cut[:, -1]
         val = sum(c * pw[first] for c, pw in zip(self.lead, powers))
         val += powers[0][last] - powers[0][first]
@@ -825,9 +901,14 @@ class _GridSums:
         return val + self.right @ a
 
 
-def _power_series(coef: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """sum_p coef[..., p] u^p."""
-    return sum(coef[..., p] * u**p for p in range(coef.shape[-1]))
+def _power_series(coef: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sum_p coef[rows, p] u^p, summed from p = 0, one column of coef gathered at a time."""
+    total = np.zeros(u.shape)
+    for p in range(coef.shape[-1]):
+        term = u**p
+        term *= coef[rows, p]
+        total += term
+    return total
 
 
 def _unit_interpolant(sols: np.ndarray, rho: float) -> _UnitInterpolant:
@@ -842,9 +923,12 @@ def _unit_interpolant(sols: np.ndarray, rho: float) -> _UnitInterpolant:
     ones = np.ones((sols.shape[0], 1))
     left = np.concatenate((ones, sols[:, :order]), axis=1) @ shape.T
     right = sols[:, -1 : -order - 2 : -1] @ shape.T
-    w = (1.0 - sols) / nodes**exponent
-    slope = np.diff(w, axis=1) / np.diff(nodes)
-    offset = w[:, :-1] - slope * nodes[:-1]
+    w = 1.0 - sols
+    w /= nodes**exponent
+    slope = w[:, 1:] - w[:, :-1]
+    slope /= np.diff(nodes)
+    offset = slope * nodes[:-1]
+    np.subtract(w[:, :-1], offset, out=offset)
     return _UnitInterpolant(exponent, nodes, left, offset, slope, right)
 
 
@@ -921,12 +1005,15 @@ def _solve_kernel(
     Raises RuntimeError when the residual exceeds 1e-6.
     """
     rho = 2.0 * hh - 1.0
-    rows, res_uniform = _batch_scaled_solve(_unit_kernel_system(hh, unit), ends**rho)
+    # the graded system first: only its last column is kept, so its
+    # solutions are gone before the uniform system is built
     sols, res_graded = _batch_scaled_solve(_graded_unit_system(hh, unit), mesh**rho)
+    diagonal = sols[:, -1].copy()
+    del sols
+    rows, res_uniform = _batch_scaled_solve(_unit_kernel_system(hh, unit), ends**rho)
     residual = max(res_uniform, res_graded)
     if residual > 1e-6:
         raise RuntimeError(f"Nystrom linear-system residual {residual:.3e} > 1e-6")
-    diagonal = sols[:, -1]
     bracket = _layer_cumulative_square_integral(mesh, diagonal, rho)
     return rows[:, 1:], diagonal, bracket, residual
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .noise import HurstParam, NoiseSpec, _finite_array, _finite_vector, sample_fgn
-from .noise import _count, _fgn_into, _finite, _frozen_vectors, _hurst, _positive
+from .noise import _count, _fgn_into, _finite, _frozen_vectors, _hurst, _in_float_range, _positive
 
 __all__ = [
     "SamplePath",
@@ -123,11 +123,15 @@ def sfbm_path(tw: TwoSidedFbm) -> SamplePath:
     return SamplePath(d=tw.d, values=values, initial_value=0.0)
 
 
+@_in_float_range
 def sfbm_covariance(s, t, H: HurstParam):
     """Covariance of sfBm: E[S_s S_t] for finite s, t >= 0.
 
     R(s, t) = t^(2H) + s^(2H) - (|t-s|^(2H) + (t+s)^(2H)) / 2.
-    Symmetric in (s, t); zero whenever either argument is zero.
+    Symmetric in (s, t); zero whenever either argument is zero. ValueError,
+    for scalar and array times alike, where a power leaves the float range
+    ("sfbm_covariance is out of the float range at s=1e+300, t=1e+300,
+    H=0.65").
     """
     _hurst("sfbm_covariance", H)
     s_arr = _finite_array("s", s)
@@ -135,11 +139,12 @@ def sfbm_covariance(s, t, H: HurstParam):
     if np.any(s_arr < 0.0) or np.any(t_arr < 0.0):
         raise ValueError("sfbm_covariance requires nonnegative times")
     two_h = 2.0 * H.h
-    r = (
-        t_arr**two_h
-        + s_arr**two_h
-        - 0.5 * (np.abs(t_arr - s_arr) ** two_h + (t_arr + s_arr) ** two_h)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN is refused by name
+        r = (
+            t_arr**two_h
+            + s_arr**two_h
+            - 0.5 * (np.abs(t_arr - s_arr) ** two_h + (t_arr + s_arr) ** two_h)
+        )
     return float(r) if np.ndim(r) == 0 else r
 
 

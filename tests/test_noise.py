@@ -2,7 +2,8 @@
 
 Covers:
   1. HurstParam validation and regime classification.
-  2. fGn autocovariance closed form (frozen values, Brownian reduction).
+  2. fGn autocovariance closed form (frozen values, Brownian reduction)
+     and its series at large lags, against mpmath.
   3. Sampler determinism and stream separation.
   4. Statistical sanity of the circulant generator.
   5. The per-(n, H) spectrum cache: same bytes cold and warm, one miss per
@@ -14,6 +15,7 @@ Covers:
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -97,6 +99,23 @@ class TestFgnAutocovariance:
     def test_negative_lag_symmetry(self):
         h = HurstParam(0.65)
         assert fgn_autocovariance(-3, h) == pytest.approx(fgn_autocovariance(3, h))
+
+    @pytest.mark.parametrize("h", [0.3, 0.65, 0.9])
+    @pytest.mark.parametrize("k", [2.0**16, 1e8, 1e17, 1e300])
+    def test_large_lags_match_mpmath(self, h, k):
+        # the second difference at 700 digits, which cancellation at
+        # k = 1e300 leaves about 100 of; the direct form in doubles read
+        # 1.9e-6 for 4.9e-7 at k = 1e8, 0 at 1e17 and NaN at 1e300.
+        # At H = 0.3, k = 1e300 the answer, -1.2e-421, is below every
+        # float and reads 0, scalar and array alike
+        with mp.workdps(700):
+            kk, two_h = mp.mpf(k), 2 * mp.mpf(h)
+            want = float(((kk + 1) ** two_h - 2 * kk**two_h + (kk - 1) ** two_h) / 2)
+        got = fgn_autocovariance(k, HurstParam(h))
+        print(f"  rho({k:g}; H={h}) = {got!r}, mpmath {want!r}")
+        assert got == pytest.approx(want, rel=1e-12)
+        lags = np.array([1.0, -k, k])
+        assert np.array_equal(fgn_autocovariance(lags, HurstParam(h))[1:], [got, got])
 
     @given(st.floats(min_value=0.05, max_value=0.95), st.integers(min_value=1, max_value=50))
     @settings(max_examples=60, deadline=None)

@@ -46,7 +46,7 @@ from msfou.numerics import (
     _unit_kernel_system,
 )
 from oracles.kernel_quadrature import integral_g
-from oracles.nystrom_rows import row_integral_defect
+from oracles.nystrom_rows import row_integral_defect, unit_nodes
 
 # mpmath, 50 digits; tests/oracles/gamma_values.py
 GAMMA_TABLE = {
@@ -383,6 +383,22 @@ class TestSolveGKernel:
         print(f"  kept {kept / 2**20:.2f} MiB")
         assert kept < 0.1 * 2**20
 
+    def test_unit_1024_peaks_below_five_and_a_half_matrices(self):
+        # the assembly writes each system's hat moments into its matrix by
+        # row blocks, and the solves keep one full-size work array beside
+        # the matrix, the solutions and their product: at m = 1024 a full
+        # array is 1025^2 doubles, 8 MiB, and the bound is 5.5 of them.
+        # Assembling the moments whole peaked at 56 MiB, seven such arrays
+        solve_g_kernel(1.0, HurstParam(0.65), m=8)  # first-call allocations
+        tracemalloc.start()
+        try:
+            solve_g_kernel(1.0, HurstParam(0.65), m=1024)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        print(f"  peak {peak / 2**20:.2f} MiB")
+        assert peak < 45 * 2**20
+
 
 def _per_shift_solutions(weights, cs):
     """Oracle: one dense solve of (I + c W) G = 1 - c e per shift c, then G_0 = 1.
@@ -472,6 +488,60 @@ class TestNystromRows:
         assert weights.shape == (m + 1, m + 1)
         assert not weights[0].any()  # the known node sigma = 0 has no equation
         assert row_integral_defect(name, hh, weights) <= 1e-12
+
+
+def _hat_moments_whole(nodes: np.ndarray, rho: float, alpha: float):
+    """Oracle: the hat moments of ``numerics._hat_panel_moments`` over every
+    row at once, each antiderivative evaluated at both ends of every panel,
+    in the same floating-point operations.
+    """
+    a, b, col = nodes[None, :-1], nodes[None, 1:], nodes[1:, None]
+
+    def f_same(x):
+        return np.sign(x) * np.abs(x) ** rho / rho
+
+    def g_same(x):
+        return np.abs(x) ** (rho + 1.0) / (rho + 1.0)
+
+    d_f = f_same(b - col) - f_same(a - col)
+    d_g = g_same(b - col) - g_same(a - col)
+    cross_0 = ((b + col) ** rho - (a + col) ** rho) / rho
+    cross_1 = ((b + col) ** (rho + 1.0) - (a + col) ** (rho + 1.0)) / (
+        rho + 1.0
+    ) - (a + col) * cross_0
+    return alpha * (d_f - cross_0), alpha * (d_g + (col - a) * d_f - cross_1) / (b - a)
+
+
+class TestRowBlocks:
+    # the kernel matrices are assembled by row blocks, each antiderivative
+    # once per node; every entry must keep the bits of the whole-array
+    # formulas, for one block and for blocks of a few rows (50 entries)
+    @pytest.mark.parametrize("entries", [50, 2**17])
+    @pytest.mark.parametrize("m", [9, 64, 100])
+    @pytest.mark.parametrize("hh", [0.5002, 0.65, 0.75, 0.99])
+    def test_hat_moments_match_the_whole_array_formulas(self, hh, m, entries, monkeypatch):
+        monkeypatch.setattr(numerics, "_BLOCK_ENTRIES", entries)
+        rho = 2.0 * hh - 1.0
+        rows = list(numerics._row_blocks(m, m + 1))
+        assert (len(rows) > 1) == (entries == 50)
+        for system in ("uniform", "graded"):
+            nodes, _ = unit_nodes(system, hh, m)
+            blocks = [numerics._hat_panel_moments(nodes, rho, hh * rho, r) for r in rows]
+            for got, want in zip(zip(*blocks), _hat_moments_whole(nodes, rho, hh * rho)):
+                assert np.concatenate(got).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("hh", [0.501, 0.65])
+    @SYSTEMS
+    def test_blocks_change_no_bit(self, system, hh, monkeypatch):
+        # the matrices and the batch solve's residual, whose check runs by
+        # row blocks, read the same with blocks of one row as with one block
+        cs = (np.arange(1, 65) * (200.0 / 64)) ** (2.0 * hh - 1.0)
+        whole = system(hh, 64)
+        sols, residual = _batch_scaled_solve(whole, cs)
+        monkeypatch.setattr(numerics, "_BLOCK_ENTRIES", 1)
+        blocked = system(hh, 64)
+        assert blocked.tobytes() == whole.tobytes()
+        assert _batch_scaled_solve(blocked, cs)[1] == residual
 
 
 def _edge_moment_reference(rho: float, m: int, k: int, i: int, side: str) -> float:

@@ -147,6 +147,13 @@ class TestSfbmCovariance:
         with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$"):
             sfbm_covariance(s, t, HurstParam(0.6))
 
+    def test_array_past_the_float_range_refused_by_name(self):
+        # one time of 1e300 makes t^(2H) overflow: refused as a whole,
+        # with no warning, and not returned as an array holding a NaN
+        s = np.array([1.0, 1e300])
+        with pytest.raises(ValueError, match=r"^sfbm_covariance is out of the float range at s="):
+            sfbm_covariance(s, s, HurstParam(0.65))
+
     def test_array_matches_scalar(self):
         h = HurstParam(0.7)
         s = np.array([0.0, 0.3, 1.0, 2.5])

@@ -206,6 +206,9 @@ FLOAT_RANGE = {
     "gamma_fn-just-above-the-range": (lambda v: gamma_fn(v), 171.7, "gamma_fn", "x=171.7"),
     "gamma_fn-just-below-the-range": (lambda v: gamma_fn(v), 5e-309, "gamma_fn", "x=5e-309"),
     "sigma_H": (lambda v: sigma_H(v, H), 1e-200, "sigma_H", "theta=1e-200, H=0.65"),
+    # t^(2H) overflows, and inf - inf was returned as NaN with four warnings
+    "sfbm_covariance": (lambda v: sfbm_covariance(v, v, H), 1e300,
+                        "sfbm_covariance", "s=1e+300, t=1e+300, H=0.65"),
     "phi_statistic-sigma_H": (lambda v: phi_statistic(1.0, v, H, 10, 0.1), 1e-200,
                               "sigma_H", "theta=1e-200, H=0.65"),
     "phi_statistic": (lambda v: phi_statistic(1.0, v, HurstParam(0.6), 10, 0.1), 1e-200,
