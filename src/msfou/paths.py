@@ -7,11 +7,14 @@ an independent Brownian motion gives the mixed process xi; the
 Ornstein-Uhlenbeck recursion driven by xi increments gives the observed
 path X. Paths are read from and written to CSV through open text handles.
 
-``euler_msfou`` runs that pipeline in place in 12N + 2 floats: the fGn's
-8N normals and its half spectrum. A call makes and drops its own set,
-except inside ``_reuse_buffers``, where a thread keeps one set per N: the
-harness runs its replication loops in one, so no replication faults in a
-fresh set.
+The fold, ``sfbm_path(two_sided_fbm(fgn, d, H))``, is the public route to a
+whole sfBm path. ``euler_msfou`` needs only its increments, so it takes them
+straight from the fGn Y as d^H (Y[N+i] - Y[N-1-i]) / sqrt(2), and runs in
+place in 12N + 2 floats: the fGn's 8N normals, whose spent room takes the
+increments, and its half spectrum, whose room takes the recursion. A call
+makes and drops its own set, except inside ``_reuse_buffers``, where a
+thread keeps one set per N: the harness runs its replication loops in one,
+so no replication faults in a fresh set.
 """
 
 from __future__ import annotations
@@ -253,17 +256,12 @@ def euler_msfou(
     if N not in sets:
         sets[N] = np.empty(8 * N), np.empty(2 * N + 1, dtype=complex)
     z, half = sets[N]
-    # The public route, sfbm_path(two_sided_fbm(sample_fgn(...))), its
-    # increments and the Brownian ones, op for op and so byte for byte, in
-    # z beyond the fGn z[:2N]; the half spectrum's room takes the recursion.
+    # S(t) = (B(t) + B(-t)) / sqrt(2) with B the sums of Y = z[:2N] that
+    # two_sided_fbm forms, so S(t_{i+1}) - S(t_i) = d^H (Y[N+i] - Y[N-1-i]) / sqrt(2)
     fgn = _fgn_into(NoiseSpec(n=2 * N, seed=seed, stream=_STREAM_SFBM), H, z, half)
-    s, neg, ds, dw = z[2 * N : 6 * N].reshape(4, N)
-    scale = d**H.h
-    np.multiply(np.cumsum(fgn[N:], out=s), scale, out=s)
-    np.multiply(np.cumsum(fgn[N - 1 :: -1], out=neg), -scale, out=neg)
-    np.divide(np.add(s, neg, out=s), math.sqrt(2.0), out=s)
-    ds[0] = s[0]
-    np.subtract(s[1:], s[:-1], out=ds[1:])
+    ds, dw = z[2 * N : 4 * N].reshape(2, N)
+    np.subtract(fgn[N:], fgn[N - 1 :: -1], out=ds)
+    np.multiply(ds, d**H.h / math.sqrt(2.0), out=ds)
 
     rng = NoiseSpec(n=N, seed=seed, stream=_STREAM_BM).rng()
     np.multiply(rng.standard_normal(out=dw), math.sqrt(d), out=dw)
