@@ -786,8 +786,6 @@ class _UnitInterpolant:
         bounds = self.nodes[inner.start : inner.stop + 1]
         grid_parts = []
         for s, n in grids:
-            u = s**e
-            factors = tuple(u**p for p in range(1, self.left.shape[1])) + (u * s,)
             # samples below each boundary, in one float buffer; a sample within rounding
             # of a boundary may fall on either side, where the interpolant is continuous
             below = np.multiply.outer(t, bounds)
@@ -797,6 +795,8 @@ class _UnitInterpolant:
             np.clip(below, 0, n[:, None], out=below)
             cut = below.astype(np.int32)
             del below  # so that it does not sit under the later temporaries
+            u, head = s**e, slice(cut[:, 0].max())  # u^p, p >= 2, is read at cut[:, 0] only
+            factors = (u, *(u[head] ** p for p in range(2, self.left.shape[1])), u * s)
             right = self.window(t, s, cut[:, -1], n)
             # the prefix sums of a, which start at 0, have one column more than s
             grid_parts.append((factors, (t.size, s.size + 1), cut, right))
@@ -861,14 +861,14 @@ def _csr(
 class _GridSums:
     """Sums of every interpolant row against data on one grid; see ``grid_sums``.
 
-    lead[p] = left[:, p] t^(-p e), t_e = t^(-e), t_e1 = t^(-e-1); factors
-    are s^(p e) for p >= 1 and s^(e+1) (s^0 = 1 needs none). cut[k, r]:
-    samples of s below boundary r of row k, capped at n[k]. jump_u and
-    jump_us are CSR matrices over the cuts and the jumps, shared, not
-    copied; the operators of one ``grid_sums`` call share the jumps. right
-    is the ``window`` of row k's right layer, samples cut[k, -1] .. n[k] - 1.
-    Index arrays are int32; all arrays, those of the matrices too, are
-    read-only once built.
+    lead[p] = left[:, p] t^(-p e), t_e = t^(-e), t_e1 = t^(-e-1); factors are
+    s^(p e) for p >= 1, below cut[:, 0] only for p >= 2, and s^(e+1) (s^0 = 1
+    needs none). cut[k, r]: samples of s below boundary r of row k, capped at
+    n[k]. jump_u and jump_us are CSR matrices over the cuts and the jumps,
+    shared, not copied; the operators of one ``grid_sums`` call share the
+    jumps. right is the ``window`` of row k's right layer, samples cut[k, -1]
+    .. n[k] - 1. Index arrays are int32; all arrays, those of the matrices
+    too, are read-only once built.
     """
 
     factors: tuple[np.ndarray, ...]
@@ -891,7 +891,7 @@ class _GridSums:
         """Sum over i < n[k] of g_k(s_i / t_k) a_i, for each row k: O(N + rows * panels)."""
         *powers, tail = (
             np.concatenate(([0.0], np.cumsum(term)))
-            for term in (a, *(a * f for f in self.factors))
+            for term in (a, *(a[: f.size] * f for f in self.factors))
         )
         first, last = self.cut[:, 0], self.cut[:, -1]
         val = sum(c * pw[first] for c, pw in zip(self.lead, powers))

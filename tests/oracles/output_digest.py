@@ -41,7 +41,8 @@ Layers:
 
 * ``noise``: ``sample_fgn`` values, every H on a few (n, seed, stream), so
   a change of the fGn synthesis shows apart from the paths built on it,
-  and ``fgn_autocovariance`` at scalar lags and an integer lag array;
+  and ``fgn_autocovariance`` at the scalar lags 0, 1 and 2 and an integer
+  lag array (whole lags only, which ``fgn_autocovariance`` requires);
 * ``paths``: ``euler_msfou`` values, every (H, theta, seed), and
   ``sfbm_covariance`` at scalar times and on a broadcast time grid;
 * ``estimators``: theta_hat, denominator and diagnostics of the practical,
@@ -111,10 +112,11 @@ MLE_GRIDS = ((20000, 0.01, 1024), (5000, 0.01, 250), (5001, 0.01, 251), (999, 0.
              (64, 0.05, 8))
 KERNEL_MESHES = (8, 9, 64, 65, 256, 257)
 THETAS = (0.05, 1.0, 7.5)
-# lags and times of the covariance functions: scalars (an int, a float and
-# zero), an integer lag array with negative lags, and a time grid whose
-# column broadcasts against its row
-LAGS = (0, 1, 2.5, np.arange(-3, 300))
+# lags and times of the covariance functions: scalars (zero, the closed-form
+# lag 1 and the series' first lag 2 for the lags, which must be whole; an
+# int, a float and zero for the times), an integer lag array with negative
+# lags, and a time grid whose column broadcasts against its row
+LAGS = (0, 1, 2, np.arange(-3, 300))
 TIMES = ((0.0, 1.0), (1, 2.5), (np.linspace(0.0, 5.0, 41)[:, None], np.linspace(0.0, 5.0, 41)))
 HORIZONS = (0.0, 0.5, 20.0, 400.0)
 
